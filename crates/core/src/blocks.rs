@@ -9,11 +9,13 @@
 //! `I_can` has a constant number of nulls, which is what makes the
 //! per-block homomorphism checks of `ExistsSolution` polynomial.
 
-use pde_relational::{Instance, NullId, RelId, Tuple, Value};
+use pde_relational::{FxBuildHasher, Instance, NullId, RelId, Relation, Tuple, Value, ValueId};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A block of tuples, with its null inventory.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Block {
     /// The facts of the block.
     pub facts: Vec<(RelId, Tuple)>,
@@ -37,221 +39,279 @@ impl Block {
     pub fn is_ground(&self) -> bool {
         self.nulls.is_empty()
     }
-
-    /// Materialize this block as an instance over `schema`.
-    pub fn to_instance(&self, schema: &std::sync::Arc<pde_relational::Schema>) -> Instance {
-        let mut out = Instance::new(schema.clone());
-        for (rel, t) in &self.facts {
-            out.insert(*rel, t.clone());
-        }
-        out
-    }
 }
 
-/// Union-find over null ids.
-struct UnionFind {
-    parent: HashMap<NullId, NullId>,
-}
-
-impl UnionFind {
-    fn new() -> UnionFind {
-        UnionFind {
-            parent: HashMap::new(),
-        }
+/// Root of slot `x` in the union-find `parent`, halving the path.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
     }
-
-    fn find(&mut self, x: NullId) -> NullId {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = self.find(p);
-        self.parent.insert(x, root);
-        root
-    }
-
-    fn union(&mut self, a: NullId, b: NullId) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
+    x
 }
 
 /// Decompose `inst` into its blocks. The ground block (if non-empty) comes
 /// first, followed by one block per connected component of the null graph,
-/// in ascending order of their smallest null id.
+/// in ascending order of their smallest null id; facts keep their order.
 pub fn blocks(inst: &Instance) -> Vec<Block> {
     let mut span = pde_trace::span("blocks.decompose").field("facts", inst.fact_count());
-    let mut uf = UnionFind::new();
-    // Union pass over the packed columns — no tuples materialized.
-    let _ = inst.for_each_fact(|_, ids| {
-        let mut prev: Option<NullId> = None;
-        for id in ids {
-            if let Value::Null(n) = id.value() {
-                match prev {
-                    Some(p) => uf.union(p, n),
-                    None => {
-                        uf.find(n); // ensure singleton components are registered
-                    }
-                }
-                prev = Some(n);
-            }
+    // Nulls get dense slots in order of first occurrence; `parent` is the
+    // union-find over slots.
+    let mut slot_of: HashMap<NullId, u32, FxBuildHasher> = HashMap::default();
+    let mut parent = Vec::new();
+    // The ground block, and the other facts with their first null's slot.
+    let mut ground = Block::default();
+    let mut pending = Vec::new();
+    let _ = inst.for_each_fact(|rel, ids| {
+        let mut first = None;
+        for n in ids.iter().filter_map(|id| id.value().as_null()) {
+            let fresh = u32::try_from(parent.len()).expect("null count fits u32");
+            let s = *slot_of.entry(n).or_insert(fresh);
+            parent.resize(slot_of.len(), s); // a new slot is its own root
+            let f = *first.get_or_insert(s);
+            let root = find(&mut parent, s);
+            parent[root as usize] = find(&mut parent, f);
         }
-        std::ops::ControlFlow::Continue(())
-    });
-    let mut ground = Block {
-        facts: Vec::new(),
-        nulls: Vec::new(),
-    };
-    let mut by_root: HashMap<NullId, Block> = HashMap::new();
-    for (rel, t) in inst.facts() {
-        let first_null = t.nulls().next();
-        match first_null {
+        let t = Tuple::new(ids.iter().map(|id| id.value()).collect::<Vec<_>>());
+        match first {
+            Some(f) => pending.push((rel, t, f)),
             None => ground.facts.push((rel, t)),
-            Some(n) => {
-                let root = uf.find(n);
-                by_root
-                    .entry(root)
-                    .or_insert_with(|| Block {
-                        facts: Vec::new(),
-                        nulls: Vec::new(),
-                    })
-                    .facts
-                    .push((rel, t));
-            }
         }
+        ControlFlow::Continue(())
+    });
+    // Visiting nulls in ascending order creates the blocks in order of
+    // their smallest null, each listing its nulls in ascending order.
+    let mut by_null: Vec<(NullId, u32)> = slot_of.into_iter().collect();
+    by_null.sort_unstable();
+    let mut out: Vec<Block> = (!ground.is_empty()).then_some(ground).into_iter().collect();
+    let mut block_of = vec![usize::MAX; parent.len()];
+    for (n, s) in by_null {
+        let root = find(&mut parent, s) as usize;
+        if block_of[root] == usize::MAX {
+            block_of[root] = out.len();
+            out.push(Block::default());
+        }
+        out[block_of[root]].nulls.push(n);
     }
-    // Record each block's distinct nulls.
-    let mut out = Vec::new();
-    if !ground.facts.is_empty() {
-        out.push(ground);
+    for (rel, t, f) in pending {
+        let b = block_of[find(&mut parent, f) as usize];
+        out[b].facts.push((rel, t));
     }
-    let mut keyed: Vec<(NullId, Block)> = by_root.into_iter().collect();
-    for (_, b) in &mut keyed {
-        let mut ns: Vec<NullId> = b
-            .facts
-            .iter()
-            .flat_map(|(_, t)| t.nulls().collect::<Vec<_>>())
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        b.nulls = ns;
-    }
-    keyed.sort_by_key(|(_, b)| b.nulls[0]);
-    out.extend(keyed.into_iter().map(|(_, b)| b));
     span.record_field("blocks", out.len());
     out
 }
 
 /// Proposition 1, used by `ExistsSolution`: there is a homomorphism from
 /// `from` to `to` iff each block of `from` maps into `to` independently.
-/// Returns the per-block results; the conjunction is the overall answer.
 pub fn blockwise_hom_exists(from: &Instance, to: &Instance) -> bool {
-    let schema = from.schema().clone();
-    blocks(from).iter().all(|b| {
-        let bi = b.to_instance(&schema);
-        pde_relational::instance_hom_exists(&bi, to)
-    })
+    check_blocks(&blocks(from), to, usize::MAX).is_ok()
 }
 
-/// The maximum number of nulls in any block (0 for ground instances) —
-/// the quantity Theorem 6 bounds by a constant for `C_tract` settings.
-pub fn max_block_nulls(inst: &Instance) -> usize {
-    blocks(inst)
-        .iter()
-        .map(|b| b.nulls.len())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Find a per-block homomorphism map for every block of `from` into `to`,
-/// or `None` if some block has none. Blocks are mutually independent
-/// (Prop. 1), so above `parallel_threshold` blocks the checks fan out over
-/// `std::thread::scope`; any failing block cancels the rest.
+/// [`check_blocks`] over a fresh decomposition of `from`, or `None` if
+/// some block has no homomorphism into `to`.
 pub fn collect_block_homs(
     from: &Instance,
     to: &Instance,
     parallel_threshold: usize,
-) -> Option<std::collections::HashMap<pde_relational::NullId, pde_relational::Value>> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let schema = from.schema().clone();
-    let bs = blocks(from);
-    if bs.len() < parallel_threshold {
-        let mut out = std::collections::HashMap::new();
-        for (bi_idx, b) in bs.iter().enumerate() {
-            let _span = pde_trace::span("block.hom_search")
-                .field("block", bi_idx)
-                .field("nulls", b.nulls.len())
-                .field("facts", b.len());
-            let bi = b.to_instance(&schema);
-            out.extend(pde_relational::instance_hom(&bi, to)?);
+) -> Option<HashMap<NullId, Value>> {
+    check_blocks(&blocks(from), to, parallel_threshold).ok()
+}
+
+/// Map every block of `bs` into `to`, collecting the null map, or return
+/// the index of the lowest block with no homomorphism. Blocks are mutually
+/// independent (Prop. 1), so from `parallel_threshold` blocks on the checks
+/// fan out over `std::thread::scope`; a failure lets every worker skip the
+/// blocks above it, never the ones below.
+pub fn check_blocks(
+    bs: &[Block],
+    to: &Instance,
+    parallel_threshold: usize,
+) -> Result<HashMap<NullId, Value>, usize> {
+    // Relaxed: the index publishes no other data; maps return through join.
+    let first_failed = AtomicUsize::new(usize::MAX);
+    // Worker `first` of `stride` checks blocks `first`, `first + stride`, ….
+    let run = |first: usize, stride: usize| {
+        let mut out = HashMap::new();
+        for (i, b) in bs.iter().enumerate().skip(first).step_by(stride) {
+            // Past a lower failure `fetch_min` keeps that lower index.
+            if first_failed.load(Ordering::Relaxed) < i || !check_block(to, i, b, &mut out) {
+                first_failed.fetch_min(i, Ordering::Relaxed);
+                break;
+            }
         }
-        return Some(out);
+        out
+    };
+    let maps = if bs.len() < parallel_threshold {
+        vec![run(0, 1)]
+    } else {
+        let threads = std::thread::available_parallelism().map_or(4, usize::from);
+        let run = &run;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| scope.spawn(move || run(w, threads)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("block-check workers are panic-free"))
+                .collect()
+        })
+    };
+    match first_failed.into_inner() {
+        usize::MAX => Ok(maps.into_iter().flatten().collect()),
+        i => Err(i),
     }
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(bs.len());
-    let failed = AtomicBool::new(false);
-    let chunk = bs.len().div_ceil(threads);
-    let results: Vec<Option<Vec<std::collections::HashMap<_, _>>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, part)| {
-                let schema = &schema;
-                let failed = &failed;
-                scope.spawn(move || {
-                    let mut maps = Vec::with_capacity(part.len());
-                    for (off, b) in part.iter().enumerate() {
-                        if failed.load(Ordering::Relaxed) {
-                            return None;
-                        }
-                        // Worker-thread spans self-account on their own
-                        // thread; they are not subtracted from the
-                        // spawning span's self time.
-                        let _span = pde_trace::span("block.hom_search")
-                            .field("block", ci * chunk + off)
-                            .field("nulls", b.nulls.len())
-                            .field("facts", b.len());
-                        let bi = b.to_instance(schema);
-                        match pde_relational::instance_hom(&bi, to) {
-                            Some(m) => maps.push(m),
-                            None => {
-                                failed.store(true, Ordering::Relaxed);
-                                return None;
-                            }
-                        }
-                    }
-                    Some(maps)
-                })
-            })
-            .collect();
-        handles
+}
+
+/// Check block `b` (index `i`) against `to`, adding its null map to `out`.
+fn check_block(to: &Instance, i: usize, b: &Block, out: &mut HashMap<NullId, Value>) -> bool {
+    let _span = pde_trace::span("block.hom_search")
+        .field("block", i)
+        .field("nulls", b.nulls.len())
+        .field("facts", b.len());
+    if b.is_ground() {
+        // A homomorphism fixes constants: the check is containment.
+        return b.facts.iter().all(|(rel, t)| to.contains(*rel, t));
+    }
+    let mut m = Matcher {
+        to,
+        block: b,
+        binding: vec![None; b.nulls.len()],
+    };
+    if !m.step(&mut (0..b.len()).collect()) {
+        return false;
+    }
+    let bound = m.binding.iter().map(|id| id.expect("bound").value());
+    out.extend(b.nulls.iter().copied().zip(bound));
+    true
+}
+
+/// Backtracking matcher of a null-carrying block's facts into `to`. It
+/// makes `instance_hom`'s choices in the same order, so both find the same
+/// first homomorphism. A fact whose terms are all bound is a membership
+/// test in a loop, not a recursive call: recursion depth is at most the
+/// block's null count.
+struct Matcher<'a> {
+    to: &'a Instance,
+    block: &'a Block,
+    /// Binding of each null of `block.nulls`, by position.
+    binding: Vec<Option<ValueId>>,
+}
+
+impl<'a> Matcher<'a> {
+    /// Fact `ai`'s relation in `to` and its values.
+    fn fact(&self, ai: usize) -> (&'a Relation, &'a [Value]) {
+        let (rel, t) = &self.block.facts[ai];
+        (self.to.relation(*rel), t.values())
+    }
+
+    /// `(attribute, id)` of every bound term of fact `ai`.
+    fn bound(&self, ai: usize) -> impl Iterator<Item = (u16, ValueId)> + '_ {
+        (0u16..).zip(self.fact(ai).1).filter_map(move |(attr, &v)| {
+            let id = match v {
+                Value::Null(n) => self.binding[self.block.nulls.binary_search(&n).ok()?]?,
+                c => ValueId::pack(c),
+            };
+            Some((attr, id))
+        })
+    }
+
+    /// Membership test of fact `ai`, whose terms are all bound.
+    fn holds(&self, ai: usize) -> bool {
+        let ids: Vec<ValueId> = self.bound(ai).map(|(_, id)| id).collect();
+        self.fact(ai).0.contains_ids(&ids)
+    }
+
+    /// Match the facts of `remaining`; on failure `remaining` comes back
+    /// in the order `instance_hom` leaves it.
+    fn step(&mut self, remaining: &mut Vec<usize>) -> bool {
+        let mut checked = Vec::new();
+        let mut settled = false;
+        let found = loop {
+            // With every null bound the rest are membership tests whose
+            // answer does not depend on their order; only a failure is
+            // replayed in search order, to leave `remaining` as it would.
+            if !settled && self.binding.iter().all(Option::is_some) {
+                if remaining.iter().all(|&ai| self.holds(ai)) {
+                    break true;
+                }
+                settled = true;
+            }
+            // `instance_hom`'s pick: connected (some term bound) first,
+            // then the fewest candidate rows, then the earliest position;
+            // `remaining` keeps its `swap_remove`/`push` discipline.
+            let key = |ai: usize| {
+                let rel = self.fact(ai).0;
+                let counts = self.bound(ai).map(|(a, id)| rel.count_with_id(a, id));
+                counts.fold((true, rel.len()), |(_, est), c| (false, est.min(c)))
+            };
+            let pick = (0..remaining.len()).min_by_key(|&p| key(remaining[p]));
+            let ai = remaining.swap_remove(pick.expect("an unmatched fact remains"));
+            if self.bound(ai).count() < self.fact(ai).1.len() {
+                break self.expand(ai, remaining);
+            }
+            checked.push(ai);
+            if !self.holds(ai) {
+                break false;
+            }
+        };
+        if !found {
+            remaining.extend(checked.into_iter().rev());
+        }
+        found
+    }
+
+    /// Try every candidate row for fact `ai` (from the index of its most
+    /// selective bound position), binding its free nulls and recursing.
+    fn expand(&mut self, ai: usize, remaining: &mut Vec<usize>) -> bool {
+        let (rel, values) = self.fact(ai);
+        let anchor = (self.bound(ai))
+            .map(|(attr, id)| (rel.count_with_id(attr, id), attr, id))
+            .min_by_key(|&(count, _, _)| count);
+        let anchored = anchor.map(|(_, attr, id)| rel.rows_with_id(attr, id));
+        let unanchored = anchor.is_none().then(|| rel.live_row_ids());
+        let rows = anchored
             .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("block-check worker panicked; per-block hom search is panic-free")
-            })
-            .collect()
-    });
-    let mut out = std::collections::HashMap::new();
-    for r in results {
-        out.extend(r?.into_iter().flatten());
+            .flatten()
+            .chain(unanchored.into_iter().flatten());
+        let before = self.binding.clone();
+        for r in rows {
+            let ok = (0u16..).zip(values).all(|(attr, &v)| {
+                let id = rel.value_id_at(r, attr);
+                match v {
+                    // A free null binds here; later occurrences compare.
+                    Value::Null(n) => (self.block.nulls)
+                        .binary_search(&n)
+                        .is_ok_and(|s| *self.binding[s].get_or_insert(id) == id),
+                    c => ValueId::pack(c) == id,
+                }
+            });
+            if ok && self.step(remaining) {
+                return true;
+            }
+            self.binding.clone_from(&before);
+        }
+        remaining.push(ai);
+        false
     }
-    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pde_relational::{instance_hom_exists, parse_instance, parse_schema, Schema};
+    use pde_relational::{instance_hom, instance_hom_exists, parse_instance, parse_schema, Schema};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {
         Arc::new(parse_schema("source E/2;").unwrap())
+    }
+
+    fn block_instance(schema: &Arc<Schema>, b: &Block) -> Instance {
+        let mut out = Instance::new(schema.clone());
+        for (rel, t) in &b.facts {
+            out.insert(*rel, t.clone());
+        }
+        out
     }
 
     #[test]
@@ -272,13 +332,9 @@ mod tests {
         let bs = blocks(&i);
         assert_eq!(bs.len(), 3);
         assert!(bs[0].is_ground());
-        assert_eq!(
-            bs[1].nulls,
-            vec![pde_relational::NullId(0), pde_relational::NullId(1)]
-        );
+        assert_eq!(bs[1].nulls, vec![NullId(0), NullId(1)]);
         assert_eq!(bs[1].len(), 2);
-        assert_eq!(bs[2].nulls, vec![pde_relational::NullId(2)]);
-        assert_eq!(max_block_nulls(&i), 2);
+        assert_eq!(bs[2].nulls, vec![NullId(2)]);
     }
 
     #[test]
@@ -292,12 +348,31 @@ mod tests {
     }
 
     #[test]
+    fn blocks_order_by_smallest_null_and_keep_fact_order() {
+        let s = schema();
+        // ?5 is met first, but ?1's block sorts first; ?7 joins ?1 late.
+        let i = parse_instance(&s, "E(?5, a). E(?1, b). E(?7, c). E(?7, ?1). E(?5, d).").unwrap();
+        let bs = blocks(&i);
+        assert_eq!(bs.len(), 2);
+        assert_eq!(bs[0].nulls, vec![NullId(1), NullId(7)]);
+        let facts: Vec<String> = bs[0].facts.iter().map(|(_, t)| t.to_string()).collect();
+        assert_eq!(facts, ["(_N1, b)", "(_N7, c)", "(_N7, _N1)"]);
+        assert_eq!(bs[1].nulls, vec![NullId(5)]);
+        assert_eq!(bs[1].len(), 2);
+    }
+
+    #[test]
     fn blocks_partition_the_facts() {
         let s = schema();
         let i = parse_instance(&s, "E(?0, a). E(?1, b). E(c, d). E(?0, ?1).").unwrap();
         let bs = blocks(&i);
         let total: usize = bs.iter().map(Block::len).sum();
         assert_eq!(total, i.fact_count());
+        let mut union = Instance::new(s.clone());
+        for b in &bs {
+            union = union.union(&block_instance(&s, b));
+        }
+        assert!(union.same_facts(&i));
     }
 
     #[test]
@@ -331,42 +406,106 @@ mod tests {
             src.push_str(&format!("E(?{i}, a). "));
         }
         let pat = parse_instance(&s, &src).unwrap();
-        let seq = super::collect_block_homs(&pat, &ground, usize::MAX).unwrap();
-        let par = super::collect_block_homs(&pat, &ground, 1).unwrap();
-        assert_eq!(seq.len(), par.len());
-        // Both maps must induce valid homomorphisms.
-        for h in [seq, par] {
-            let img = pat.map_values(|v| match v {
-                pde_relational::Value::Null(n) => h.get(&n).copied().unwrap_or(v),
-                c => c,
-            });
-            assert!(img.contained_in(&ground));
-        }
+        let seq = collect_block_homs(&pat, &ground, usize::MAX).unwrap();
+        let par = collect_block_homs(&pat, &ground, 1).unwrap();
+        assert_eq!(seq, par);
+        let img = pat.map_values(|v| match v {
+            Value::Null(n) => seq[&n],
+            c => c,
+        });
+        assert!(img.contained_in(&ground));
     }
 
     #[test]
-    fn collect_block_homs_fails_fast_in_parallel() {
+    fn lowest_failing_block_is_reported_sequentially_and_in_parallel() {
         let s = schema();
-        let ground = parse_instance(&s, "E(a, b).").unwrap();
-        let mut src = String::new();
-        for i in 0..80 {
-            src.push_str(&format!("E(?{i}, a). ")); // unsatisfiable: no (_, a)
+        let ground = parse_instance(&s, "E(a, b). E(b, a).").unwrap();
+        // Blocks 1.. are ?i's; those with a c-edge have no image.
+        let mut src = String::from("E(a, b). ");
+        for i in 0..200 {
+            let target = if [37, 90, 151].contains(&i) { "c" } else { "a" };
+            src.push_str(&format!("E(?{i}, {target}). "));
         }
         let pat = parse_instance(&s, &src).unwrap();
-        assert!(super::collect_block_homs(&pat, &ground, 1).is_none());
-        assert!(super::collect_block_homs(&pat, &ground, usize::MAX).is_none());
+        let bs = blocks(&pat);
+        assert_eq!(check_blocks(&bs, &ground, usize::MAX), Err(38));
+        for _ in 0..8 {
+            assert_eq!(check_blocks(&bs, &ground, 1), Err(38));
+        }
+        // A failing ground block is block 0 on both paths.
+        let bad_ground = parse_instance(&s, &src.replacen("E(a, b)", "E(a, c)", 1)).unwrap();
+        let bs = blocks(&bad_ground);
+        assert_eq!(check_blocks(&bs, &ground, usize::MAX), Err(0));
+        assert_eq!(check_blocks(&bs, &ground, 1), Err(0));
     }
 
     #[test]
-    fn block_instances_roundtrip() {
+    fn large_blocks_fit_a_small_stack() {
         let s = schema();
-        let i = parse_instance(&s, "E(?0, a). E(b, c).").unwrap();
-        let bs = blocks(&i);
-        let mut union = pde_relational::Instance::new(s.clone());
-        for b in &bs {
-            let bi = b.to_instance(&s);
-            union = union.union(&bi);
+        let e = s.rel_id("E").unwrap();
+        let hub = Value::constant("hub");
+        let mut to = Instance::new(s.clone());
+        let mut ground = Instance::new(s.clone());
+        let mut one_null = Instance::new(s.clone());
+        for i in 0..20_000 {
+            let c = Value::constant(format!("c{i}"));
+            to.insert(e, Tuple::new(vec![c, hub]));
+            ground.insert(e, Tuple::new(vec![c, hub]));
+            one_null.insert(e, Tuple::new(vec![c, Value::Null(NullId(0))]));
         }
-        assert!(union.same_facts(&i));
+        // Recursion depth is bounded by the nulls of a block, not its facts.
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let h = collect_block_homs(&ground, &to, usize::MAX).unwrap();
+                assert!(h.is_empty());
+                let h = collect_block_homs(&one_null, &to, usize::MAX).unwrap();
+                assert_eq!(h[&NullId(0)], hub);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// A fact over `R/2` or `S/3`: terms below 3 are the constants a, b,
+    /// c; the rest are nulls, folded onto `?0..?nulls`.
+    fn fact_text(rel: u32, terms: [u32; 3], nulls: u32) -> String {
+        let term = |t: u32| match t {
+            0..=2 => ["a", "b", "c"][t as usize].to_string(),
+            t => format!("?{}", (t - 3) % nulls),
+        };
+        let (name, arity) = [("R", 2), ("S", 3)][rel as usize];
+        let args: Vec<String> = terms[..arity].iter().map(|&t| term(t)).collect();
+        format!("{name}({}). ", args.join(", "))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Dense targets over few constants give many ties and dead ends,
+        /// which is where a divergent search order would show.
+        #[test]
+        fn block_check_finds_the_same_hom_as_instance_hom(
+            pattern in prop::collection::vec((0u32..2, 0u32..8, 0u32..8, 0u32..8), 3..12),
+            nulls in 1u32..5,
+            target in prop::collection::vec((0u32..2, 0u32..3, 0u32..3, 0u32..3), 5..40),
+        ) {
+            let s = Arc::new(parse_schema("source R/2; source S/3;").unwrap());
+            let from_src: String = pattern
+                .iter()
+                .map(|&(r, x, y, z)| fact_text(r, [x, y, z], nulls))
+                .collect();
+            let to_src: String = target
+                .iter()
+                .map(|&(r, x, y, z)| fact_text(r, [x, y, z], 1))
+                .collect();
+            let from = parse_instance(&s, &from_src).unwrap();
+            let to = parse_instance(&s, &to_src).unwrap();
+            for b in blocks(&from) {
+                let expected = instance_hom(&block_instance(&s, &b), &to);
+                let got = check_blocks(std::slice::from_ref(&b), &to, usize::MAX).ok();
+                prop_assert_eq!(got, expected, "block {:?} into {}", b.facts, to_src);
+            }
+        }
     }
 }

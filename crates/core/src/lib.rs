@@ -22,7 +22,7 @@ pub mod tractable;
 pub use assignment::{
     solve as assignment_solve, AssignmentError, AssignmentOutcome, DisjunctiveProblem, SearchStats,
 };
-pub use blocks::{blocks, blockwise_hom_exists, max_block_nulls, Block};
+pub use blocks::{blocks, blockwise_hom_exists, check_blocks, Block};
 pub use setting::{PdeSetting, SettingClass, SettingError};
 pub use solution::{check_solution, core_solution, is_solution, SolutionViolation};
 pub use tractable::{

@@ -17,7 +17,7 @@ use crate::generic::{self, GenericLimits, GenericOutcome};
 use crate::setting::PdeSetting;
 use crate::tractable::{self, TractableError};
 use pde_chase::{ChaseEngine, ChaseLimits, ChaseStats, DepSchedule};
-use pde_relational::Instance;
+use pde_relational::{Instance, RelId, Tuple};
 use pde_runtime::{isolate, EngineError, Governor, GovernorReport, StopReason};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -81,6 +81,10 @@ pub struct SolveReport {
     pub exists: Option<bool>,
     /// A materialized solution, when one was found.
     pub witness: Option<Instance>,
+    /// Why the `C_tract` path answered "no": the unsatisfiable source
+    /// demand of [`tractable::TractableOutcome`]. `None` for every other
+    /// outcome and solver kind.
+    pub unsatisfiable_demand: Option<Vec<(RelId, Tuple)>>,
     /// Wall-clock time of the solve call.
     pub elapsed: Duration,
     /// Chase engine counters (rounds, triggers fired / skipped-by-delta,
@@ -312,6 +316,7 @@ fn attempt(
         kind: plan.kind,
         exists,
         witness,
+        unsatisfiable_demand: None,
         elapsed: start.elapsed(),
         chase_stats,
         search,
@@ -345,13 +350,16 @@ fn attempt(
         }
         SolverKind::Tractable => {
             match tractable::exists_solution_governed(setting, input, engine, governor) {
-                Ok(out) => Ok(report(
-                    Some(out.exists),
-                    out.witness,
-                    Some(out.stats.chase_stats),
-                    None,
-                    None,
-                )),
+                Ok(out) => Ok(SolveReport {
+                    unsatisfiable_demand: out.unsatisfiable_demand,
+                    ..report(
+                        Some(out.exists),
+                        out.witness,
+                        Some(out.stats.chase_stats),
+                        None,
+                        None,
+                    )
+                }),
                 Err(TractableError::Stopped(reason)) => {
                     Ok(report(None, None, None, None, Some(reason)))
                 }
@@ -429,6 +437,27 @@ mod tests {
         assert_eq!(r.kind, SolverKind::Tractable);
         assert_eq!(r.exists, Some(true));
         assert!(is_solution(&p, &input, &r.witness.unwrap()));
+    }
+
+    #[test]
+    fn tractable_no_carries_the_unsatisfiable_demand() {
+        let p = PdeSetting::parse(
+            "source E/2; target H/2;",
+            "E(x, z), E(z, y) -> H(x, y)",
+            "H(x, y) -> E(x, y)",
+            "",
+        )
+        .unwrap();
+        let input = parse_instance(p.schema(), "E(a, b). E(b, c).").unwrap();
+        let r = decide(&p, &input).unwrap();
+        assert_eq!(r.exists, Some(false));
+        let demand = r.unsatisfiable_demand.expect("a tractable no is explained");
+        assert_eq!(
+            demand,
+            [(p.schema().rel_id("E").unwrap(), Tuple::consts(["a", "c"]))]
+        );
+        let ok = parse_instance(p.schema(), "E(a, a).").unwrap();
+        assert!(decide(&p, &ok).unwrap().unsatisfiable_demand.is_none());
     }
 
     #[test]

@@ -17,12 +17,11 @@
 //! *materializes* a solution `J_img = h_J(J_can)` — the (⇐) construction of
 //! Theorem 5 — so callers receive a witness, not just a bit.
 
-use crate::blocks::{blocks, max_block_nulls};
+use crate::blocks::{blocks, check_blocks};
 use crate::setting::PdeSetting;
 use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine, ChaseOutcome, ChaseResult};
-use pde_relational::{Instance, NullId, Peer, Value};
+use pde_relational::{Instance, Peer, Value};
 use pde_runtime::{Governor, StopReason};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Block count above which the per-block homomorphism checks run on
@@ -91,21 +90,6 @@ pub struct TractableStats {
     pub chase_stats: pde_chase::ChaseStats,
 }
 
-impl TractableStats {
-    /// Export the run counters into a [`pde_trace::MetricsRegistry`] under
-    /// the `tractable.` prefix, plus the absorbed chase counters under
-    /// `chase.`.
-    pub fn export_metrics(&self, reg: &mut pde_trace::MetricsRegistry) {
-        let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
-        reg.set_max("tractable.jcan_facts", u(self.jcan_facts));
-        reg.set_max("tractable.ican_facts", u(self.ican_facts));
-        reg.set_max("tractable.block_count", u(self.block_count));
-        reg.set_max("tractable.max_block_nulls", u(self.max_block_nulls));
-        reg.add("tractable.chase_steps", u(self.chase_steps));
-        self.chase_stats.export_metrics(reg);
-    }
-}
-
 /// Outcome of `ExistsSolution`.
 #[derive(Clone, Debug)]
 pub struct TractableOutcome {
@@ -115,10 +99,10 @@ pub struct TractableOutcome {
     /// `(I, J_img)`; `J_img` may contain nulls of `J_can` that the
     /// homomorphism left in place.
     pub witness: Option<Instance>,
-    /// When `!exists`: the first unsatisfiable source demand — a block of
-    /// `I_can` with no homomorphism into `I`. Its facts are what Σts
-    /// forces the source to contain (nulls mark "any value" slots), so it
-    /// explains *why* the exchange is impossible.
+    /// When `!exists`: the first unsatisfiable source demand — the
+    /// lowest-index block of `I_can` with no homomorphism into `I`. Its
+    /// facts are what Σts forces the source to contain (nulls mark "any
+    /// value" slots), so it explains *why* the exchange is impossible.
     pub unsatisfiable_demand: Option<Vec<(pde_relational::RelId, pde_relational::Tuple)>>,
     /// Run statistics.
     pub stats: TractableStats,
@@ -263,53 +247,35 @@ fn solve_from_chased(
     let ican = chased_ts.restrict(Peer::Source);
     stats.ican_facts = ican.fact_count();
 
-    // Step 3: blockwise homomorphism I_can → I, collecting the null map.
-    // Blocks are independent (Prop. 1); large block counts fan out over
-    // threads.
+    // Step 3: blockwise homomorphism I_can → I, collecting the null map
+    // (Prop. 1). The lowest failing block is the unsatisfiable demand.
     let source_i = input.restrict(Peer::Source);
-    let ican_blocks = blocks(&ican);
+    let mut ican_blocks = blocks(&ican);
     stats.block_count = ican_blocks.len();
-    stats.max_block_nulls = max_block_nulls(&ican);
-
-    let h: HashMap<NullId, Value> =
-        match crate::blocks::collect_block_homs(&ican, &source_i, PARALLEL_BLOCK_THRESHOLD) {
-            Some(h) => h,
-            None => {
-                // Re-identify the failing block sequentially for the
-                // diagnostic (cheap: blocks are constant-width here).
-                let demand = ican_blocks.iter().find_map(|b| {
-                    let bi = b.to_instance(input.schema());
-                    if pde_relational::instance_hom(&bi, &source_i).is_none() {
-                        Some(b.facts.clone())
-                    } else {
-                        None
-                    }
+    stats.max_block_nulls = ican_blocks.iter().map(|b| b.nulls.len()).max().unwrap_or(0);
+    let (witness, unsatisfiable_demand) =
+        match check_blocks(&ican_blocks, &source_i, PARALLEL_BLOCK_THRESHOLD) {
+            Err(failed) => (None, Some(ican_blocks.swap_remove(failed).facts)),
+            Ok(h) => {
+                // Witness: J_img = h_J(J_can) where h_J applies h to the
+                // nulls shared with I_can and is the identity elsewhere
+                // (Theorem 5 (⇐)).
+                let j_img = chased_st.restrict(Peer::Target).map_values(|v| match v {
+                    Value::Null(n) => h.get(&n).copied().unwrap_or(v),
+                    Value::Const(_) => v,
                 });
-                return Ok(TractableOutcome {
-                    exists: false,
-                    witness: None,
-                    unsatisfiable_demand: demand,
-                    stats,
-                });
+                let witness = source_i.union(&j_img);
+                debug_assert!(
+                    crate::solution::is_solution(setting, input, &witness),
+                    "Theorem 5 (⇐): J_img must be a solution"
+                );
+                (Some(witness), None)
             }
         };
-
-    // Witness: J_img = h_J(J_can) where h_J applies h to the nulls shared
-    // with I_can and is the identity elsewhere (Theorem 5 (⇐)).
-    let jcan = chased_st.restrict(Peer::Target);
-    let j_img = jcan.map_values(|v| match v {
-        Value::Null(n) => h.get(&n).copied().unwrap_or(v),
-        Value::Const(_) => v,
-    });
-    let witness = source_i.union(&j_img);
-    debug_assert!(
-        crate::solution::is_solution(setting, input, &witness),
-        "Theorem 5 (⇐): J_img must be a solution"
-    );
     Ok(TractableOutcome {
-        exists: true,
-        witness: Some(witness),
-        unsatisfiable_demand: None,
+        exists: witness.is_some(),
+        witness,
+        unsatisfiable_demand,
         stats,
     })
 }

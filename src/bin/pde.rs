@@ -996,19 +996,15 @@ fn dispatch(
                 }
                 Some(false) => {
                     outln!("result:   no solution");
-                    // For the tractable path, explain the failure.
-                    if report.kind == pde_core::SolverKind::Tractable {
-                        if let Ok(out) = pde_core::exists_solution(&bundle.setting, &bundle.input) {
-                            if let Some(demand) = out.unsatisfiable_demand {
-                                outln!("unsatisfiable source demand:");
-                                for (rel, t) in demand {
-                                    outln!(
-                                        "  {}{}  (nulls match any value)",
-                                        bundle.setting.schema().name(rel),
-                                        t
-                                    );
-                                }
-                            }
+                    // The tractable path explains its failure.
+                    if let Some(demand) = report.unsatisfiable_demand {
+                        outln!("unsatisfiable source demand:");
+                        for (rel, t) in demand {
+                            outln!(
+                                "  {}{}  (nulls match any value)",
+                                bundle.setting.schema().name(rel),
+                                t
+                            );
                         }
                     }
                     Ok(Verdict::No)

@@ -69,6 +69,7 @@ fn solve_yes_and_no_exit_codes() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("no solution"));
+    assert!(stdout.contains("unsatisfiable source demand:\n  E(a, c)  (nulls match any value)\n"));
 }
 
 #[test]

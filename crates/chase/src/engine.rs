@@ -23,7 +23,10 @@
 //!   trigger worklist. The seed round fires everything once. Egd
 //!   violations of a round are batched in a
 //!   [`pde_relational::ValueUnionFind`] and applied as one targeted
-//!   rewrite per round.
+//!   rewrite per round. Egds that are functional dependencies
+//!   ([`Egd::key_shape`]) find their violations by key-column probes
+//!   ([`pde_relational::for_each_key_pair_seminaive`]) in the generic
+//!   search's exact match order.
 //! * [`ChaseEngine::Naive`] ([`chase_naive_with`]): re-enumerates every
 //!   trigger over the entire instance each round and rewrites the instance
 //!   once per egd merge. Kept as the differential-testing oracle and as the
@@ -37,8 +40,8 @@ use crate::result::{ChaseLimits, ChaseOutcome, ChaseResult, ChaseStats, StepReco
 use crate::satisfy;
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_relational::{
-    exists_hom, find_hom, for_each_hom, for_each_hom_seminaive, Assignment, HomConfig, Instance,
-    NullGen, Tuple, Value, ValueUnionFind,
+    exists_hom, find_hom, for_each_hom, for_each_hom_seminaive, for_each_key_pair_seminaive,
+    Assignment, HomConfig, Instance, KeyShape, NullGen, Tuple, Value, ValueUnionFind,
 };
 use pde_runtime::{Governor, StopReason};
 use std::ops::ControlFlow;
@@ -267,16 +270,9 @@ pub fn chase_incremental_governed(
     schedule: Option<&DepSchedule>,
     initial_since: u64,
 ) -> ChaseResult {
-    if let Some(s) = schedule {
-        // An incremental window is only sound on top of a full-deps
-        // fixpoint; a schedule still partitions the same deps, so each
-        // stratum may open at the watermark too.
-        assert!(
-            s.is_partition_of(deps.len()),
-            "schedule must partition the dependency indices 0..{}",
-            deps.len()
-        );
-    }
+    // An incremental window is only sound on top of a full-deps fixpoint;
+    // a schedule still partitions the same deps (checked by the worker), so
+    // each stratum may open at the watermark too.
     chase_seminaive_incremental(
         instance,
         deps,
@@ -314,6 +310,11 @@ fn chase_seminaive_incremental(
         }
     };
     let config = HomConfig::default();
+    // Egds that are functional dependencies take the key-column pass.
+    let key_shapes: Vec<Option<KeyShape>> = deps
+        .iter()
+        .map(|d| d.as_egd().and_then(Egd::key_shape))
+        .collect();
     let mut steps = 0usize;
     let mut tgd_steps = 0usize;
     let mut egd_steps = 0usize;
@@ -445,49 +446,68 @@ fn chase_seminaive_incremental(
                         dep_span.record_field("fired", stats.triggers_fired - fired_before);
                     }
                     Dependency::Egd(egd) => {
+                        let key_shape = key_shapes[i].as_ref();
                         let mut egd_span = pde_trace::span("egd.merge")
                             .field("engine", "seminaive")
                             .field("dep", i)
-                            .field("round", stats.rounds);
+                            .field("round", stats.rounds)
+                            .field("path", if key_shape.is_some() { "key" } else { "hom" });
                         let merges_before = stats.egd_merges;
                         let mut uf = ValueUnionFind::new();
                         let mut conflict = false;
                         let mut found_now = 0usize;
-                        let _ = for_each_hom_seminaive(
-                            &egd.premise.atoms,
-                            &instance,
-                            &Assignment::new(),
-                            config,
-                            since,
-                            cur,
-                            |h| {
-                                found_now += 1;
-                                let l = h.get(egd.lhs).expect("egd lhs bound by premise");
-                                let r = h.get(egd.rhs).expect("egd rhs bound by premise");
-                                match uf.union(l, r) {
-                                    Ok(Some((from, to))) => {
-                                        log.push(StepRecord::Egd {
-                                            dep_index: i,
-                                            from,
-                                            to,
-                                        });
-                                        steps += 1;
-                                        egd_steps += 1;
-                                        stats.egd_merges += 1;
-                                        progressed = true;
-                                        if steps >= limits.max_steps {
-                                            return ControlFlow::Break(());
-                                        }
-                                        ControlFlow::Continue(())
+                        let mut on_pair = |l: Value, r: Value| {
+                            found_now += 1;
+                            // Already one class: the union would be a no-op.
+                            if l == r {
+                                return ControlFlow::Continue(());
+                            }
+                            match uf.union(l, r) {
+                                Ok(Some((from, to))) => {
+                                    log.push(StepRecord::Egd {
+                                        dep_index: i,
+                                        from,
+                                        to,
+                                    });
+                                    steps += 1;
+                                    egd_steps += 1;
+                                    stats.egd_merges += 1;
+                                    progressed = true;
+                                    if steps >= limits.max_steps {
+                                        return ControlFlow::Break(());
                                     }
-                                    Ok(None) => ControlFlow::Continue(()),
-                                    Err(_) => {
-                                        conflict = true;
-                                        ControlFlow::Break(())
-                                    }
+                                    ControlFlow::Continue(())
                                 }
-                            },
-                        );
+                                Ok(None) => ControlFlow::Continue(()),
+                                Err(_) => {
+                                    conflict = true;
+                                    ControlFlow::Break(())
+                                }
+                            }
+                        };
+                        let _ = match key_shape {
+                            Some(shape) => for_each_key_pair_seminaive(
+                                instance.relation(shape.rel),
+                                shape,
+                                since,
+                                cur,
+                                on_pair,
+                            ),
+                            None => for_each_hom_seminaive(
+                                &egd.premise.atoms,
+                                &instance,
+                                &Assignment::new(),
+                                config,
+                                since,
+                                cur,
+                                |h| {
+                                    on_pair(
+                                        h.get(egd.lhs).expect("egd lhs bound by premise"),
+                                        h.get(egd.rhs).expect("egd rhs bound by premise"),
+                                    )
+                                },
+                            ),
+                        };
                         stats.triggers_found += found_now;
                         seen[i] += found_now;
                         egd_span.record_field("found", found_now);

@@ -5,7 +5,7 @@
 //! constraints Σt; functional dependencies are the standard special case.
 
 use crate::tgd::DependencyError;
-use pde_relational::{Conjunction, Peer, Schema, Var};
+use pde_relational::{Conjunction, KeyShape, Peer, Schema, Term, Var};
 use std::fmt;
 
 /// An equality-generating dependency `∀x̄ (premise → lhs = rhs)`.
@@ -53,6 +53,56 @@ impl Egd {
         self.lhs == self.rhs
     }
 
+    /// The [`KeyShape`] of this egd when it is a functional dependency, the
+    /// inverse of [`functional_dependency`]: two premise atoms over one
+    /// relation, every term a variable, no variable repeated inside an
+    /// atom, the shared variables at the same (non-empty set of) positions
+    /// in both atoms — the key — and `lhs`/`rhs` the two copies of one
+    /// non-key position, in either orientation. `None` for every other egd.
+    pub fn key_shape(&self) -> Option<KeyShape> {
+        let [a, b] = self.premise.atoms.as_slice() else {
+            return None;
+        };
+        if a.rel != b.rel {
+            return None;
+        }
+        let vars = |terms: &[Term]| -> Option<Vec<Var>> {
+            let mut vs = Vec::with_capacity(terms.len());
+            for t in terms {
+                match t {
+                    Term::Var(v) if !vs.contains(v) => vs.push(*v),
+                    _ => return None,
+                }
+            }
+            Some(vs)
+        };
+        let (va, vb) = (vars(&a.terms)?, vars(&b.terms)?);
+        let mut key = Vec::new();
+        for (i, v) in va.iter().enumerate() {
+            match vb.iter().position(|w| w == v) {
+                Some(j) if j == i => key.push(u16::try_from(i).ok()?),
+                Some(_) => return None,
+                None => {}
+            }
+        }
+        if key.is_empty() {
+            return None;
+        }
+        let equated_at = |l: &[Var], r: &[Var]| {
+            (0..l.len()).find(|&p| l[p] == self.lhs && r[p] == self.rhs && l[p] != r[p])
+        };
+        let (equated, lhs_in_first) = match equated_at(&va, &vb) {
+            Some(p) => (p, true),
+            None => (equated_at(&vb, &va)?, false),
+        };
+        Some(KeyShape {
+            rel: a.rel,
+            key,
+            equated: u16::try_from(equated).ok()?,
+            lhs_in_first,
+        })
+    }
+
     /// Render with relation names resolved against `schema`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         struct D<'a>(&'a Egd, &'a Schema);
@@ -90,7 +140,7 @@ pub fn functional_dependency(
     determinant: &[u16],
     dependent: u16,
 ) -> Egd {
-    use pde_relational::{Atom, Term};
+    use pde_relational::Atom;
     let id = schema
         .rel_id(rel)
         .unwrap_or_else(|| panic!("unknown relation {rel}"));
@@ -187,6 +237,71 @@ mod tests {
         let a1 = &fd.premise.atoms[1];
         assert_eq!(a0.terms[0], a1.terms[0]);
         assert_ne!(a0.terms[1], a1.terms[1]);
+    }
+
+    #[test]
+    fn key_shape_inverts_the_functional_dependency_builder() {
+        let s = schema();
+        let p = s.rel_id("P").unwrap();
+        for mask in 1u16..16 {
+            let determinant: Vec<u16> = (0..4).filter(|a| mask & (1 << a) != 0).collect();
+            for dependent in 0..4 {
+                let fd = functional_dependency(&s, "P", &determinant, dependent);
+                if determinant.contains(&dependent) {
+                    assert!(fd.is_trivial());
+                    assert_eq!(fd.key_shape(), None);
+                    continue;
+                }
+                let shape = |lhs_in_first| {
+                    Some(KeyShape {
+                        rel: p,
+                        key: determinant.clone(),
+                        equated: dependent,
+                        lhs_in_first,
+                    })
+                };
+                assert_eq!(fd.key_shape(), shape(true));
+                let mut swapped_atoms = fd.clone();
+                swapped_atoms.premise.atoms.swap(0, 1);
+                assert_eq!(swapped_atoms.key_shape(), shape(false));
+                let swapped_sides = Egd::new(fd.premise.clone(), fd.rhs, fd.lhs);
+                assert_eq!(swapped_sides.key_shape(), shape(false));
+                let mut both = swapped_sides;
+                both.premise.atoms.swap(0, 1);
+                assert_eq!(both.key_shape(), shape(true));
+            }
+        }
+    }
+
+    #[test]
+    fn key_shape_rejects_egds_that_are_not_functional_dependencies() {
+        let s = schema();
+        for src in [
+            // A variable repeated inside an atom.
+            "P(x, z, z, w), P(x, z2, y2, w2) -> z = z2",
+            // A constant term.
+            "P(x, z, 'c', w), P(x, z2, y2, w2) -> z = z2",
+            // A shared variable at different positions (the §4 boundary's
+            // consistency egd).
+            "P(x, z, y, w), P(y, z2, y2, w2) -> w = z2",
+            // Three atoms; two relations.
+            "P(x, z, y, w), P(x, z2, y2, w2), P(x, z3, y3, w3) -> z = z2",
+            "P(x, z, y, w), H(x, z2) -> z = z2",
+            // No shared variable at all.
+            "P(x, z, y, w), P(x2, z2, y2, w2) -> z = z2",
+            // The equated pair is not two copies of one non-key position.
+            "P(x, z, y, w), P(x, z2, y2, w2) -> z = y2",
+            "P(x, z, y, w), P(x, z2, y2, w2) -> z = y",
+            "P(x, z, y, w), P(x, z2, y2, w2) -> x = z2",
+            // Trivial.
+            "P(x, z, y, w), P(x, z2, y2, w2) -> x = x",
+            "P(x, z, y, w), P(x, z2, y2, w2) -> z = z",
+        ] {
+            let e = crate::parse_egd(&s, src).unwrap();
+            assert_eq!(e.key_shape(), None, "{src}");
+        }
+        let boundary = crate::parse_egd(&s, "P(x, z, y, w), P(x, z2, y2, w2) -> z = z2").unwrap();
+        assert!(boundary.key_shape().is_some());
     }
 
     #[test]

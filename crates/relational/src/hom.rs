@@ -21,11 +21,15 @@
 //! A third, *semi-naive* entry point ([`for_each_hom_seminaive`]) restricts
 //! each atom to an insertion-epoch window so that only homomorphisms
 //! touching a delta of recently inserted facts are enumerated — the
-//! trigger-discovery mode of the semi-naive chase.
+//! trigger-discovery mode of the semi-naive chase. Its specialization
+//! [`for_each_key_pair_seminaive`] handles the premise of a functional
+//! dependency (a [`KeyShape`]) by probing the key columns directly, in
+//! the same match order.
 
 use crate::atom::{Atom, Term, Var};
 use crate::instance::Instance;
 use crate::relation::Relation;
+use crate::schema::RelId;
 use crate::store::FxBuildHasher;
 use crate::value::{NullId, Value, ValueId};
 use std::collections::HashMap;
@@ -401,6 +405,116 @@ pub fn for_each_hom_seminaive(
         };
         let mut assign = partial.clone();
         search.run(&mut assign)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// The premise shape of an egd that is a functional dependency
+/// `rel: key → equated`: two atoms over `rel`, all terms distinct
+/// variables within each atom, sharing exactly the variables at the `key`
+/// positions, and equating the two copies of position `equated`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KeyShape {
+    /// The relation both premise atoms range over.
+    pub rel: RelId,
+    /// The key positions, ascending and non-empty.
+    pub key: Vec<u16>,
+    /// The non-key position whose two copies the egd equates.
+    pub equated: u16,
+    /// Does the first premise atom carry the egd's `lhs` (otherwise the
+    /// second one does)?
+    pub lhs_in_first: bool,
+}
+
+/// Enumerate the `(h(lhs), h(rhs))` value pairs of the premise
+/// homomorphisms `h` of a key-shaped egd over `rel` that touch the delta
+/// `[delta_lo, delta_hi)` — exactly the pairs, and in exactly the order,
+/// that [`for_each_hom_seminaive`] (default [`HomConfig`]) yields over the
+/// egd's premise, but read straight off the key columns' indexes with no
+/// [`Assignment`] and no per-pair allocation. `f` may break to stop early.
+pub fn for_each_key_pair_seminaive(
+    rel: &Relation,
+    shape: &KeyShape,
+    delta_lo: u64,
+    delta_hi: u64,
+    mut f: impl FnMut(Value, Value) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    if rel.window_size(delta_lo, delta_hi) == 0 {
+        return ControlFlow::Continue(());
+    }
+    let delta = EpochWindow {
+        lo: delta_lo,
+        hi: delta_hi,
+    };
+    let estimate = |w: EpochWindow| {
+        if w.is_all() {
+            rel.len()
+        } else {
+            rel.window_size(w.lo, w.hi)
+        }
+    };
+    // The two pivots of `for_each_hom_seminaive`, in the same order.
+    for windows in [
+        [delta, EpochWindow::before(delta_hi)],
+        [EpochWindow::before(delta_lo), delta],
+    ] {
+        // `Search::pick` with nothing bound: the atom with the smaller
+        // estimated window goes first, a tie to the first atom.
+        let outer = usize::from(estimate(windows[1]) < estimate(windows[0]));
+        let (w, inner) = (windows[outer], windows[1 - outer]);
+        if w.is_all() {
+            key_pairs_from(rel, shape, rel.live_row_ids(), outer, inner, &mut f)?;
+        } else {
+            let rows = rel.row_ids_in_window(w.lo, w.hi);
+            key_pairs_from(rel, shape, rows, outer, inner, &mut f)?;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// One pivot of [`for_each_key_pair_seminaive`]: premise atom `outer`
+/// walks `rows`, and the other atom is matched as `Search::step` would —
+/// through the index of the key position with the fewest live rows (a tie
+/// to the earliest position), restricted to `inner_window`. Index
+/// postings stay in row order, so every key position would yield the same
+/// rows in the same order; the choice only bounds the work.
+fn key_pairs_from(
+    rel: &Relation,
+    shape: &KeyShape,
+    rows: impl Iterator<Item = u32>,
+    outer: usize,
+    inner_window: EpochWindow,
+    f: &mut impl FnMut(Value, Value) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    for r in rows {
+        let mut anchor: Option<(u16, ValueId, usize)> = None;
+        for &k in &shape.key {
+            let id = rel.value_id_at(r, k);
+            let c = rel.count_with_id(k, id);
+            if anchor.as_ref().is_none_or(|(_, _, best)| c < *best) {
+                anchor = Some((k, id, c));
+            }
+        }
+        let (attr, id, _) = anchor.expect("a key shape has a non-empty key");
+        let here = rel.value_id_at(r, shape.equated).value();
+        for s in rel.rows_with_id(attr, id) {
+            if !inner_window.contains(rel.epoch_of(s))
+                || shape
+                    .key
+                    .iter()
+                    .any(|&k| rel.value_id_at(s, k) != rel.value_id_at(r, k))
+            {
+                continue;
+            }
+            let there = rel.value_id_at(s, shape.equated).value();
+            // `here` belongs to premise atom `outer`, `there` to the other.
+            let (l, rhs) = if shape.lhs_in_first == (outer == 0) {
+                (here, there)
+            } else {
+                (there, here)
+            };
+            f(l, rhs)?;
+        }
     }
     ControlFlow::Continue(())
 }
@@ -815,6 +929,136 @@ mod tests {
         assert_eq!(count_seminaive(&atoms, &i, 0, e2), 4);
         // Facts at or above the high bound are invisible.
         assert_eq!(count_seminaive(&atoms, &i, e2, u64::MAX), 0);
+    }
+
+    /// A random relation `R` of arity 2–4 over small pools of constants
+    /// and nulls, filled across 3–5 epochs with some rows removed along
+    /// the way (tombstones and dead index postings), plus a random key
+    /// shape over it and the egd premise atoms `(premise, lhs, rhs)` it
+    /// describes.
+    fn random_keyed_relation(seed: u64) -> (Instance, KeyShape, Vec<Atom>, Var, Var) {
+        use rand::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arity = rng.gen_range(2u16..=4);
+        let mut s = Schema::new();
+        let rel = s.add_relation("R", arity, Peer::Target);
+        let s = Arc::new(s);
+        let pool = rng.gen_range(2u32..=4);
+        let mut i = Instance::new(s.clone());
+        let mut inserted: Vec<Tuple> = Vec::new();
+        for _ in 0..rng.gen_range(3u32..=5) {
+            for _ in 0..rng.gen_range(0u32..=12) {
+                let t = Tuple::new(
+                    (0..arity)
+                        .map(|_| {
+                            let v = rng.gen_range(0..pool);
+                            if rng.gen_bool(0.3) {
+                                Value::Null(NullId(v))
+                            } else {
+                                Value::constant(format!("c{v}").as_str())
+                            }
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                i.insert(rel, t.clone());
+                inserted.push(t);
+            }
+            for _ in 0..rng.gen_range(0u32..=3) {
+                if !inserted.is_empty() {
+                    let t = inserted.swap_remove(rng.gen_range(0..inserted.len()));
+                    i.remove(rel, &t);
+                }
+            }
+            i.bump_epoch();
+        }
+        let mut key: Vec<u16> = Vec::new();
+        for _ in 0..rng.gen_range(1..=2.min(arity - 1)) {
+            let free: Vec<u16> = (0..arity).filter(|p| !key.contains(p)).collect();
+            key.push(free[rng.gen_range(0..free.len())]);
+        }
+        key.sort_unstable();
+        let non_key: Vec<u16> = (0..arity).filter(|p| !key.contains(p)).collect();
+        let equated = non_key[rng.gen_range(0..non_key.len())];
+        let atom = |copy: &str| {
+            let names: Vec<String> = (0..arity)
+                .map(|p| {
+                    if key.contains(&p) {
+                        format!("k{p}")
+                    } else {
+                        format!("{copy}{p}")
+                    }
+                })
+                .collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            Atom::vars(&s, "R", &names)
+        };
+        let mut premise = vec![atom("a"), atom("b")];
+        if rng.gen_bool(0.5) {
+            premise.swap(0, 1);
+        }
+        let lhs_in_first = rng.gen_bool(0.5);
+        let var_at = |a: &Atom| match a.terms[equated as usize] {
+            Term::Var(v) => v,
+            Term::Const(_) => unreachable!("premise atoms hold only variables"),
+        };
+        let (first, second) = (var_at(&premise[0]), var_at(&premise[1]));
+        let (lhs, rhs) = if lhs_in_first {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        let shape = KeyShape {
+            rel,
+            key,
+            equated,
+            lhs_in_first,
+        };
+        (i, shape, premise, lhs, rhs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn key_pair_pass_replays_the_seminaive_hom_order(
+            seed in 0u64..1 << 40,
+            window in (0u64..=6, 0u64..=7, 0u8..4),
+            limit in 0usize..24,
+        ) {
+            let (i, shape, premise, lhs, rhs) = random_keyed_relation(seed);
+            let (lo, width, open) = window;
+            // Random windows, `lo = 0` and an unbounded top included.
+            let hi = if open == 0 { u64::MAX } else { lo + width };
+            // Both enumerations with the same early break after `limit`
+            // pairs (a limit past the end never breaks).
+            let mut want = Vec::new();
+            let want_flow = for_each_hom_seminaive(
+                &premise,
+                &i,
+                &Assignment::new(),
+                HomConfig::default(),
+                lo,
+                hi,
+                |h| {
+                    want.push((h.get(lhs).unwrap(), h.get(rhs).unwrap()));
+                    if want.len() == limit {
+                        return ControlFlow::Break(());
+                    }
+                    ControlFlow::Continue(())
+                },
+            );
+            let mut got = Vec::new();
+            let got_flow =
+                for_each_key_pair_seminaive(i.relation(shape.rel), &shape, lo, hi, |l, r| {
+                    got.push((l, r));
+                    if got.len() == limit {
+                        return ControlFlow::Break(());
+                    }
+                    ControlFlow::Continue(())
+                });
+            proptest::prop_assert_eq!(&got, &want, "{:?} window [{}, {})", shape, lo, hi);
+            proptest::prop_assert_eq!(got_flow, want_flow);
+        }
     }
 
     #[test]

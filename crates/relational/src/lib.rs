@@ -35,8 +35,8 @@ pub mod value;
 pub use atom::{Atom, Conjunction, Term, Var};
 pub use hom::{
     all_homs, exists_hom, exists_hom_with, find_hom, for_each_hom, for_each_hom_seminaive,
-    for_each_hom_with, instance_as_atoms, instance_hom, instance_hom_exists, instance_hom_with,
-    instances_isomorphic, Assignment, HomConfig,
+    for_each_hom_with, for_each_key_pair_seminaive, instance_as_atoms, instance_hom,
+    instance_hom_exists, instance_hom_with, instances_isomorphic, Assignment, HomConfig, KeyShape,
 };
 pub use instance::Instance;
 pub use instance::StorageStats;

@@ -4,10 +4,13 @@
 //! before touching the instance. Instead of rewriting the whole instance
 //! once per violation (the naive engine's behavior), the violations are
 //! accumulated in a [`ValueUnionFind`]; each equivalence class elects a
-//! *canonical representative* — a constant when the class contains one,
-//! an arbitrary member null otherwise — and the instance is rewritten once
-//! per round through [`crate::instance::Instance::apply_merges`], which
-//! repairs only the index buckets of the merged values.
+//! *canonical representative*: a constant when the class contains one,
+//! and otherwise the representative of the right-hand class of the union
+//! that formed it (see [`ValueUnionFind::union`]), so the surviving null
+//! depends on the order the violations arrive in. The instance is then
+//! rewritten once per round through
+//! [`crate::instance::Instance::apply_merges`], which repairs only the
+//! index buckets of the merged values.
 //!
 //! A class can hold at most one constant: uniting two distinct constants is
 //! the chase's *failure* condition and surfaces as [`ConstMergeConflict`].

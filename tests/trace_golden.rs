@@ -167,6 +167,46 @@ fn golden_span_sequence_for_seminaive_chase() {
     assert_eq!(scrub(&spans), expected);
 }
 
+#[test]
+fn egd_merge_spans_name_their_discovery_path() {
+    // The §4 egd boundary: its first egd is a key (x → z) and takes the
+    // key-column pass, with no nested `hom.search`; its second egd shares
+    // `y` at different positions and takes the generic search.
+    let _guard = lock_sink();
+    let p = boundary::egd_boundary_setting();
+    let input = parse_instance(p.schema(), "D(a, b). D(b, a). D(a, c).").unwrap();
+    let deps = forward_deps(&p);
+    let gen = NullGen::new();
+    let spans = collect_spans(|| {
+        let res = chase_seminaive_with(
+            input,
+            &deps,
+            WitnessMode::FreshNulls(&gen),
+            ChaseLimits::default(),
+        );
+        assert!(res.stats.egd_merges > 0);
+    });
+    let path_of = |s: &SpanRecord| {
+        s.fields.iter().find_map(|(k, v)| match v {
+            FieldValue::Str(path) if *k == "path" => Some(path.clone()),
+            _ => None,
+        })
+    };
+    let mut hom_paths = 0;
+    for s in spans.iter().filter(|s| s.name == "egd.merge") {
+        let dep = usize::try_from(u64_field(s, "dep").unwrap()).unwrap();
+        let key = deps[dep].as_egd().unwrap().key_shape().is_some();
+        assert_eq!(dep == 1, key, "dep {dep}");
+        let path = path_of(s).unwrap();
+        assert_eq!(path, if key { "key" } else { "hom" });
+        hom_paths += usize::from(!key);
+    }
+    assert!(hom_paths > 0);
+    let triggers = spans.iter().filter(|s| s.name == "chase.trigger").count();
+    let searches = spans.iter().filter(|s| s.name == "hom.search").count();
+    assert_eq!(searches, triggers + hom_paths);
+}
+
 // ---------------------------------------------------------------------
 // CLI goldens (separate subprocesses: no sink lock needed).
 // ---------------------------------------------------------------------

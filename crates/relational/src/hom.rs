@@ -487,17 +487,14 @@ fn key_pairs_from(
     f: &mut impl FnMut(Value, Value) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     for r in rows {
-        let mut anchor: Option<(u16, ValueId, usize)> = None;
-        for &k in &shape.key {
-            let id = rel.value_id_at(r, k);
-            let c = rel.count_with_id(k, id);
-            if anchor.as_ref().is_none_or(|(_, _, best)| c < *best) {
-                anchor = Some((k, id, c));
-            }
-        }
-        let (attr, id, _) = anchor.expect("a key shape has a non-empty key");
+        let (_, attr) = shape
+            .key
+            .iter()
+            .map(|&k| (rel.count_with_id(k, rel.value_id_at(r, k)), k))
+            .min()
+            .expect("a key shape has a non-empty key");
         let here = rel.value_id_at(r, shape.equated).value();
-        for s in rel.rows_with_id(attr, id) {
+        for s in rel.rows_with_id(attr, rel.value_id_at(r, attr)) {
             if !inner_window.contains(rel.epoch_of(s))
                 || shape
                     .key

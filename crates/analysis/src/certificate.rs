@@ -31,6 +31,8 @@ use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::{GenericLimits, PdeSetting, SolvePlan, SolverKind};
 use pde_relational::{Position, Schema, Term, Var};
 use pde_runtime::GovernorConfig;
+use pde_trace::json::{self, ObjExt as _};
+use pde_trace::json_escape;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -440,6 +442,13 @@ impl fmt::Display for CertificateError {
 }
 
 impl std::error::Error for CertificateError {}
+
+/// JSON reader errors are shape errors.
+impl From<String> for CertificateError {
+    fn from(m: String) -> Self {
+        CertificateError::Malformed(m)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Shared derivations (formulas that are part of the certificate *spec*).
@@ -1107,18 +1116,21 @@ impl Certificate {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"version\":{}", self.version));
-        out.push_str(&format!(",\"regime\":{}", json_str(self.regime.as_str())));
+        out.push_str(&format!(
+            ",\"regime\":{}",
+            json_escape(self.regime.as_str())
+        ));
         out.push_str(&format!(
             ",\"sol_complexity\":{}",
-            json_str(self.sol_complexity.as_str())
+            json_escape(self.sol_complexity.as_str())
         ));
         out.push_str(&format!(
             ",\"certain_complexity\":{}",
-            json_str(self.certain_complexity.as_str())
+            json_escape(self.certain_complexity.as_str())
         ));
         out.push_str(&format!(
             ",\"recommended_solver\":{}",
-            json_str(solver_kind_str(self.recommended_solver))
+            json_escape(solver_kind_str(self.recommended_solver))
         ));
         let c = &self.chase;
         out.push_str(&format!(
@@ -1139,7 +1151,7 @@ impl Certificate {
             }
             out.push_str(&format!(
                 "{{\"rel\":{},\"attr\":{},\"rank\":{}}}",
-                json_str(&r.pos.rel),
+                json_escape(&r.pos.rel),
                 r.pos.attr,
                 r.rank
             ));
@@ -1151,9 +1163,9 @@ impl Certificate {
             }
             out.push_str(&format!(
                 "{{\"from_rel\":{},\"from_attr\":{},\"to_rel\":{},\"to_attr\":{},\"special\":{}}}",
-                json_str(&e.from.rel),
+                json_escape(&e.from.rel),
                 e.from.attr,
-                json_str(&e.to.rel),
+                json_escape(&e.to.rel),
                 e.to.attr,
                 e.special
             ));
@@ -1174,7 +1186,7 @@ impl Certificate {
             }
             out.push_str(&format!(
                 "{{\"rel\":{},\"attr\":{}}}",
-                json_str(&p.rel),
+                json_escape(&p.rel),
                 p.attr
             ));
         }
@@ -1188,7 +1200,7 @@ impl Certificate {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_str(v));
+                out.push_str(&json_escape(v));
             }
             out.push(']');
         }
@@ -1196,14 +1208,14 @@ impl Certificate {
         if let Some(cx) = &t.counterexample {
             out.push_str(&format!(
                 ",\"counterexample\":{{\"kind\":{},\"tgd_index\":{},\"vars\":[",
-                json_str(&cx.kind),
+                json_escape(&cx.kind),
                 cx.tgd_index
             ));
             for (j, v) in cx.vars.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_str(v));
+                out.push_str(&json_escape(v));
             }
             out.push_str("]}");
         }
@@ -1222,7 +1234,7 @@ impl Certificate {
     /// [`CertificateError::Malformed`]; semantic validity is the job of
     /// [`verify_certificate`].
     pub fn from_json(src: &str) -> Result<Certificate, CertificateError> {
-        let v = json::parse(src).map_err(CertificateError::Malformed)?;
+        let v = json::parse(src)?;
         let top = v.as_obj("certificate")?;
         let version = top.get_num("version")?;
         let version = u32::try_from(version)
@@ -1358,280 +1370,3 @@ impl Certificate {
         })
     }
 }
-
-/// JSON string literal with escaping (same rules as the lint renderer).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON reader: just enough to load certificates back. The
-/// workspace deliberately has no serialization dependency, so parsing is
-/// hand-rolled like the writers. Shared crate-internally with the rewrite
-/// certificate loader ([`crate::rewrite`]).
-pub(crate) mod json {
-    use super::CertificateError;
-
-    /// A parsed JSON value. Numbers are restricted to the unsigned
-    /// integers the certificate uses.
-    #[derive(Clone, Debug, PartialEq)]
-    pub(crate) enum Json {
-        Null,
-        Bool(bool),
-        Num(u128),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub(crate) fn as_obj<'a>(
-            &'a self,
-            what: &str,
-        ) -> Result<&'a [(String, Json)], CertificateError> {
-            match self {
-                Json::Obj(fields) => Ok(fields),
-                _ => Err(CertificateError::Malformed(format!(
-                    "{what} must be an object"
-                ))),
-            }
-        }
-
-        fn field<'a>(&'a self, key: &str) -> Option<&'a Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn get_arr<'a>(&'a self, key: &str) -> Result<&'a [Json], CertificateError> {
-            match self.field(key) {
-                Some(Json::Arr(items)) => Ok(items),
-                _ => Err(CertificateError::Malformed(format!(
-                    "missing array field '{key}'"
-                ))),
-            }
-        }
-    }
-
-    /// Field accessors on an object's field list.
-    pub(crate) trait ObjExt {
-        fn try_get(&self, key: &str) -> Option<&Json>;
-        fn field_of(&self, key: &str) -> Result<&Json, CertificateError>;
-        fn get_str(&self, key: &str) -> Result<String, CertificateError>;
-        fn get_bool(&self, key: &str) -> Result<bool, CertificateError>;
-        fn get_num(&self, key: &str) -> Result<usize, CertificateError>;
-    }
-
-    impl ObjExt for [(String, Json)] {
-        fn try_get(&self, key: &str) -> Option<&Json> {
-            self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-
-        fn field_of(&self, key: &str) -> Result<&Json, CertificateError> {
-            self.try_get(key)
-                .ok_or_else(|| CertificateError::Malformed(format!("missing field '{key}'")))
-        }
-
-        fn get_str(&self, key: &str) -> Result<String, CertificateError> {
-            match self.field_of(key)? {
-                Json::Str(s) => Ok(s.clone()),
-                _ => Err(CertificateError::Malformed(format!(
-                    "field '{key}' must be a string"
-                ))),
-            }
-        }
-
-        fn get_bool(&self, key: &str) -> Result<bool, CertificateError> {
-            match self.field_of(key)? {
-                Json::Bool(b) => Ok(*b),
-                _ => Err(CertificateError::Malformed(format!(
-                    "field '{key}' must be a boolean"
-                ))),
-            }
-        }
-
-        fn get_num(&self, key: &str) -> Result<usize, CertificateError> {
-            match self.field_of(key)? {
-                Json::Num(n) => Ok(usize::try_from(*n).unwrap_or(usize::MAX)),
-                _ => Err(CertificateError::Malformed(format!(
-                    "field '{key}' must be an unsigned integer"
-                ))),
-            }
-        }
-    }
-
-    pub(crate) fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut at = 0usize;
-        let v = value(bytes, &mut at)?;
-        skip_ws(bytes, &mut at);
-        if at != bytes.len() {
-            return Err(format!("trailing content at byte {at}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], at: &mut usize) {
-        while *at < b.len() && matches!(b[*at], b' ' | b'\t' | b'\n' | b'\r') {
-            *at += 1;
-        }
-    }
-
-    fn expect(b: &[u8], at: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, at);
-        if *at < b.len() && b[*at] == c {
-            *at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {at}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], at: &mut usize) -> Result<Json, String> {
-        skip_ws(b, at);
-        match b.get(*at) {
-            Some(b'{') => {
-                *at += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, at);
-                if b.get(*at) == Some(&b'}') {
-                    *at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, at);
-                    let key = match string(b, at)? {
-                        Json::Str(s) => s,
-                        _ => unreachable!(),
-                    };
-                    expect(b, at, b':')?;
-                    let v = value(b, at)?;
-                    fields.push((key, v));
-                    skip_ws(b, at);
-                    match b.get(*at) {
-                        Some(b',') => *at += 1,
-                        Some(b'}') => {
-                            *at += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {at}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *at += 1;
-                let mut items = Vec::new();
-                skip_ws(b, at);
-                if b.get(*at) == Some(&b']') {
-                    *at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(value(b, at)?);
-                    skip_ws(b, at);
-                    match b.get(*at) {
-                        Some(b',') => *at += 1,
-                        Some(b']') => {
-                            *at += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {at}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, at),
-            Some(b't') if b[*at..].starts_with(b"true") => {
-                *at += 4;
-                Ok(Json::Bool(true))
-            }
-            Some(b'f') if b[*at..].starts_with(b"false") => {
-                *at += 5;
-                Ok(Json::Bool(false))
-            }
-            Some(b'n') if b[*at..].starts_with(b"null") => {
-                *at += 4;
-                Ok(Json::Null)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *at;
-                while *at < b.len() && b[*at].is_ascii_digit() {
-                    *at += 1;
-                }
-                let digits = std::str::from_utf8(&b[start..*at]).expect("ascii digits");
-                digits
-                    .parse::<u128>()
-                    .map(Json::Num)
-                    .map_err(|_| format!("number out of range at byte {start}"))
-            }
-            _ => Err(format!("unexpected input at byte {at}")),
-        }
-    }
-
-    fn string(b: &[u8], at: &mut usize) -> Result<Json, String> {
-        if b.get(*at) != Some(&b'"') {
-            return Err(format!("expected string at byte {at}"));
-        }
-        *at += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*at) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *at += 1;
-                    return Ok(Json::Str(out));
-                }
-                Some(b'\\') => {
-                    *at += 1;
-                    match b.get(*at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*at + 1..*at + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad \\u code point".to_owned())?,
-                            );
-                            *at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {at}")),
-                    }
-                    *at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*at..])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    *at += c.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-use json::ObjExt as _;

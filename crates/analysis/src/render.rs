@@ -7,6 +7,7 @@
 
 use crate::diag::{Diagnostic, Group, Severity};
 use pde_core::bundle::{BundleSources, Section};
+use pde_trace::json_escape;
 
 /// Where the linted text came from, for position reporting.
 pub struct RenderContext<'a> {
@@ -89,14 +90,14 @@ pub fn render_json(diags: &[Diagnostic], ctx: Option<&RenderContext<'_>>) -> Str
         }
         out.push_str(&format!(
             "{{\"code\":{},\"severity\":{},\"message\":{}",
-            json_str(d.code.as_str()),
-            json_str(&d.severity.to_string()),
-            json_str(&d.message)
+            json_escape(d.code.as_str()),
+            json_escape(&d.severity.to_string()),
+            json_escape(&d.message)
         ));
         if let Some(c) = d.constraint {
             out.push_str(&format!(
                 ",\"group\":{},\"index\":{}",
-                json_str(c.group.section_name()),
+                json_escape(c.group.section_name()),
                 c.index
             ));
         }
@@ -115,12 +116,12 @@ pub fn render_json(diags: &[Diagnostic], ctx: Option<&RenderContext<'_>>) -> Str
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_str(n));
+                out.push_str(&json_escape(n));
             }
             out.push(']');
         }
         if let Some(s) = &d.suggestion {
-            out.push_str(&format!(",\"suggestion\":{}", json_str(s)));
+            out.push_str(&format!(",\"suggestion\":{}", json_escape(s)));
         }
         out.push('}');
     }
@@ -134,38 +135,12 @@ pub fn render_json(diags: &[Diagnostic], ctx: Option<&RenderContext<'_>>) -> Str
     out
 }
 
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyzer::AnalysisInput;
     use crate::diag::{Code, Diagnostic};
     use pde_core::bundle::split_sections;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("Σt"), "\"Σt\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn text_rendering_includes_position_and_snippet() {
@@ -203,14 +178,7 @@ mod tests {
         assert!(json.contains("\"code\":\"PDE019\""), "{json}");
         assert!(json.contains("\"group\":\"t\""), "{json}");
         assert!(json.contains("\"line\":7"), "{json}");
-        assert!(json.ends_with('}'), "{json}");
-        // Balanced braces/brackets (cheap well-formedness check without a
-        // JSON parser in the workspace).
-        let bal = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(bal('{', '}') && bal('[', ']'));
+        assert!(pde_trace::json::parse(&json).is_ok(), "{json}");
     }
 
     #[test]

@@ -30,12 +30,13 @@
 //! certificate records that set and the verifier recomputes it.
 
 use crate::analyzer::subsumed_by;
-use crate::certificate::{json, json_str};
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_core::setting::PdeSetting;
 use pde_relational::{
     for_each_hom_with, Assignment, HomConfig, Instance, RelId, Schema, Term, Tuple, Value, Var,
 };
+use pde_trace::json::{self, ObjExt as _};
+use pde_trace::json_escape;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -244,6 +245,13 @@ impl fmt::Display for RewriteError {
 }
 
 impl std::error::Error for RewriteError {}
+
+/// JSON reader errors are shape errors.
+impl From<String> for RewriteError {
+    fn from(m: String) -> Self {
+        RewriteError::Malformed(m)
+    }
+}
 
 /// Run all four pruning passes over `setting` with respect to `input`,
 /// producing the optimized setting and its certificate.
@@ -625,7 +633,7 @@ impl RewriteCertificate {
     /// Serialize to the certificate JSON format (stable field order).
     pub fn to_json(&self) -> String {
         let names = |xs: &[String]| {
-            let inner: Vec<String> = xs.iter().map(|s| json_str(s)).collect();
+            let inner: Vec<String> = xs.iter().map(|s| json_escape(s)).collect();
             format!("[{}]", inner.join(","))
         };
         let counts = |c: &GroupCounts| {
@@ -640,8 +648,8 @@ impl RewriteCertificate {
             .map(|a| {
                 let head = format!(
                     "{{\"action\":{},\"group\":{},\"index\":{}",
-                    json_str(a.kind()),
-                    json_str(a.group().as_str()),
+                    json_escape(a.kind()),
+                    json_escape(a.group().as_str()),
                     a.index()
                 );
                 match a {
@@ -651,7 +659,7 @@ impl RewriteCertificate {
                     }
                     RewriteAction::RemoveSubsumed { by, .. } => format!("{head},\"by\":{by}}}"),
                     RewriteAction::RemoveDead { relation, .. } => {
-                        format!("{head},\"relation\":{}}}", json_str(relation))
+                        format!("{head},\"relation\":{}}}", json_escape(relation))
                     }
                 }
             })
@@ -674,21 +682,18 @@ impl RewriteCertificate {
     /// Parse a certificate back from [`RewriteCertificate::to_json`]
     /// output.
     pub fn from_json(src: &str) -> Result<RewriteCertificate, RewriteError> {
-        use json::ObjExt as _;
         let malformed = RewriteError::Malformed;
-        let root = json::parse(src).map_err(malformed)?;
-        let m = |e: crate::certificate::CertificateError| RewriteError::Malformed(e.to_string());
-        let obj = root.as_obj("certificate").map_err(m)?;
-        let kind = obj.get_str("kind").map_err(m)?;
+        let root = json::parse(src)?;
+        let obj = root.as_obj("certificate")?;
+        let kind = obj.get_str("kind")?;
         if kind != "pde-rewrite-certificate" {
             return Err(malformed(format!("unexpected kind '{kind}'")));
         }
-        let version = obj.get_num("v").map_err(m)?;
+        let version = obj.get_num("v")?;
         let version =
             u32::try_from(version).map_err(|_| malformed("version out of range".to_string()))?;
         let strings = |key: &str| -> Result<Vec<String>, RewriteError> {
-            root.get_arr(key)
-                .map_err(m)?
+            root.get_arr(key)?
                 .iter()
                 .map(|v| match v {
                     json::Json::Str(s) => Ok(s.clone()),
@@ -697,35 +702,35 @@ impl RewriteCertificate {
                 .collect()
         };
         let counts = |key: &str| -> Result<GroupCounts, RewriteError> {
-            let c = obj.field_of(key).map_err(m)?.as_obj(key).map_err(m)?;
+            let c = obj.field_of(key)?.as_obj(key)?;
             Ok(GroupCounts {
-                sigma_st: c.get_num("sigma_st").map_err(m)?,
-                sigma_ts: c.get_num("sigma_ts").map_err(m)?,
-                sigma_t: c.get_num("sigma_t").map_err(m)?,
+                sigma_st: c.get_num("sigma_st")?,
+                sigma_ts: c.get_num("sigma_ts")?,
+                sigma_t: c.get_num("sigma_t")?,
             })
         };
         let mut actions = Vec::new();
-        for v in root.get_arr("actions").map_err(m)? {
-            let a = v.as_obj("action").map_err(m)?;
-            let group = RewriteGroup::from_str(&a.get_str("group").map_err(m)?)
+        for v in root.get_arr("actions")? {
+            let a = v.as_obj("action")?;
+            let group = RewriteGroup::from_str(&a.get_str("group")?)
                 .ok_or_else(|| malformed("unknown group".to_string()))?;
-            let index = a.get_num("index").map_err(m)?;
-            let action = match a.get_str("action").map_err(m)?.as_str() {
+            let index = a.get_num("index")?;
+            let action = match a.get_str("action")?.as_str() {
                 "remove-trivial-egd" => RewriteAction::RemoveTrivialEgd { group, index },
                 "remove-duplicate" => RewriteAction::RemoveDuplicate {
                     group,
                     index,
-                    kept: a.get_num("kept").map_err(m)?,
+                    kept: a.get_num("kept")?,
                 },
                 "remove-subsumed" => RewriteAction::RemoveSubsumed {
                     group,
                     index,
-                    by: a.get_num("by").map_err(m)?,
+                    by: a.get_num("by")?,
                 },
                 "remove-dead" => RewriteAction::RemoveDead {
                     group,
                     index,
-                    relation: a.get_str("relation").map_err(m)?,
+                    relation: a.get_str("relation")?,
                 },
                 other => return Err(malformed(format!("unknown action '{other}'"))),
             };

@@ -32,10 +32,12 @@
 //! trail, validates the witness against the recomputed graph or chase
 //! log, and re-derives every bound. See `docs/TERMINATION.md`.
 
-use crate::certificate::{bound_params, evaluate_bound, forward_tgds, json_str, CertificateError};
+use crate::certificate::{bound_params, evaluate_bound, forward_tgds, CertificateError};
 use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::PdeSetting;
 use pde_relational::{Position, RelId, Schema, Term, Var};
+use pde_trace::json::{self, Json, ObjExt};
+use pde_trace::json_escape;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -910,7 +912,7 @@ impl TerminationCertificate {
         out.push_str(&format!("\"v\":{}", self.version));
         out.push_str(&format!(",\"adom_size\":{}", self.adom_size));
         match self.criterion {
-            Some(c) => out.push_str(&format!(",\"criterion\":{}", json_str(c.as_str()))),
+            Some(c) => out.push_str(&format!(",\"criterion\":{}", json_escape(c.as_str()))),
             None => out.push_str(",\"criterion\":null"),
         }
         out.push_str(",\"trail\":[");
@@ -920,7 +922,7 @@ impl TerminationCertificate {
             }
             out.push_str(&format!(
                 "{{\"criterion\":{},\"holds\":{}}}",
-                json_str(c.criterion.as_str()),
+                json_escape(c.criterion.as_str()),
                 c.holds
             ));
         }
@@ -942,7 +944,7 @@ impl TerminationCertificate {
                     out.push_str(&format!(
                         "{{\"tgd\":{},\"var\":{}}}",
                         v.tgd_index,
-                        json_str(&v.var)
+                        json_escape(&v.var)
                     ));
                 }
                 out.push_str("]}");
@@ -965,14 +967,11 @@ impl TerminationCertificate {
     /// Parse the JSON section back (shape only; semantic validity is the
     /// job of [`verify_termination`]).
     pub fn from_json(src: &str) -> Result<TerminationCertificate, CertificateError> {
-        let v = crate::certificate::json::parse(src).map_err(CertificateError::Malformed)?;
+        let v = json::parse(src)?;
         Self::from_json_value(&v)
     }
 
-    pub(crate) fn from_json_value(
-        v: &crate::certificate::json::Json,
-    ) -> Result<TerminationCertificate, CertificateError> {
-        use crate::certificate::json::{Json, ObjExt};
+    pub(crate) fn from_json_value(v: &Json) -> Result<TerminationCertificate, CertificateError> {
         let top = v.as_obj("termination")?;
         let version = u32::try_from(top.get_num("v")?)
             .map_err(|_| CertificateError::Malformed("termination version out of range".into()))?;

@@ -8,6 +8,12 @@
 //! vendors only rand/proptest/criterion), so the whole subsystem is plain
 //! `std`.
 //!
+//! Being the leaf every crate already reaches, it also owns the
+//! workspace's one JSON escaper ([`json_escape`]) and reader
+//! ([`json::parse`]): span records, run reports, lint output and the
+//! certificates are written with the former, and the certificate loaders
+//! and `pde serve`'s request decoder parse with the latter.
+//!
 //! # Design
 //!
 //! * **Disabled is (nearly) free.** [`span`] first reads one relaxed
@@ -34,13 +40,15 @@
 //! are documented in `docs/OBSERVABILITY.md` at the repository root.
 
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod record;
 pub mod sink;
 
 pub use flight::FlightRecorder;
+pub use json::json_escape;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use record::{json_escape, FieldValue, SpanRecord};
+pub use record::{FieldValue, SpanRecord};
 pub use sink::{
     CollectingSink, FanoutSink, HistogramSink, JsonlSink, NoopSink, PhaseAgg, ProfileSink, Sink,
 };

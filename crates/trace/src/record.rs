@@ -1,5 +1,6 @@
 //! Span records and their JSON form.
 
+use crate::json_escape;
 use std::fmt::Write as _;
 
 /// A structured field value attached to a span.
@@ -59,27 +60,6 @@ impl SpanRecord {
     }
 }
 
-/// Escape `s` as a JSON string literal (including the quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,11 +81,5 @@ mod tests {
             "{\"v\":1,\"span\":\"chase.round\",\"seq\":4,\"dur_ns\":1200,\"self_ns\":1000,\
              \"fields\":{\"round\":2,\"engine\":\"seminaive\"}}"
         );
-    }
-
-    #[test]
-    fn escaping_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

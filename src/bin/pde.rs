@@ -556,7 +556,7 @@ fn render_solve_json(
         "{{\"certified\":{},\"criterion\":{}}}",
         term.certified(),
         term.criterion
-            .map_or("null".to_owned(), |c| format!("\"{c}\"")),
+            .map_or("null".to_owned(), |c| json_escape(c.as_str())),
     );
     format!(
         concat!(

@@ -51,6 +51,7 @@ use pde_core::{
 use pde_relational::{parse_instance, parse_query, Instance, Schema, UnionQuery, Value};
 use pde_runtime::{isolate, Governor, GovernorConfig};
 use pde_store::{InstanceStore, Op, RecoveryReport};
+use pde_trace::json::{self, Json};
 use pde_trace::{json_escape, CollectingSink, FanoutSink, FlightRecorder, MetricsRegistry, Sink};
 use std::io::{BufRead, BufWriter, Write};
 use std::ops::ControlFlow;
@@ -533,10 +534,11 @@ fn hello_line(state: &ServeState, seeded: usize) -> String {
     )
 }
 
-/// Decode one request line: a flat JSON object with string fields plus
-/// the optional numeric fault point.
+/// Decode one request line: a JSON object with string `op`/`facts`/
+/// `query` fields and the optional integer fault point. Any other field
+/// or value type is a bad request.
 fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_flat_object(line)?;
+    let fields = json::parse_object(line)?;
     let mut req = Request {
         op: String::new(),
         facts: None,
@@ -545,10 +547,14 @@ fn parse_request(line: &str) -> Result<Request, String> {
     };
     for (key, value) in fields {
         match (key.as_str(), value) {
-            ("op", JsonVal::Str(s)) => req.op = s,
-            ("facts", JsonVal::Str(s)) => req.facts = Some(s),
-            ("query", JsonVal::Str(s)) => req.query = Some(s),
-            ("inject_panic_at", JsonVal::Num(n)) => req.inject_panic_at = Some(n),
+            ("op", Json::Str(s)) => req.op = s,
+            ("facts", Json::Str(s)) => req.facts = Some(s),
+            ("query", Json::Str(s)) => req.query = Some(s),
+            ("inject_panic_at", Json::Num(n)) => {
+                let n =
+                    u64::try_from(n).map_err(|_| format!("inject_panic_at {n} out of range"))?;
+                req.inject_panic_at = Some(n);
+            }
             (k, v) => return Err(format!("unexpected field '{k}' = {v:?}")),
         }
     }
@@ -556,128 +562,6 @@ fn parse_request(line: &str) -> Result<Request, String> {
         return Err("missing 'op' field".into());
     }
     Ok(req)
-}
-
-/// A flat JSON scalar (all the request schema needs).
-#[derive(Debug)]
-enum JsonVal {
-    Str(String),
-    Num(u64),
-}
-
-/// Parse `{"key": "value", "n": 3, ...}` — one non-nested object of
-/// string/unsigned-integer fields. Hand-rolled like every other
-/// (de)serializer in the workspace; the response side is plain
-/// `format!` + [`json_escape`].
-fn parse_flat_object(src: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let b = src.as_bytes();
-    let mut at = 0usize;
-    let mut fields = Vec::new();
-    skip_ws(b, &mut at);
-    expect(b, &mut at, b'{')?;
-    skip_ws(b, &mut at);
-    if b.get(at) == Some(&b'}') {
-        at += 1;
-    } else {
-        loop {
-            skip_ws(b, &mut at);
-            let key = parse_string(b, &mut at)?;
-            skip_ws(b, &mut at);
-            expect(b, &mut at, b':')?;
-            skip_ws(b, &mut at);
-            let value = match b.get(at) {
-                Some(b'"') => JsonVal::Str(parse_string(b, &mut at)?),
-                Some(c) if c.is_ascii_digit() => {
-                    let start = at;
-                    while b.get(at).is_some_and(u8::is_ascii_digit) {
-                        at += 1;
-                    }
-                    let n = src[start..at]
-                        .parse()
-                        .map_err(|_| format!("bad number at byte {start}"))?;
-                    JsonVal::Num(n)
-                }
-                _ => return Err(format!("expected a string or number at byte {at}")),
-            };
-            fields.push((key, value));
-            skip_ws(b, &mut at);
-            match b.get(at) {
-                Some(b',') => at += 1,
-                Some(b'}') => {
-                    at += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {at}")),
-            }
-        }
-    }
-    skip_ws(b, &mut at);
-    if at != b.len() {
-        return Err(format!("trailing content at byte {at}"));
-    }
-    Ok(fields)
-}
-
-fn skip_ws(b: &[u8], at: &mut usize) {
-    while b.get(*at).is_some_and(u8::is_ascii_whitespace) {
-        *at += 1;
-    }
-}
-
-fn expect(b: &[u8], at: &mut usize, c: u8) -> Result<(), String> {
-    if b.get(*at) == Some(&c) {
-        *at += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {at}", c as char))
-    }
-}
-
-/// A JSON string literal with the standard escapes.
-fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
-    expect(b, at, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*at) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *at += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *at += 1;
-                let esc = b.get(*at).ok_or("unterminated escape")?;
-                *at += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*at..*at + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *at += 4;
-                        out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", *other as char)),
-                }
-            }
-            Some(_) => {
-                // Advance one UTF-8 scalar (input is a &str, so this is
-                // always a char boundary walk).
-                let rest = std::str::from_utf8(&b[*at..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *at += c.len_utf8();
-            }
-        }
-    }
 }
 
 /// The governor for one request: CLI budgets, plus the request's fault
@@ -1173,6 +1057,16 @@ mod tests {
         assert!(parse_request(r#"{"op":{"nested":1}}"#).is_err());
         let req = parse_request(r#"{"op":"certain","query":"q() :- H(\"x\", y)"}"#).unwrap();
         assert_eq!(req.query.as_deref(), Some("q() :- H(\"x\", y)"));
+        // An escaped surrogate pair (as Python's json.dumps writes it)
+        // decodes to its one scalar.
+        let req = parse_request(r#"{"op":"insert","facts":"\ud83d\ude00"}"#).unwrap();
+        assert_eq!(req.facts.as_deref(), Some("😀"));
+        // Only JSON's four whitespace bytes separate tokens.
+        assert!(
+            parse_request("{\"op\":\u{c}\"solve\"}").is_err(),
+            "form feed"
+        );
+        assert!(parse_request(r#"{"op":"solve","inject_panic_at":18446744073709551616}"#).is_err());
     }
 
     #[test]

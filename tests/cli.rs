@@ -230,6 +230,7 @@ fn lint_json_output() {
     assert!(stdout.starts_with("{\"diagnostics\":["), "stdout: {stdout}");
     assert!(stdout.contains("\"code\":\"PDE001\""), "stdout: {stdout}");
     assert!(stdout.contains("\"counts\":"), "stdout: {stdout}");
+    assert!(pde_trace::json::parse(&stdout).is_ok(), "stdout: {stdout}");
 }
 
 /// A bundle whose lint warning survives parse-time dedupe: the second Σst
@@ -294,6 +295,7 @@ fn plan_emits_a_versioned_certificate() {
     assert!(json.starts_with("{\"version\":1,"), "json: {json}");
     assert!(json.contains("\"regime\":\"tractable\""), "json: {json}");
     assert!(json.contains("\"step_bound\":"), "json: {json}");
+    assert!(pde_trace::json::parse(&json).is_ok(), "json: {json}");
 }
 
 #[test]
@@ -396,6 +398,7 @@ fn optimize_reports_actions_and_strata() {
     );
     assert!(json.contains("pde-rewrite-certificate"), "json: {json}");
     assert!(json.contains("\"strata\":"), "json: {json}");
+    assert!(pde_trace::json::parse(&json).is_ok(), "json: {json}");
 }
 
 #[test]
@@ -457,9 +460,49 @@ fn optimize_check_accepts_own_certificate_and_rejects_tampering() {
     ]);
     assert_eq!(out.status.code(), Some(2));
 
+    // A shape error carries the rewrite prefix once, not the plan
+    // certificate's prefix nested inside it.
+    let shapeless = write_temp("optchk.shapeless.json", "{\"v\":1}");
+    let out = run(&[
+        "optimize",
+        p.to_str().unwrap(),
+        "--check",
+        shapeless.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains(": malformed rewrite certificate: missing field 'kind'\n"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("malformed certificate"), "{stderr}");
+
     // `plan --check` still requires an explicit certificate path.
     let out = run(&["plan", p.to_str().unwrap(), "--check"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn hostile_certificates_are_input_errors_not_aborts() {
+    // 100k nested arrays are an input error (exit 2), never a stack
+    // overflow abort (exit 134).
+    let p = write_temp("hostile.pde", EX1_TRIANGLE);
+    let deep = write_temp("hostile.cert.json", &"[".repeat(100_000));
+    let (p, deep) = (p.to_str().unwrap(), deep.to_str().unwrap());
+    for args in [
+        ["plan", p, "--check", deep],
+        ["optimize", p, "--check", deep],
+        ["terminate", p, "--check", deep],
+        ["solve", p, "--plan", deep],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("nesting deeper than 128"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -482,6 +525,7 @@ fn terminate_reports_certified_and_uncertified_verdicts() {
         json.contains("\"criterion\":\"joint-acyclicity\""),
         "{json}"
     );
+    assert!(pde_trace::json::parse(&json).is_ok(), "{json}");
 
     // The divergent bundle fails every criterion: exit 1, criterion null.
     let divergent = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/divergent.pde");

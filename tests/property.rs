@@ -950,3 +950,93 @@ proptest! {
         }
     }
 }
+
+/// A scalar from one of four classes: controls, ASCII (quotes and
+/// backslashes included), non-BMP, or anything (surrogates map to U+FFFD).
+fn scalar((class, n): (u8, u32)) -> char {
+    let code = match class {
+        0 => n % 0x20,
+        1 => n % 0x80,
+        2 => 0x1_0000 + n % 0x10_0000,
+        _ => n % 0x11_0000,
+    };
+    char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
+}
+
+/// `s` as a JSON literal with every non-ASCII scalar written as `\uXXXX`
+/// escapes, surrogate pairs included (Python's `json.dumps` default).
+fn ascii_only_json(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            ' '..='~' => out.push(c),
+            _ => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The golden plan certificate of `plan_golden.rs` (Example 1 at an
+/// active domain of 4).
+fn golden_plan_json() -> String {
+    pde_analysis::plan_setting(&paper::example1_setting(), 4).to_json()
+}
+
+/// Feed `src` to the reader and all three certificate loaders; each must
+/// return (`Ok` or `Err`) instead of panicking.
+fn load_everywhere(src: &str) {
+    let _ = pde_trace::json::parse(src);
+    let _ = pde_analysis::Certificate::from_json(src);
+    let _ = pde_analysis::RewriteCertificate::from_json(src);
+    let _ = pde_analysis::TerminationCertificate::from_json(src);
+}
+
+#[test]
+fn every_truncation_of_a_golden_certificate_loads_without_panicking() {
+    let json = golden_plan_json();
+    assert!(pde_analysis::Certificate::from_json(&json).is_ok());
+    for end in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+        load_everywhere(&json[..end]);
+        assert!(
+            pde_trace::json::parse(&json[..end]).is_err(),
+            "prefix {end}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn escaped_strings_parse_back_to_themselves(
+        picks in prop::collection::vec((0u8..4, 0u32..0x11_0000), 0..24)
+    ) {
+        use pde_trace::json::{parse, Json};
+        let s: String = picks.into_iter().map(scalar).collect();
+        let escaped = pde_trace::json_escape(&s);
+        prop_assert_eq!(parse(&escaped), Ok(Json::Str(s.clone())), "{}", escaped);
+        let ascii = ascii_only_json(&s);
+        prop_assert_eq!(parse(&ascii), Ok(Json::Str(s.clone())), "{}", ascii);
+    }
+
+    #[test]
+    fn byte_flipped_certificates_load_without_panicking(
+        flips in prop::collection::vec((0u32..1 << 16, 0u8..255), 1..6)
+    ) {
+        let mut bytes = golden_plan_json().into_bytes();
+        let len = bytes.len();
+        for (at, xor) in flips {
+            bytes[at as usize % len] ^= xor + 1;
+        }
+        load_everywhere(&String::from_utf8_lossy(&bytes));
+    }
+}

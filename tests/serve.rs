@@ -175,6 +175,31 @@ fn bad_requests_are_answered_in_band_and_do_not_kill_the_loop() {
 }
 
 #[test]
+fn hostile_json_is_answered_in_band_and_in_linear_time() {
+    let (bundle, store) = fixture("hostile");
+
+    let mut serve = Serve::start(&bundle, &store);
+    let _ = serve.read_line();
+    // 100k nested arrays: an in-band error, not a stack overflow.
+    let err = serve.request(&format!("{{\"op\":{}", "[".repeat(100_000)));
+    assert!(err.contains("\"ok\":false"), "{err}");
+    assert!(err.contains("nesting deeper than 128"), "{err}");
+    // A 1 MiB string field is read in one linear pass; the fact parser
+    // then rejects it in band.
+    let started = std::time::Instant::now();
+    let err = serve.request(&format!(
+        "{{\"op\":\"insert\",\"facts\":\"{}\"}}",
+        "x".repeat(1 << 20)
+    ));
+    assert!(err.starts_with("{\"ok\":false"), "{}", &err[..80]);
+    assert!(started.elapsed() < std::time::Duration::from_secs(10));
+    assert!(serve
+        .request("{\"op\":\"solve\"}")
+        .contains("\"result\":\"yes\""));
+    serve.shutdown();
+}
+
+#[test]
 fn snapshot_truncates_the_journal_and_recovery_uses_it() {
     let (bundle, store) = fixture("snapshot");
 

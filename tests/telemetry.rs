@@ -179,6 +179,28 @@ fn access_log_golden_one_record_per_request_keyed_by_id() {
         scrubbed[4]
     );
 
+    // Everything the session wrote parses as JSON: the hello line, the
+    // responses, the access records and the shutdown flight dump.
+    let dump = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("flight-")
+        })
+        .expect("a shutdown flight dump");
+    let dump = std::fs::read_to_string(dump).unwrap();
+    for line in responses
+        .iter()
+        .map(String::as_str)
+        .chain(records)
+        .chain(dump.lines())
+    {
+        assert!(pde_trace::json::parse(line).is_ok(), "line: {line}");
+    }
+
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&log);
 }

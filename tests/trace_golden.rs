@@ -427,6 +427,7 @@ fn solve_json_report_golden_tractable() {
     );
     assert!(hist.contains("\"buckets\":[["), "histograms: {hist}");
     assert!(line.ends_with("}}"), "line: {line}");
+    assert!(pde_trace::json::parse(line).is_ok(), "line: {line}");
 }
 
 #[test]

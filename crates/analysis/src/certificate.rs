@@ -344,7 +344,7 @@ pub const GOVERNOR_BYTES_PER_FACT: usize = pde_relational::BYTES_PER_FACT_BUDGET
 pub const GOVERNOR_SLACK_BYTES: usize = 1 << 20;
 
 impl Certificate {
-    /// Convert to a [`SolvePlan`] for `pde_core::decide_with_plan`.
+    /// Convert to a [`SolvePlan`] for `pde_core::decide_governed_scheduled`.
     pub fn to_solve_plan(&self) -> SolvePlan {
         SolvePlan {
             kind: self.recommended_solver,

@@ -2,10 +2,10 @@
 //!
 //! Nodes are the dependencies the data-exchange chase executes, in solve
 //! order (Σst tgds first, then Σt — the same order
-//! `solve_data_exchange_governed` builds). Each node gets a read set (its
-//! premise positions) and a write set (its conclusion positions); an egd's
-//! merges can rewrite values anywhere a labeled null reaches, so an egd
-//! conservatively writes *every* position of *every* target relation
+//! `solve_data_exchange_governed_scheduled` builds). Each node gets a read
+//! set (its premise positions) and a write set (its conclusion positions);
+//! an egd's merges can rewrite values anywhere a labeled null reaches, so
+//! an egd conservatively writes *every* position of *every* target relation
 //! (nulls never enter source relations: the chased input is ground and
 //! forward tgds only insert into the target).
 //!

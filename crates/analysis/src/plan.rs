@@ -5,10 +5,11 @@
 //! dependency graph of Σst ∪ Σt (Def. 5), the Lemma 1 chase bound, the
 //! Def. 8 marking, and the Def. 9 `C_tract` classifier — and packages the
 //! results with witnesses into a certificate. The certificate then powers
-//! `pde_core::decide_with_plan` (no per-call re-classification, budgets
-//! replacing hard-coded limits) and can be saved as JSON and re-verified
-//! later by [`crate::certificate::verify_certificate`], whose independent
-//! re-derivations deliberately do *not* share the code paths used here.
+//! `pde_core::decide_governed_scheduled` (no per-call re-classification,
+//! budgets replacing hard-coded limits) and can be saved as JSON and
+//! re-verified later by [`crate::certificate::verify_certificate`], whose
+//! independent re-derivations deliberately do *not* share the code paths
+//! used here.
 
 use crate::certificate::{
     bound_degree, bound_params, derive_budgets, derive_regime, forward_tgds, predicted_classes,
@@ -431,8 +432,14 @@ mod tests {
             pde_relational::parse_instance(setting.schema(), "E(a, a). E(a, b). E(b, a).").unwrap();
         let cert = plan_setting(&setting, input.active_domain().len());
         let governor = Governor::new(cert.derived_governor_config());
-        let report =
-            pde_core::decide_governed(&setting, &input, &cert.to_solve_plan(), &governor).unwrap();
+        let report = pde_core::decide_governed_scheduled(
+            &setting,
+            &input,
+            &cert.to_solve_plan(),
+            None,
+            &governor,
+        )
+        .unwrap();
         assert!(report.undecided.is_none(), "{:?}", report.undecided);
         // E(b, b) is missing, so the forced H(b, b) has no Σts backing: a
         // definite "no", reached without tripping the derived budget.

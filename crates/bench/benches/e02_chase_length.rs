@@ -69,11 +69,13 @@ fn bench(c: &mut Criterion) {
     let cyc = parse_dependencies(&s, "A(x, y) -> exists z . A(y, z)").unwrap();
     let inst = instance(&s, 4);
     let gen = NullGen::new();
-    let res = pde_chase::chase_with(
+    let res = pde_chase::chase_governed_with(
         inst,
         &cyc,
         pde_chase::WitnessMode::FreshNulls(&gen),
         ChaseLimits::tight(1000),
+        pde_chase::default_chase_engine(),
+        &pde_runtime::Governor::unlimited(),
     );
     assert_eq!(res.outcome, pde_chase::ChaseOutcome::ResourceExceeded);
     eprintln!(

@@ -3,13 +3,14 @@
 //! `decide` re-derives the setting's classification (weak acyclicity,
 //! `C_tract` membership, solver choice) on every call. `pde plan` moves
 //! that work to a one-time static certificate: `plan_setting` + repeated
-//! `decide_with_plan` amortizes the analysis across calls. This bench
+//! `decide_governed_scheduled` amortizes the analysis across calls. This bench
 //! measures the planning cost, the verification cost, and the per-call
 //! delta on a small instance where routing overhead is visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pde_analysis::{plan_setting, verify_certificate};
-use pde_core::{decide, decide_with_plan};
+use pde_core::{decide, decide_governed_scheduled};
+use pde_runtime::Governor;
 use pde_workloads::paper::{example1_instances, example1_setting};
 use pde_workloads::{clique, graphs};
 
@@ -24,7 +25,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| decide(&setting, &triangle).unwrap().exists);
     });
     g.bench_function("decide_with_precomputed_plan", |b| {
-        b.iter(|| decide_with_plan(&setting, &triangle, &plan).unwrap().exists);
+        b.iter(|| {
+            decide_governed_scheduled(&setting, &triangle, &plan, None, &Governor::unlimited())
+                .unwrap()
+                .exists
+        });
     });
     g.bench_function("plan_setting_example1", |b| {
         b.iter(|| plan_setting(&setting, triangle.active_domain().len()));
@@ -43,7 +48,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| decide(&hard, &input).unwrap().exists);
     });
     g.bench_function("decide_with_precomputed_plan_clique", |b| {
-        b.iter(|| decide_with_plan(&hard, &input, &hard_plan).unwrap().exists);
+        b.iter(|| {
+            decide_governed_scheduled(&hard, &input, &hard_plan, None, &Governor::unlimited())
+                .unwrap()
+                .exists
+        });
     });
     g.bench_function("plan_setting_clique", |b| {
         b.iter(|| plan_setting(&hard, input.active_domain().len()));

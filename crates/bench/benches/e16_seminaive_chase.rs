@@ -39,8 +39,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pde_analysis::{forward_schedule, optimize_setting};
 use pde_chase::{
-    chase_governed_scheduled, chase_governed_with, chase_naive_with, chase_seminaive_with,
-    ChaseEngine, ChaseLimits, ChaseResult, DepSchedule, WitnessMode,
+    chase_governed_scheduled, chase_governed_with, ChaseEngine, ChaseLimits, ChaseResult,
+    DepSchedule, WitnessMode,
 };
 use pde_constraints::Dependency;
 use pde_core::{Bundle, PdeSetting};
@@ -70,7 +70,14 @@ fn run(engine: &str, input: &Instance, deps: &[Dependency]) -> ChaseResult {
     let gen = NullGen::new();
     let limits = ChaseLimits::default();
     match engine {
-        "naive" => chase_naive_with(input.clone(), deps, WitnessMode::FreshNulls(&gen), limits),
+        "naive" => chase_governed_with(
+            input.clone(),
+            deps,
+            WitnessMode::FreshNulls(&gen),
+            limits,
+            ChaseEngine::Naive,
+            &Governor::unlimited(),
+        ),
         "governed" => {
             // Generous budgets that never bind, so only the check/accounting
             // overhead is measured.
@@ -88,7 +95,14 @@ fn run(engine: &str, input: &Instance, deps: &[Dependency]) -> ChaseResult {
                 &governor,
             )
         }
-        _ => chase_seminaive_with(input.clone(), deps, WitnessMode::FreshNulls(&gen), limits),
+        _ => chase_governed_with(
+            input.clone(),
+            deps,
+            WitnessMode::FreshNulls(&gen),
+            limits,
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
+        ),
     }
 }
 

@@ -11,10 +11,11 @@
 //! run explicitly (release mode) by the CI `bench-guard` job:
 //! `cargo test -p pde-bench --release bytes_per_fact -- --ignored`.
 
-use pde_chase::{chase_seminaive_with, ChaseLimits, WitnessMode};
+use pde_chase::{chase_governed_with, ChaseEngine, ChaseLimits, WitnessMode};
 use pde_constraints::Dependency;
 use pde_core::PdeSetting;
 use pde_relational::{Instance, NullGen, BYTES_PER_FACT_BUDGET};
+use pde_runtime::Governor;
 use pde_workloads::boundary::{egd_boundary_instance, egd_boundary_setting};
 use pde_workloads::clique::{clique_instance, clique_setting};
 use pde_workloads::genomics::{genomics_instance, genomics_setting, GenomicsParams};
@@ -32,11 +33,13 @@ fn forward_deps(setting: &PdeSetting) -> Vec<Dependency> {
 
 fn chased(setting: &PdeSetting, input: Instance) -> Instance {
     let gen = NullGen::new();
-    let res = chase_seminaive_with(
+    let res = chase_governed_with(
         input,
         &forward_deps(setting),
         WitnessMode::FreshNulls(&gen),
         ChaseLimits::default(),
+        ChaseEngine::Seminaive,
+        &Governor::unlimited(),
     );
     assert!(res.is_success());
     res.instance

@@ -11,9 +11,10 @@
 //! regular suite and run explicitly (release mode) by the CI `bench-guard`
 //! job: `cargo test -p pde-bench --release noop_sink_overhead -- --ignored`.
 
-use pde_chase::{chase_seminaive_with, ChaseLimits, WitnessMode};
+use pde_chase::{chase_governed_with, ChaseEngine, ChaseLimits, WitnessMode};
 use pde_constraints::Dependency;
 use pde_relational::NullGen;
+use pde_runtime::Governor;
 use pde_workloads::boundary::{egd_boundary_instance, egd_boundary_setting};
 use pde_workloads::Graph;
 use std::sync::Arc;
@@ -39,11 +40,13 @@ fn noop_sink_overhead_on_e16_is_under_two_percent() {
     let input = egd_boundary_instance(&setting, &Graph::complete(3), 18);
     let run = || {
         let gen = NullGen::new();
-        let res = chase_seminaive_with(
+        let res = chase_governed_with(
             input.clone(),
             &deps,
             WitnessMode::FreshNulls(&gen),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(res.is_success());
     };

@@ -16,7 +16,8 @@
 //! Two engines implement the loop (see `docs/CHASE.md` for the full
 //! design):
 //!
-//! * [`ChaseEngine::Seminaive`] (the default behind [`chase_with`]): rows
+//! * [`ChaseEngine::Seminaive`] (what [`default_chase_engine`] returns,
+//!   so what [`chase`] and every production caller run): rows
 //!   carry insertion epochs; each round only enumerates premise
 //!   homomorphisms touching the previous round's delta
 //!   ([`pde_relational::for_each_hom_seminaive`]), feeding a per-dependency
@@ -27,10 +28,11 @@
 //!   ([`Egd::key_shape`]) find their violations by key-column probes
 //!   ([`pde_relational::for_each_key_pair_seminaive`]) in the generic
 //!   search's exact match order.
-//! * [`ChaseEngine::Naive`] ([`chase_naive_with`]): re-enumerates every
-//!   trigger over the entire instance each round and rewrites the instance
-//!   once per egd merge. Kept as the differential-testing oracle and as the
-//!   `--chase naive` CLI escape hatch.
+//! * [`ChaseEngine::Naive`]: re-enumerates every trigger over the entire
+//!   instance each round and rewrites the instance once per egd merge.
+//!   Kept as the differential-testing oracle and as the one-shot retry
+//!   target after a panic in the solver; callers pass it explicitly to
+//!   [`chase_governed_with`].
 //!
 //! Both produce the same `StepRecord` provenance shape, respect the same
 //! [`ChaseLimits`] semantics, and agree up to null renaming (enforced by
@@ -45,7 +47,6 @@ use pde_relational::{
 };
 use pde_runtime::{Governor, StopReason};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
 /// Where tgd steps obtain witnesses for existential variables.
@@ -58,7 +59,7 @@ pub enum WitnessMode<'a> {
     FromSolution(&'a Instance),
 }
 
-/// Which implementation the [`chase_with`] entry point dispatches to.
+/// Which implementation [`chase_governed_with`] dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaseEngine {
     /// Re-enumerate every trigger over the full instance each round;
@@ -114,49 +115,10 @@ impl DepSchedule {
     }
 }
 
-const ENGINE_NAIVE: u8 = 0;
-const ENGINE_SEMINAIVE: u8 = 1;
-
-/// Process-wide default engine; the CLI's `--chase naive|seminaive` flag
-/// sets it once at startup.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENGINE_SEMINAIVE);
-
-/// Set the engine that [`chase_with`] (and everything built on it:
-/// [`chase`], [`chase_tgds`], [`solution_aware_chase`], the solvers in
-/// `pde-core`) will use from now on.
-pub fn set_default_chase_engine(engine: ChaseEngine) {
-    let v = match engine {
-        ChaseEngine::Naive => ENGINE_NAIVE,
-        ChaseEngine::Seminaive => ENGINE_SEMINAIVE,
-    };
-    DEFAULT_ENGINE.store(v, Ordering::Relaxed);
-}
-
-/// The engine [`chase_with`] currently dispatches to.
-pub fn default_chase_engine() -> ChaseEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        ENGINE_NAIVE => ChaseEngine::Naive,
-        _ => ChaseEngine::Seminaive,
-    }
-}
-
-/// Chase `instance` with `deps` under the given witness mode and limits,
-/// using the process-default engine (semi-naive unless overridden through
-/// [`set_default_chase_engine`]).
-pub fn chase_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_governed_with(
-        instance,
-        deps,
-        mode,
-        limits,
-        default_chase_engine(),
-        &Governor::unlimited(),
-    )
+/// The engine every production path runs: the semi-naive one. The naive
+/// engine is only ever requested explicitly.
+pub const fn default_chase_engine() -> ChaseEngine {
+    ChaseEngine::Seminaive
 }
 
 /// Chase under an explicit engine and runtime [`Governor`].
@@ -200,47 +162,14 @@ pub fn chase_governed_scheduled(
     match engine {
         ChaseEngine::Naive => chase_naive_governed(instance, deps, mode, limits, governor),
         ChaseEngine::Seminaive => {
-            chase_seminaive_scheduled_governed(instance, deps, mode, limits, governor, schedule)
+            chase_incremental_governed(instance, deps, mode, limits, governor, schedule, 0)
         }
     }
 }
 
-/// The semi-naive, delta-driven chase.
-///
-/// Each round opens a new insertion epoch; trigger discovery for round *k*
-/// only enumerates premise homomorphisms with at least one atom matched
-/// against a fact inserted in round *k−1* (the seed round's "delta" is the
-/// whole input, so every trigger fires once). Discovered triggers join a
-/// per-dependency worklist and are re-validated against the full instance
-/// before application, exactly like the naive engine's batch round. Egd
-/// violations are accumulated in a union-find and applied as a single
-/// targeted rewrite per dependency per round; rewritten facts re-enter the
-/// next round's delta.
-pub fn chase_seminaive_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_seminaive_scheduled_governed(instance, deps, mode, limits, &Governor::unlimited(), None)
-}
-
-/// [`chase_seminaive_with`] under an explicit [`Governor`] (the
-/// [`chase_governed_with`] worker; callers normally go through that
-/// entry point).
-fn chase_seminaive_scheduled_governed(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    governor: &Governor,
-    schedule: Option<&DepSchedule>,
-) -> ChaseResult {
-    chase_seminaive_incremental(instance, deps, mode, limits, governor, schedule, 0)
-}
-
-/// Semi-naive chase that resumes from an epoch watermark instead of the
-/// seed round.
+/// The semi-naive chase, resuming from an epoch watermark instead of the
+/// seed round (the [`ChaseEngine::Seminaive`] worker, which
+/// [`chase_governed_scheduled`] runs with watermark `0`).
 ///
 /// `initial_since` is the epoch the first delta window opens at: trigger
 /// discovery only enumerates premise homomorphisms touching at least one
@@ -262,30 +191,6 @@ fn chase_seminaive_scheduled_governed(
 /// instance's existing nulls ([`null_gen_for`]) or witnesses may collide
 /// with recovered ones.
 pub fn chase_incremental_governed(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    governor: &Governor,
-    schedule: Option<&DepSchedule>,
-    initial_since: u64,
-) -> ChaseResult {
-    // An incremental window is only sound on top of a full-deps fixpoint;
-    // a schedule still partitions the same deps (checked by the worker), so
-    // each stratum may open at the watermark too.
-    chase_seminaive_incremental(
-        instance,
-        deps,
-        mode,
-        limits,
-        governor,
-        schedule,
-        initial_since,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn chase_seminaive_incremental(
     mut instance: Instance,
     deps: &[Dependency],
     mode: WitnessMode<'_>,
@@ -294,6 +199,9 @@ fn chase_seminaive_incremental(
     schedule: Option<&DepSchedule>,
     initial_since: u64,
 ) -> ChaseResult {
+    // An incremental window is only sound on top of a full-deps fixpoint;
+    // a schedule still partitions the same deps (checked below), so each
+    // stratum may open at the watermark too.
     if let Some(s) = schedule {
         assert!(
             s.is_partition_of(deps.len()),
@@ -555,19 +463,7 @@ fn chase_seminaive_incremental(
 
 /// The naive chase: every round re-enumerates every premise homomorphism
 /// over the entire instance, and each egd merge rewrites the instance
-/// immediately. Retained as the differential-testing oracle for
-/// [`chase_seminaive_with`] and as the CLI's `--chase naive` escape hatch.
-pub fn chase_naive_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_naive_governed(instance, deps, mode, limits, &Governor::unlimited())
-}
-
-/// [`chase_naive_with`] under an explicit [`Governor`] (the
-/// [`chase_governed_with`] worker).
+/// immediately (the [`ChaseEngine::Naive`] worker).
 fn chase_naive_governed(
     mut instance: Instance,
     deps: &[Dependency],
@@ -841,30 +737,26 @@ fn apply_one_egd(instance: &mut Instance, egd: &Egd) -> EgdStep {
 
 /// Standard chase with fresh nulls and default limits (default engine).
 pub fn chase(instance: Instance, deps: &[Dependency], gen: &NullGen) -> ChaseResult {
-    chase_with(
+    chase_governed_with(
         instance,
         deps,
         WitnessMode::FreshNulls(gen),
         ChaseLimits::default(),
-    )
-}
-
-/// [`chase`] forced onto the naive engine — the differential-testing
-/// entry point.
-pub fn chase_naive(instance: Instance, deps: &[Dependency], gen: &NullGen) -> ChaseResult {
-    chase_naive_with(
-        instance,
-        deps,
-        WitnessMode::FreshNulls(gen),
-        ChaseLimits::default(),
+        default_chase_engine(),
+        &Governor::unlimited(),
     )
 }
 
 /// Chase with tgds only (no failure possible; outcome is success or
 /// resource-exceeded).
 pub fn chase_tgds(instance: Instance, tgds: &[Tgd], gen: &NullGen) -> ChaseResult {
-    let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
-    chase(instance, &deps, gen)
+    chase_tgds_governed(
+        instance,
+        tgds,
+        gen,
+        default_chase_engine(),
+        &Governor::unlimited(),
+    )
 }
 
 /// [`chase_tgds`] under an explicit engine and runtime governor (default
@@ -897,7 +789,14 @@ pub fn solution_aware_chase(
     solution: &Instance,
     limits: ChaseLimits,
 ) -> ChaseResult {
-    chase_with(instance, deps, WitnessMode::FromSolution(solution), limits)
+    chase_governed_with(
+        instance,
+        deps,
+        WitnessMode::FromSolution(solution),
+        limits,
+        default_chase_engine(),
+        &Governor::unlimited(),
+    )
 }
 
 /// Seed a null generator safely above every null already in `instance`.
@@ -1017,11 +916,13 @@ mod tests {
         let tgds = parse_tgds(&s, "A(x, y) -> exists z . A(y, z)").unwrap();
         let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
         let gen = NullGen::new();
-        let res = chase_with(
+        let res = chase_governed_with(
             a,
             &deps,
             WitnessMode::FreshNulls(&gen),
             ChaseLimits::tight(50),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert_eq!(res.outcome, ChaseOutcome::ResourceExceeded);
         assert!(res.steps >= 50);
@@ -1152,17 +1053,21 @@ mod tests {
         for (deps_src, inst_src) in cases {
             let deps = parse_dependencies(&s, deps_src).unwrap();
             let inst = parse_instance(&s, inst_src).unwrap();
-            let naive = chase_naive_with(
+            let naive = chase_governed_with(
                 inst.clone(),
                 &deps,
                 WitnessMode::FreshNulls(&NullGen::new()),
                 ChaseLimits::default(),
+                ChaseEngine::Naive,
+                &Governor::unlimited(),
             );
-            let semi = chase_seminaive_with(
+            let semi = chase_governed_with(
                 inst,
                 &deps,
                 WitnessMode::FreshNulls(&NullGen::new()),
                 ChaseLimits::default(),
+                ChaseEngine::Seminaive,
+                &Governor::unlimited(),
             );
             assert!(naive.is_success() && semi.is_success(), "{deps_src}");
             assert!(
@@ -1179,17 +1084,21 @@ mod tests {
         let s = schema();
         let deps = parse_dependencies(&s, "E(x, y) -> H(x, y); H(x, y), H(x, z) -> y = z").unwrap();
         let inst = parse_instance(&s, "E(a, b). E(a, c).").unwrap();
-        let naive = chase_naive_with(
+        let naive = chase_governed_with(
             inst.clone(),
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
             ChaseLimits::default(),
+            ChaseEngine::Naive,
+            &Governor::unlimited(),
         );
-        let semi = chase_seminaive_with(
+        let semi = chase_governed_with(
             inst,
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(naive.is_failure());
         assert!(semi.is_failure());
@@ -1207,11 +1116,13 @@ mod tests {
         // Chase a base to fixpoint, then insert new facts at a fresh epoch
         // and re-chase only off the delta.
         let base = parse_instance(&s, "E(a, b). E(b, c).").unwrap();
-        let fixed = chase_seminaive_with(
+        let fixed = chase_governed_with(
             base,
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(fixed.is_success());
         let mut grown = fixed.instance;
@@ -1230,11 +1141,13 @@ mod tests {
         assert!(incremental.is_success());
         // Oracle: a fresh full chase of the grown base.
         let fresh_base = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let fresh = chase_seminaive_with(
+        let fresh = chase_governed_with(
             fresh_base,
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(fresh.is_success());
         assert!(
@@ -1255,11 +1168,13 @@ mod tests {
         let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
         let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
         let inst = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let res = chase_seminaive_with(
+        let res = chase_governed_with(
             inst,
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(res.is_success());
         // Round 1 fires both path triggers; round 2's delta is H-only, so
@@ -1375,11 +1290,13 @@ mod tests {
         let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
         let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
         let inst = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let plain = chase_seminaive_with(
+        let plain = chase_governed_with(
             inst.clone(),
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         let governed = chase_governed_with(
             inst,
@@ -1392,14 +1309,5 @@ mod tests {
         assert!(plain.is_success() && governed.is_success());
         assert!(plain.instance.same_facts(&governed.instance));
         assert_eq!(plain.steps, governed.steps);
-    }
-
-    #[test]
-    fn default_engine_is_switchable() {
-        assert_eq!(default_chase_engine(), ChaseEngine::Seminaive);
-        set_default_chase_engine(ChaseEngine::Naive);
-        assert_eq!(default_chase_engine(), ChaseEngine::Naive);
-        set_default_chase_engine(ChaseEngine::Seminaive);
-        assert_eq!(default_chase_engine(), ChaseEngine::Seminaive);
     }
 }

@@ -4,7 +4,8 @@
 //! * [`engine`]: the standard chase with fresh nulls and the paper's
 //!   solution-aware chase (Definitions 6–7), each in a semi-naive
 //!   delta-driven implementation (default) and a naive oracle
-//!   implementation (see `docs/CHASE.md`);
+//!   implementation, both behind [`chase_governed_with`] (see
+//!   `docs/CHASE.md`);
 //! * [`result`]: outcomes (success / egd failure / resource limits) and
 //!   step statistics.
 //!
@@ -18,10 +19,9 @@ pub mod result;
 pub mod satisfy;
 
 pub use engine::{
-    chase, chase_governed_scheduled, chase_governed_with, chase_incremental_governed, chase_naive,
-    chase_naive_with, chase_seminaive_with, chase_tgds, chase_tgds_governed, chase_with,
-    default_chase_engine, null_gen_for, set_default_chase_engine, solution_aware_chase,
-    ChaseEngine, DepSchedule, WitnessMode,
+    chase, chase_governed_scheduled, chase_governed_with, chase_incremental_governed, chase_tgds,
+    chase_tgds_governed, default_chase_engine, null_gen_for, solution_aware_chase, ChaseEngine,
+    DepSchedule, WitnessMode,
 };
 pub use result::{ChaseLimits, ChaseOutcome, ChaseResult, ChaseStats, StepRecord};
 pub use satisfy::{

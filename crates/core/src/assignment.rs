@@ -222,7 +222,7 @@ pub fn solve_disjunctive(
 
 /// [`solve_disjunctive`] under an explicit chase engine and runtime
 /// governor.
-pub fn solve_disjunctive_governed(
+fn solve_disjunctive_governed(
     problem: &DisjunctiveProblem,
     input: &Instance,
     engine: ChaseEngine,

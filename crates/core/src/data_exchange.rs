@@ -77,47 +77,29 @@ pub struct DataExchangeOutcome {
     pub chase_stats: ChaseStats,
 }
 
-/// Chase-based existence test and canonical-solution construction.
+/// Chase-based existence test and canonical-solution construction
+/// (default limits, default engine, no governor).
 pub fn solve_data_exchange(
     setting: &PdeSetting,
     input: &Instance,
 ) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_with_limits(setting, input, ChaseLimits::default())
-}
-
-/// Chase with explicit limits (certificate-derived budgets, or tight caps
-/// for experiments that measure divergence).
-pub fn solve_data_exchange_with_limits(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: ChaseLimits,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_governed(
+    solve_data_exchange_governed_scheduled(
         setting,
         input,
-        limits,
+        ChaseLimits::default(),
         pde_chase::default_chase_engine(),
         &Governor::unlimited(),
+        None,
     )
 }
 
-/// [`solve_data_exchange_with_limits`] under an explicit chase engine and
-/// runtime governor. A governor stop surfaces as
+/// Chase `input` with Σst ∪ Σt under explicit limits (certificate-derived
+/// budgets, or tight caps for experiments that measure divergence), chase
+/// engine, runtime governor, and optional stratified [`DepSchedule`] over
+/// the forward dependency list (Σst tgds first, then Σt — the order
+/// `pde-analysis`'s `forward_schedule` indexes). Only the semi-naive
+/// engine consumes the schedule. A governor stop surfaces as
 /// [`DataExchangeError::Stopped`] — never as a yes/no answer.
-pub fn solve_data_exchange_governed(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: ChaseLimits,
-    engine: ChaseEngine,
-    governor: &Governor,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_governed_scheduled(setting, input, limits, engine, governor, None)
-}
-
-/// [`solve_data_exchange_governed`] with an optional stratified
-/// [`DepSchedule`] over the forward dependency list (Σst tgds first, then
-/// Σt — the order `pde-analysis`'s `forward_schedule` indexes). Only the
-/// semi-naive engine consumes the schedule.
 pub fn solve_data_exchange_governed_scheduled(
     setting: &PdeSetting,
     input: &Instance,
@@ -293,12 +275,13 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..GovernorConfig::default()
         });
-        let err = solve_data_exchange_governed(
+        let err = solve_data_exchange_governed_scheduled(
             &p,
             &input,
             ChaseLimits::default(),
             pde_chase::default_chase_engine(),
             &governor,
+            None,
         )
         .unwrap_err();
         assert!(matches!(
@@ -318,7 +301,15 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
-        let err = solve_data_exchange_with_limits(&p, &input, ChaseLimits::tight(100)).unwrap_err();
+        let err = solve_data_exchange_governed_scheduled(
+            &p,
+            &input,
+            ChaseLimits::tight(100),
+            pde_chase::default_chase_engine(),
+            &Governor::unlimited(),
+            None,
+        )
+        .unwrap_err();
         assert_eq!(err, DataExchangeError::ChaseDidNotTerminate);
     }
 }

@@ -11,7 +11,9 @@
 //! * [`assignment`]: complete solver for Σt = ∅ (the Theorem 1 NP
 //!   procedure, specialized to no target constraints), including the §4
 //!   disjunctive extension;
-//! * placeholder for further modules.
+//! * [`generic`]: complete witness-chase search for Σt ≠ ∅;
+//! * [`solver`]: the façade that routes a setting to one of the above
+//!   ([`decide`], [`decide_governed_scheduled`]).
 
 pub mod assignment;
 pub mod blocks;
@@ -26,8 +28,7 @@ pub use blocks::{blocks, blockwise_hom_exists, check_blocks, Block};
 pub use setting::{PdeSetting, SettingClass, SettingError};
 pub use solution::{check_solution, core_solution, is_solution, SolutionViolation};
 pub use tractable::{
-    exists_solution, exists_solution_from_chased, exists_solution_unchecked, TractableError,
-    TractableOutcome, TractableStats,
+    exists_solution, exists_solution_from_chased, TractableError, TractableOutcome, TractableStats,
 };
 
 pub mod generic;
@@ -45,14 +46,14 @@ pub mod small;
 pub mod solver;
 pub use bundle::{split_sections, Bundle, BundleError, BundleSources, Section};
 pub use data_exchange::{
-    certain_answers_data_exchange, solve_data_exchange, solve_data_exchange_governed,
-    solve_data_exchange_governed_scheduled, DataExchangeError, DataExchangeOutcome,
+    certain_answers_data_exchange, solve_data_exchange, solve_data_exchange_governed_scheduled,
+    DataExchangeError, DataExchangeOutcome,
 };
 pub use enumerate::{enumerate_solutions, EnumerateError, EnumerateOptions, SolutionFamily};
 pub use multi::{MultiPdeError, MultiPdeSetting, PeerConstraints};
 pub use pdms::{Pdms, StorageDescription};
 pub use small::{shrink_solution, ShrinkError};
 pub use solver::{
-    decide, decide_governed, decide_governed_scheduled, decide_with_limits, decide_with_plan,
-    SearchSummary, SolveError, SolvePlan, SolveReport, SolverKind,
+    decide, decide_governed_scheduled, SearchSummary, SolveError, SolvePlan, SolveReport,
+    SolverKind,
 };

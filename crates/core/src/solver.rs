@@ -111,6 +111,16 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
+    /// The chase engine that produced this answer: the naive oracle when
+    /// the solve fell back to it, the default engine otherwise.
+    pub fn engine(&self) -> ChaseEngine {
+        if self.engine_fallback {
+            ChaseEngine::Naive
+        } else {
+            pde_chase::default_chase_engine()
+        }
+    }
+
     /// Export every counter this report carries into a
     /// [`pde_trace::MetricsRegistry`]: chase counters under `chase.`,
     /// search counters under `search.`, governor counters under
@@ -202,62 +212,42 @@ impl SolvePlan {
     }
 }
 
-/// Decide `SOL(P)` for `input`, automatically selecting the algorithm.
+/// Decide `SOL(P)` for `input`, automatically selecting the algorithm
+/// (default budgets, no governor).
 pub fn decide(setting: &PdeSetting, input: &Instance) -> Result<SolveReport, SolveError> {
-    decide_with_limits(setting, input, GenericLimits::default())
+    decide_governed_scheduled(
+        setting,
+        input,
+        &SolvePlan::for_setting(setting),
+        None,
+        &Governor::unlimited(),
+    )
 }
 
-/// [`decide`] with explicit limits for the complete searches.
-pub fn decide_with_limits(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: GenericLimits,
-) -> Result<SolveReport, SolveError> {
-    let mut plan = SolvePlan::for_setting(setting);
-    plan.limits = limits;
-    decide_with_plan(setting, input, &plan)
-}
-
-/// Decide `SOL(P)` following a precomputed [`SolvePlan`]: no
-/// re-classification, chase structures bounded by the plan's chase
-/// limits, search budgets taken from the plan.
+/// Decide `SOL(P)` following a precomputed [`SolvePlan`] under a runtime
+/// [`Governor`]: no re-classification, chase structures bounded by the
+/// plan's chase limits, search budgets taken from the plan.
 ///
 /// The caller is responsible for the plan matching the setting (pair a
 /// certificate-derived plan with `verify_certificate` first); a
 /// mismatched plan surfaces as a solver precondition error, never a wrong
 /// answer.
-pub fn decide_with_plan(
-    setting: &PdeSetting,
-    input: &Instance,
-    plan: &SolvePlan,
-) -> Result<SolveReport, SolveError> {
-    decide_governed(setting, input, plan, &Governor::unlimited())
-}
-
-/// [`decide_with_plan`] under a runtime [`Governor`]: deadlines, memory
-/// budgets, and cancellation are enforced cooperatively inside the chase
-/// engines and search solvers, and a budget exhaustion surfaces as a
-/// report with `exists: None` and `undecided: Some(reason)` — never a
-/// wrong yes/no answer and never a poisoned input (engines consume
-/// clones).
 ///
-/// Every engine attempt runs behind panic isolation. When the primary
-/// (default) engine panics or trips an injected fault, the solve is
-/// retried once on the naive oracle engine (`engine_fallback` marks such
-/// reports); a panic surviving the retry becomes [`SolveError::Engine`].
-pub fn decide_governed(
-    setting: &PdeSetting,
-    input: &Instance,
-    plan: &SolvePlan,
-    governor: &Governor,
-) -> Result<SolveReport, SolveError> {
-    decide_governed_scheduled(setting, input, plan, None, governor)
-}
-
-/// [`decide_governed`] with an optional stratified [`DepSchedule`] for the
-/// chase of the data-exchange path (derived by `pde-analysis`'s
-/// `forward_schedule` over this setting's forward dependencies). The
-/// other solver kinds, and the naive fallback engine, ignore it.
+/// Deadlines, memory budgets, and cancellation are enforced cooperatively
+/// inside the chase engines and search solvers, and a budget exhaustion
+/// surfaces as a report with `exists: None` and `undecided: Some(reason)`
+/// — never a wrong yes/no answer and never a poisoned input (engines
+/// consume clones).
+///
+/// `schedule` is an optional stratified [`DepSchedule`] for the chase of
+/// the data-exchange path (derived by `pde-analysis`'s `forward_schedule`
+/// over this setting's forward dependencies). The other solver kinds, and
+/// the naive fallback engine, ignore it.
+///
+/// Every engine attempt runs behind panic isolation. When the semi-naive
+/// engine panics or trips an injected fault, the solve is retried once on
+/// the naive oracle engine (`engine_fallback` marks such reports); a
+/// panic surviving the retry becomes [`SolveError::Engine`].
 pub fn decide_governed_scheduled(
     setting: &PdeSetting,
     input: &Instance,
@@ -277,7 +267,7 @@ pub fn decide_governed_scheduled(
         Ok(Ok(r)) => matches!(r.undecided, Some(StopReason::FaultInjected { .. })),
         Ok(Err(_)) => false,
     };
-    let outcome = if retryable && primary != ChaseEngine::Naive {
+    let outcome = if retryable {
         match isolate(|| attempt(setting, input, plan, ChaseEngine::Naive, governor, schedule)) {
             Ok(res) => res.map(|mut r| {
                 r.engine_fallback = true;
@@ -552,7 +542,7 @@ mod tests {
                 ..GovernorConfig::default()
             });
             let before = input.clone();
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             assert_eq!(r.exists, None, "{:?} must be undecided", plan.kind);
             assert!(
                 matches!(r.undecided, Some(StopReason::DeadlineExceeded { .. })),
@@ -572,6 +562,7 @@ mod tests {
         let r = decide(&p, &input).unwrap();
         assert_eq!(r.exists, Some(true));
         assert!(!r.engine_fallback);
+        assert_eq!(r.engine(), ChaseEngine::Seminaive);
         assert!(r.undecided.is_none());
         assert_eq!(r.governor.stops, 0);
         assert_eq!(r.governor.deadline_remaining, None);
@@ -599,7 +590,7 @@ mod tests {
         fn panic_in_trigger_falls_back_to_naive_engine() {
             let (p, input) = chase_heavy_setting();
             let plan = SolvePlan::for_setting(&p);
-            let ungoverned = decide_with_plan(&p, &input, &plan).unwrap();
+            let ungoverned = decide(&p, &input).unwrap();
             let governor = Governor::with_faults(
                 GovernorConfig::default(),
                 FaultPlan {
@@ -607,9 +598,10 @@ mod tests {
                     ..FaultPlan::default()
                 },
             );
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             // The fault is one-shot: the retry on the naive engine decides.
             assert!(r.engine_fallback);
+            assert_eq!(r.engine(), ChaseEngine::Naive);
             assert_eq!(r.exists, ungoverned.exists);
         }
 
@@ -624,7 +616,7 @@ mod tests {
                     ..FaultPlan::default()
                 },
             );
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             assert!(r.engine_fallback);
             assert_eq!(r.exists, Some(true));
             assert!(r.governor.faults_fired >= 1);
@@ -641,7 +633,7 @@ mod tests {
                     ..FaultPlan::default()
                 },
             );
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             // Cancellation (even injected) is not an engine failure — it
             // must not be retried away.
             assert!(!r.engine_fallback);

@@ -140,24 +140,6 @@ pub fn exists_solution_governed(
     exists_solution_governed_unchecked(setting, input, engine, governor)
 }
 
-/// Run the Fig. 3 algorithm without the `C_tract` membership check.
-///
-/// Correctness still requires condition 1 of `C_tract` (Theorem 5);
-/// polynomial running time requires condition 2 (Theorem 6). Callers that
-/// have verified a weaker sufficient condition themselves (e.g. full Σst
-/// only) can use this entry point directly. Σt must be empty regardless.
-pub fn exists_solution_unchecked(
-    setting: &PdeSetting,
-    input: &Instance,
-) -> Result<TractableOutcome, TractableError> {
-    exists_solution_governed_unchecked(
-        setting,
-        input,
-        pde_chase::default_chase_engine(),
-        &Governor::unlimited(),
-    )
-}
-
 /// Map a non-success chase to the right refusal (governor stops stay
 /// distinguishable from plain limit trips).
 fn chase_refusal(res: &ChaseResult) -> TractableError {
@@ -167,9 +149,12 @@ fn chase_refusal(res: &ChaseResult) -> TractableError {
     }
 }
 
-/// [`exists_solution_unchecked`] under an explicit chase engine and
-/// runtime governor.
-pub fn exists_solution_governed_unchecked(
+/// Run the Fig. 3 algorithm without the `C_tract` membership check.
+///
+/// Correctness still requires condition 1 of `C_tract` (Theorem 5);
+/// polynomial running time requires condition 2 (Theorem 6). Σt must be
+/// empty regardless.
+fn exists_solution_governed_unchecked(
     setting: &PdeSetting,
     input: &Instance,
     engine: ChaseEngine,
@@ -199,9 +184,9 @@ pub fn exists_solution_governed_unchecked(
 /// `chased_st` must be the Σst-chase fixpoint of `input` (the combined
 /// `(I, J_can)` instance) — e.g. one maintained incrementally across
 /// inserts via `chase_incremental_governed`, which is how `pde serve`
-/// answers `solve` requests without re-chasing from scratch. The same
-/// `C_tract` caveats as [`exists_solution_unchecked`] apply, and a stale
-/// or under-chased `chased_st` yields wrong answers — callers own that
+/// answers `solve` requests without re-chasing from scratch. The
+/// `C_tract` hypothesis of Theorems 5–6 still applies, and a stale or
+/// under-chased `chased_st` yields wrong answers — callers own that
 /// invariant.
 pub fn exists_solution_from_chased(
     setting: &PdeSetting,
@@ -401,10 +386,15 @@ mod tests {
             exists_solution(&p, &input).unwrap_err(),
             TractableError::NotInCtract
         );
-        // The unchecked entry point runs (condition 1 holds for this
-        // setting, so the answer is still correct — just not guaranteed
-        // polynomial).
-        assert!(exists_solution_unchecked(&p, &input).is_ok());
+        // The unchecked worker runs (condition 1 holds for this setting, so
+        // the answer is still correct — just not guaranteed polynomial).
+        assert!(exists_solution_governed_unchecked(
+            &p,
+            &input,
+            pde_chase::default_chase_engine(),
+            &Governor::unlimited()
+        )
+        .is_ok());
     }
 
     #[test]

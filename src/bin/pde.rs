@@ -32,19 +32,19 @@
 //! `C_tract` witnesses, solver routing, budgets); `plan --check <cert>`
 //! re-verifies a saved certificate against the bundle with the
 //! independent checker. `solve` routes through the certificate-derived
-//! plan (`decide_with_plan`); pass `--plan <cert.json>` to reuse a saved
-//! certificate instead of planning afresh. `solve`, `certain`, and
-//! `enumerate` take `--max-steps <n>` (search node / chase step cap) and
-//! `--max-branches <n>` (active-domain values tried per existential);
+//! plan (`decide_governed_scheduled`); pass `--plan <cert.json>` to reuse
+//! a saved certificate instead of planning afresh. `solve`, `certain`,
+//! and `enumerate` take `--max-steps <n>` (search node / chase step cap)
+//! and `--max-branches <n>` (active-domain values tried per existential);
 //! exceeding a cap reports "undecided", never a wrong answer.
 //!
-//! `--chase naive|seminaive` (any command) selects the chase engine for
-//! the whole run — semi-naive delta-driven by default, `naive` as the
-//! escape hatch (see `docs/CHASE.md`). `solve --stats` prints the chase
-//! engine counters: rounds, triggers fired vs skipped-by-delta, egd
-//! merges — and, for the complete searches, the branch/candidate/prune
-//! counters — plus the resource-governor counters and whether the run
-//! fell back to the naive oracle engine.
+//! Every command chases with the semi-naive delta-driven engine (see
+//! `docs/CHASE.md`); the naive oracle engine only answers when `solve`
+//! retries after a panic or an injected fault. `solve --stats` prints the
+//! engine that answered and its counters: rounds, triggers fired vs
+//! skipped-by-delta, egd merges — and, for the complete searches, the
+//! branch/candidate/prune counters — plus the resource-governor counters
+//! and whether the run fell back to the naive oracle engine.
 //!
 //! Observability (`docs/OBSERVABILITY.md`): `--trace <file.jsonl>` (any
 //! command) streams every phase span — chase rounds, trigger discovery,
@@ -108,7 +108,7 @@ use pde_analysis::{
     LintSection, OptimizeResult, RenderContext, RewriteAction, RewriteCertificate, Severity,
     SourceParseError, TerminationCertificate,
 };
-use pde_chase::{chase_tgds, DepSchedule};
+use pde_chase::{chase_tgds, ChaseEngine, DepSchedule};
 use pde_core::bundle::{split_sections, Bundle, BundleSources};
 use pde_core::{
     certain_answers, check_solution, decide_governed_scheduled, GenericLimits, PdeSetting,
@@ -193,7 +193,6 @@ const USAGE: &str = "usage:
   pde serve     <bundle.pde> <store-dir> [--timeout dur] [--memory-limit size] [--stats]
                 [--access-log <file.jsonl>] [--trace-sample n]
 global flags:
-  --chase naive|seminaive   chase engine (default: seminaive)
   --optimize/--no-optimize  rewrite the setting before solving (default: on;
                             --plan disables; solve/certain/enumerate only)
   --trace <file.jsonl>      stream structured spans as JSON lines (docs/OBSERVABILITY.md)
@@ -234,7 +233,6 @@ struct Flags {
     optimize: Option<bool>,
     emit_path: Option<String>,
     stats: bool,
-    chase_engine: Option<pde_chase::ChaseEngine>,
     timeout: Option<Duration>,
     memory_limit: Option<usize>,
     governed: bool,
@@ -307,16 +305,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
             "--no-optimize" => flags.optimize = Some(false),
             "--emit" => flags.emit_path = Some(flag_value(&mut it, "--emit")?),
             "--stats" => flags.stats = true,
-            "--chase" => match it.next().map(String::as_str) {
-                Some("naive") => flags.chase_engine = Some(pde_chase::ChaseEngine::Naive),
-                Some("seminaive") => flags.chase_engine = Some(pde_chase::ChaseEngine::Seminaive),
-                other => {
-                    return Err(format!(
-                        "--chase expects 'naive' or 'seminaive', got {}",
-                        other.map_or("nothing".into(), |o| format!("'{o}'"))
-                    ))
-                }
-            },
             f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
             _ => pos.push(a.clone()),
         }
@@ -537,9 +525,9 @@ fn render_solve_json(
         Some(reason) => json_escape(&reason.to_string()),
         None => "null".to_owned(),
     };
-    let engine = match pde_chase::default_chase_engine() {
-        pde_chase::ChaseEngine::Naive => "naive",
-        pde_chase::ChaseEngine::Seminaive => "seminaive",
+    let engine = match report.engine() {
+        ChaseEngine::Naive => "naive",
+        ChaseEngine::Seminaive => "seminaive",
     };
     let optimize = match optimize {
         Some((c, s)) => format!(
@@ -602,9 +590,6 @@ fn auto_lint(bundle: &Bundle, flags: &Flags) {
 
 fn run(args: &[String]) -> Result<Verdict, String> {
     let (args, flags) = split_flags(args)?;
-    if let Some(engine) = flags.chase_engine {
-        pde_chase::set_default_chase_engine(engine);
-    }
     // Tracing sinks are process-global: install before dispatch, tear down
     // after so the stream is flushed (and the profile table printed) even
     // when a command returns early.
@@ -942,7 +927,7 @@ fn dispatch(
             outln!("solver:   {}", report.kind);
             outln!("elapsed:  {:?}", report.elapsed);
             if flags.stats {
-                outln!("engine:   {:?}", pde_chase::default_chase_engine());
+                outln!("engine:   {:?}", report.engine());
                 match &opt {
                     Some(o) => {
                         outln!(

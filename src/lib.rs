@@ -78,9 +78,9 @@ pub mod prelude {
         Dependency, Egd, Marking, Orientation, Tgd,
     };
     pub use pde_core::{
-        assignment_solve, certain_answers, check_solution, decide, decide_governed,
-        decide_with_limits, decide_with_plan, exists_solution, is_solution, solve_data_exchange,
-        GenericLimits, MultiPdeSetting, PdeSetting, Pdms, SolvePlan, SolveReport, SolverKind,
+        assignment_solve, certain_answers, check_solution, decide, decide_governed_scheduled,
+        exists_solution, is_solution, solve_data_exchange, GenericLimits, MultiPdeSetting,
+        PdeSetting, Pdms, SolvePlan, SolveReport, SolverKind,
     };
     pub use pde_relational::{
         parse_instance, parse_query, parse_schema, ConjunctiveQuery, Instance, Peer, Schema,

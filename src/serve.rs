@@ -737,8 +737,9 @@ fn handle_solve(
 fn solve_full(state: &mut ServeState, governor: &Governor) -> Result<Answer, String> {
     let cert = plan_setting(&state.setting, state.base.active_domain().len());
     let plan = cert.to_solve_plan();
-    let report = pde_core::decide_governed(&state.setting, &state.base, &plan, governor)
-        .map_err(|e| e.to_string())?;
+    let report =
+        pde_core::decide_governed_scheduled(&state.setting, &state.base, &plan, None, governor)
+            .map_err(|e| e.to_string())?;
     if let Some(cs) = &report.chase_stats {
         state
             .metrics
@@ -822,7 +823,7 @@ fn refresh_chased(state: &mut ServeState, governor: &Governor) -> RefreshOutcome
                     deps,
                     WitnessMode::FreshNulls(&gen),
                     limits,
-                    pde_chase::ChaseEngine::Seminaive,
+                    pde_chase::default_chase_engine(),
                     governor,
                 )
             })

@@ -417,17 +417,17 @@ proptest! {
             .map(Dependency::Tgd)
             .chain(setting.sigma_t().iter().cloned())
             .collect();
-        let naive = pde_chase::chase_naive_with(
+        let naive = pde_chase::chase_governed_with(
             input.clone(),
             &deps,
             pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-            ChaseLimits::default(),
+            ChaseLimits::default(), pde_chase::ChaseEngine::Naive, &Governor::unlimited()
         );
-        let semi = pde_chase::chase_seminaive_with(
+        let semi = pde_chase::chase_governed_with(
             input,
             &deps,
             pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-            ChaseLimits::default(),
+            ChaseLimits::default(), pde_chase::ChaseEngine::Seminaive, &Governor::unlimited()
         );
         prop_assert_eq!(naive.is_success(), semi.is_success());
         prop_assert_eq!(naive.is_failure(), semi.is_failure());
@@ -469,17 +469,17 @@ proptest! {
                 src.push_str(&format!("E(v{a}, v{b}). "));
             }
             let input = parse_instance(&schema, &src).unwrap();
-            let naive = pde_chase::chase_naive_with(
+            let naive = pde_chase::chase_governed_with(
                 input.clone(),
                 &deps,
                 pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
+                ChaseLimits::default(), pde_chase::ChaseEngine::Naive, &Governor::unlimited()
             );
-            let semi = pde_chase::chase_seminaive_with(
+            let semi = pde_chase::chase_governed_with(
                 input,
                 &deps,
                 pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
+                ChaseLimits::default(), pde_chase::ChaseEngine::Seminaive, &Governor::unlimited()
             );
             prop_assert_eq!(naive.is_success(), semi.is_success(), "{}", src_deps);
             if naive.is_success() {
@@ -550,17 +550,17 @@ proptest! {
             }
         }
         let input = parse_instance(&schema, &src).unwrap();
-        let naive = pde_chase::chase_naive_with(
+        let naive = pde_chase::chase_governed_with(
             input.clone(),
             &deps,
             pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-            ChaseLimits::default(),
+            ChaseLimits::default(), pde_chase::ChaseEngine::Naive, &Governor::unlimited()
         );
-        let semi = pde_chase::chase_seminaive_with(
+        let semi = pde_chase::chase_governed_with(
             input,
             &deps,
             pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-            ChaseLimits::default(),
+            ChaseLimits::default(), pde_chase::ChaseEngine::Seminaive, &Governor::unlimited()
         );
         prop_assert_eq!(&naive.outcome, &semi.outcome, "{} / {}", src_deps, src);
         if naive.is_success() {
@@ -637,17 +637,17 @@ proptest! {
         let input = parse_instance(&schema, &src).unwrap();
         prop_assert_eq!(input.heap_bytes(), input.recount_heap_bytes());
         for result in [
-            pde_chase::chase_naive_with(
+            pde_chase::chase_governed_with(
                 input.clone(),
                 &deps,
                 pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
+                ChaseLimits::default(), pde_chase::ChaseEngine::Naive, &Governor::unlimited()
             ),
-            pde_chase::chase_seminaive_with(
+            pde_chase::chase_governed_with(
                 input.clone(),
                 &deps,
                 pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
+                ChaseLimits::default(), pde_chase::ChaseEngine::Seminaive, &Governor::unlimited()
             ),
         ] {
             prop_assert_eq!(
@@ -752,7 +752,7 @@ fn seminaive_step_log_respects_verified_certificate_bound() {
         .map(Dependency::Tgd)
         .chain(setting.sigma_t().iter().cloned())
         .collect();
-    let res = pde_chase::chase_seminaive_with(
+    let res = pde_chase::chase_governed_with(
         input,
         &deps,
         pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
@@ -761,6 +761,8 @@ fn seminaive_step_log_respects_verified_certificate_bound() {
             fact_bound: cert.chase.fact_bound,
             value_bound: cert.chase.value_bound,
         }),
+        pde_chase::ChaseEngine::Seminaive,
+        &Governor::unlimited(),
     );
     assert!(res.is_success(), "chase completes within certified budgets");
     assert_eq!(res.log.len(), res.steps, "one record per applied step");

@@ -40,8 +40,9 @@ fn same_instance(a: &Instance, b: &Instance) -> bool {
     a.fact_count() == b.fact_count() && a.contained_in(b) && b.contained_in(a)
 }
 
-/// Run `decide_governed` under `config` and assert the structured-undecided
-/// contract: no answer, the expected stop reason, and an untouched input.
+/// Run `decide_governed_scheduled` under `config` and assert the
+/// structured-undecided contract: no answer, the expected stop reason,
+/// and an untouched input.
 fn assert_undecided(
     config: GovernorConfig,
     expect: impl Fn(&StopReason) -> bool,
@@ -51,7 +52,7 @@ fn assert_undecided(
     let snapshot = input.clone();
     let governor = Governor::new(config);
     let plan = SolvePlan::for_setting(&setting);
-    let report = decide_governed(&setting, &input, &plan, &governor).unwrap();
+    let report = decide_governed_scheduled(&setting, &input, &plan, None, &governor).unwrap();
     assert_eq!(report.exists, None, "budget stop must not answer");
     assert!(report.witness.is_none());
     let reason = report.undecided.as_ref().expect("structured stop reason");
@@ -176,7 +177,7 @@ mod faults {
                 let input = random_instance(&setting, 4, 0, 3, seed ^ 0xfa17);
                 let snapshot = input.clone();
                 let plan = SolvePlan::for_setting(&setting);
-                let Ok(oracle) = decide_with_plan(&setting, &input, &plan) else {
+                let Ok(oracle) = decide(&setting, &input) else {
                     continue; // oracle precondition failures are out of scope
                 };
                 for (fault, deadline) in fault_matrix() {
@@ -187,7 +188,7 @@ mod faults {
                         },
                         fault.clone(),
                     );
-                    match decide_governed(&setting, &input, &plan, &governor) {
+                    match decide_governed_scheduled(&setting, &input, &plan, None, &governor) {
                         Ok(report) => match report.exists {
                             // A decided governed run must agree with the
                             // oracle whenever the oracle decided too.
@@ -233,7 +234,7 @@ mod faults {
         let setting = super::transitive_setting();
         let input = super::cycle_input(&setting, 5);
         let plan = SolvePlan::for_setting(&setting);
-        let oracle = decide_with_plan(&setting, &input, &plan).unwrap();
+        let oracle = decide(&setting, &input).unwrap();
         assert_eq!(oracle.exists, Some(true));
         for fault in [
             FaultPlan {
@@ -249,7 +250,8 @@ mod faults {
                 GovernorConfig::default(),
                 fault.clone(),
             );
-            let report = decide_governed(&setting, &input, &plan, &governor).unwrap();
+            let report =
+                decide_governed_scheduled(&setting, &input, &plan, None, &governor).unwrap();
             assert_eq!(report.exists, oracle.exists, "under {fault:?}");
             assert!(report.engine_fallback, "retry expected under {fault:?}");
         }

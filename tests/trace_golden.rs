@@ -12,7 +12,7 @@
 //!   inputs: trace span fields, `ChaseStats` counters, and the
 //!   `StepRecord` provenance log.
 
-use pde_chase::{chase_naive_with, chase_seminaive_with, ChaseLimits, ChaseResult, WitnessMode};
+use pde_chase::{chase_governed_with, ChaseEngine, ChaseLimits, ChaseResult, WitnessMode};
 use pde_constraints::Dependency;
 use pde_core::PdeSetting;
 use pde_relational::NullGen;
@@ -95,11 +95,13 @@ fn golden_span_sequence_for_seminaive_chase() {
     let deps: Vec<Dependency> = p.sigma_st().iter().cloned().map(Dependency::Tgd).collect();
     let gen = NullGen::new();
     let spans = collect_spans(|| {
-        let res = chase_seminaive_with(
+        let res = chase_governed_with(
             input,
             &deps,
             WitnessMode::FreshNulls(&gen),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(res.is_success());
     });
@@ -178,11 +180,13 @@ fn egd_merge_spans_name_their_discovery_path() {
     let deps = forward_deps(&p);
     let gen = NullGen::new();
     let spans = collect_spans(|| {
-        let res = chase_seminaive_with(
+        let res = chase_governed_with(
             input,
             &deps,
             WitnessMode::FreshNulls(&gen),
             ChaseLimits::default(),
+            ChaseEngine::Seminaive,
+            &Governor::unlimited(),
         );
         assert!(res.stats.egd_merges > 0);
     });
@@ -525,21 +529,18 @@ fn check_accounting_layers_agree(
     let gen = NullGen::new();
     let mut result: Option<ChaseResult> = None;
     let spans = collect_spans(|| {
-        let res = match engine {
-            "naive" => chase_naive_with(
-                input.clone(),
-                deps,
-                WitnessMode::FreshNulls(&gen),
-                ChaseLimits::default(),
-            ),
-            _ => chase_seminaive_with(
-                input.clone(),
-                deps,
-                WitnessMode::FreshNulls(&gen),
-                ChaseLimits::default(),
-            ),
+        let engine = match engine {
+            "naive" => ChaseEngine::Naive,
+            _ => ChaseEngine::Seminaive,
         };
-        result = Some(res);
+        result = Some(chase_governed_with(
+            input.clone(),
+            deps,
+            WitnessMode::FreshNulls(&gen),
+            ChaseLimits::default(),
+            engine,
+            &Governor::unlimited(),
+        ));
     });
     let res = result.expect("chase ran");
 

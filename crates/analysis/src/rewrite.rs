@@ -32,9 +32,7 @@
 use crate::analyzer::subsumed_by;
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_core::setting::PdeSetting;
-use pde_relational::{
-    for_each_hom_with, Assignment, HomConfig, Instance, RelId, Schema, Term, Tuple, Value, Var,
-};
+use pde_relational::{for_each_hom, Assignment, Instance, RelId, Schema, Term, Tuple, Value, Var};
 use pde_trace::json::{self, ObjExt as _};
 use pde_trace::json_escape;
 use std::collections::{BTreeSet, HashMap};
@@ -558,23 +556,17 @@ pub(crate) fn egd_subsumed_by(schema: &Arc<Schema>, sub: &Egd, by: &Egd) -> bool
         // Trivial egds are removed by pass 1; nothing can subsume them.
         return false;
     }
-    for_each_hom_with(
-        &by.premise.atoms,
-        &frozen,
-        &Assignment::new(),
-        HomConfig::default(),
-        |a| {
-            // The equated variables occur in `by`'s premise (validated), so
-            // a full homomorphism binds them.
-            let l = a.get(by.lhs).expect("egd lhs occurs in its premise");
-            let r = a.get(by.rhs).expect("egd rhs occurs in its premise");
-            if (l == lhs && r == rhs) || (l == rhs && r == lhs) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-    )
+    for_each_hom(&by.premise.atoms, &frozen, &Assignment::new(), |a| {
+        // The equated variables occur in `by`'s premise (validated), so a
+        // full homomorphism binds them.
+        let l = a.get(by.lhs).expect("egd lhs occurs in its premise");
+        let r = a.get(by.rhs).expect("egd rhs occurs in its premise");
+        if (l == lhs && r == rhs) || (l == rhs && r == lhs) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
     .is_break()
 }
 

@@ -4,17 +4,12 @@
 //! The adversarial family: `b` independent 2-null blocks that each map
 //! into the target graph in many ways, followed by one unsatisfiable
 //! block (a 2-cycle pattern over an acyclic target). Blockwise checking
-//! rejects in time linear in `b`; the whole-instance search (especially
-//! without dynamic atom ordering) backtracks across block boundaries and
-//! blows up exponentially.
+//! rejects in time linear in `b`; the whole-instance search backtracks
+//! across block boundaries and blows up exponentially.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pde_core::blocks::blockwise_hom_exists;
-use pde_relational::{
-    instance_as_atoms, instance_hom_exists, parse_instance, parse_schema, Assignment, HomConfig,
-    Instance,
-};
-use std::ops::ControlFlow;
+use pde_relational::{instance_hom_exists, parse_instance, parse_schema, Instance};
 use std::sync::Arc;
 
 /// Pattern: `b` satisfiable blocks E(?2i, ?2i+1), then E(?x, ?y), E(?y, ?x).
@@ -40,23 +35,13 @@ fn target(schema: &Arc<pde_relational::Schema>, n: usize) -> Instance {
     parse_instance(schema, &src).unwrap()
 }
 
-fn hom_exists_with(pat: &Instance, tgt: &Instance, config: HomConfig) -> bool {
-    let atoms = instance_as_atoms(pat);
-    let mut found = false;
-    let _ = pde_relational::for_each_hom_with(&atoms, tgt, &Assignment::new(), config, |_| {
-        found = true;
-        ControlFlow::Break(())
-    });
-    found
-}
-
 fn bench(c: &mut Criterion) {
     let schema = Arc::new(parse_schema("source E/2;").unwrap());
     let tgt = target(&schema, 6);
     let mut rows = Vec::new();
     let mut g = c.benchmark_group("e11_blocks_ablation");
     g.sample_size(10);
-    for b in [1usize, 2, 3, 4] {
+    for b in [1usize, 2, 3, 4, 5] {
         let pat = pattern(&schema, b);
         // Sanity: no homomorphism exists (last block needs a 2-cycle).
         assert!(!instance_hom_exists(&pat, &tgt));
@@ -72,34 +57,11 @@ fn bench(c: &mut Criterion) {
                 assert!(!instance_hom_exists(pat, &tgt));
             });
         });
-        g.bench_with_input(
-            BenchmarkId::new("whole_instance_no_reorder", b),
-            &pat,
-            |bch, pat| {
-                bch.iter(|| {
-                    assert!(!hom_exists_with(
-                        pat,
-                        &tgt,
-                        HomConfig {
-                            use_index: true,
-                            reorder_atoms: false
-                        }
-                    ));
-                });
-            },
-        );
         let block_ms = pde_bench::time_ms(|| {
             let _ = blockwise_hom_exists(&pat, &tgt);
         });
         let whole_ms = pde_bench::time_ms(|| {
-            let _ = hom_exists_with(
-                &pat,
-                &tgt,
-                HomConfig {
-                    use_index: true,
-                    reorder_atoms: false,
-                },
-            );
+            let _ = instance_hom_exists(&pat, &tgt);
         });
         rows.push((
             format!("{b} blocks + 1 bad"),
@@ -110,7 +72,7 @@ fn bench(c: &mut Criterion) {
     g.finish();
     pde_bench::print_series3(
         "E11: block decomposition ablation (Prop. 1 / Thm. 6)",
-        ("pattern", "blockwise", "whole (no reorder)"),
+        ("pattern", "blockwise", "whole instance"),
         &rows,
     );
 }

@@ -41,55 +41,3 @@ pub fn time_ms(mut f: impl FnMut()) -> f64 {
     f();
     t.elapsed().as_secs_f64() * 1e3
 }
-
-/// The workspace commit the benchmark ran on, or `"unknown"` outside a
-/// git checkout (e.g. a source tarball).
-pub fn commit_hash() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Write the machine-readable benchmark report `BENCH_<experiment>.json`
-/// at the workspace root — the repo's perf-trajectory record. One JSON
-/// object per experiment run: report schema version, commit hash,
-/// wall-clock timestamp, the named timing measurements, and a
-/// [`pde_trace::MetricsRegistry`] snapshot of the counters the workload
-/// produced. Benches overwrite their own file; the trajectory lives in
-/// the git history of these files.
-pub fn write_report(
-    experiment: &str,
-    measurements: &[(String, f64)],
-    metrics: &pde_trace::MetricsRegistry,
-) {
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    let body: Vec<String> = measurements
-        .iter()
-        .map(|(k, v)| format!("{}:{v:.3}", pde_trace::json_escape(k)))
-        .collect();
-    let json = format!(
-        "{{\"v\":{},\"experiment\":{},\"commit\":{},\"generated_unix_ms\":{unix_ms},\"measurements\":{{{}}},\"metrics\":{}}}\n",
-        pde_trace::REPORT_VERSION,
-        pde_trace::json_escape(experiment),
-        pde_trace::json_escape(&commit_hash()),
-        body.join(","),
-        metrics.to_json(),
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{experiment}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}

@@ -1,8 +1,10 @@
 //! The governor's derived memory budgets plan against
 //! `pde_relational::BYTES_PER_FACT_BUDGET`, which claims to be a
 //! cross-workload upper bound on the columnar storage's measured bytes
-//! per fact. This guard chases the E16/E18 workloads and fails if any
-//! chased instance's measured figure exceeds the budget — i.e. if a
+//! per fact. This guard chases three workloads — the CLIQUE reduction on
+//! K₁₂ with k=6, the §4 egd boundary at k=18 and an 800-protein genomics
+//! sync — and fails if any chased instance's measured figure exceeds the
+//! budget — i.e. if a
 //! storage change silently regresses memory density past what the plan
 //! certificates promise.
 //!

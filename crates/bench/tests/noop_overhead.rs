@@ -1,8 +1,9 @@
 //! The tracing fast path must be cheap enough to leave compiled in: with
 //! no sink installed, `pde_trace::span` is one relaxed atomic load and an
-//! inert guard. This guard measures that claim on the E16 clique workload
-//! (the most span-dense code path: one span per round, per trigger sweep,
-//! per egd batch, plus the delta hom searches inside) and fails if a
+//! inert guard. This guard measures that claim on the §4 egd-boundary
+//! chase over the k=18 inequality relation (the most span-dense code path:
+//! one span per round, per trigger sweep, per egd batch, plus the delta
+//! hom searches inside) and fails if a
 //! *no-op sink* — which exercises record construction and delivery, i.e.
 //! strictly more than the disabled path — costs more than the 2%
 //! acceptance bar.

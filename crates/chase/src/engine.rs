@@ -43,7 +43,7 @@ use crate::satisfy;
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_relational::{
     exists_hom, find_hom, for_each_hom, for_each_hom_seminaive, for_each_key_pair_seminaive,
-    Assignment, HomConfig, Instance, KeyShape, NullGen, Tuple, Value, ValueUnionFind,
+    Assignment, Instance, KeyShape, NullGen, Tuple, Value, ValueUnionFind,
 };
 use pde_runtime::{Governor, StopReason};
 use std::ops::ControlFlow;
@@ -217,7 +217,6 @@ pub fn chase_incremental_governed(
             &single.strata
         }
     };
-    let config = HomConfig::default();
     // Egds that are functional dependencies take the key-column pass.
     let key_shapes: Vec<Option<KeyShape>> = deps
         .iter()
@@ -300,7 +299,6 @@ pub fn chase_incremental_governed(
                                 &tgd.premise.atoms,
                                 &instance,
                                 &Assignment::new(),
-                                config,
                                 since,
                                 cur,
                                 |h| {
@@ -405,7 +403,6 @@ pub fn chase_incremental_governed(
                                 &egd.premise.atoms,
                                 &instance,
                                 &Assignment::new(),
-                                config,
                                 since,
                                 cur,
                                 |h| {

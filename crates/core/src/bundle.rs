@@ -20,7 +20,7 @@
 //! get [`Bundle::parse`] / [`Bundle::render`].
 
 use crate::setting::{PdeSetting, SettingError};
-use pde_relational::{parse_instance, Instance, ParseError, Peer};
+use pde_relational::{parse_instance, render_instance, Instance, ParseError, Peer};
 use std::fmt;
 
 /// A parsed bundle: the setting and the input pair `(I, J)`.
@@ -257,9 +257,7 @@ impl Bundle {
             out.push_str(&format!("{};\n", d.display(schema)));
         }
         out.push_str("%instance\n");
-        for (rel, t) in self.input.facts() {
-            out.push_str(&format!("{}{}.\n", schema.name(rel), t));
-        }
+        out.push_str(&render_instance(&self.input));
         out
     }
 
@@ -341,12 +339,18 @@ E(a, b). E(b, c).
 
     #[test]
     fn render_roundtrips() {
-        let b = Bundle::parse(EXAMPLE).unwrap();
-        let rendered = b.render();
-        let again = Bundle::parse(&rendered).unwrap();
-        assert_eq!(again.setting.sigma_st(), b.setting.sigma_st());
-        assert_eq!(again.setting.sigma_ts(), b.setting.sigma_ts());
-        assert!(again.input.same_facts(&b.input));
+        let quoted = "%schema\nsource E/2; source U/3; target H/2\n%instance\n\
+             E('New York', 'x y'). U(p, 'a, b', c). U(p, a, 'b, c'). \
+             H(?1, \"it's\"). H('?2', '_N1'). H('', ?1)";
+        for src in [EXAMPLE, quoted] {
+            let b = Bundle::parse(src).unwrap();
+            let rendered = b.render();
+            let again = Bundle::parse(&rendered).unwrap();
+            assert_eq!(again.setting.sigma_st(), b.setting.sigma_st());
+            assert_eq!(again.setting.sigma_ts(), b.setting.sigma_ts());
+            assert!(again.input.same_facts(&b.input), "{rendered}");
+            assert_eq!(again.render(), rendered);
+        }
     }
 
     #[test]

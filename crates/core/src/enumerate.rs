@@ -79,43 +79,6 @@ pub struct SolutionFamily {
     pub exhaustive: bool,
 }
 
-/// A rename-invariant key for deduplication: sorted fact strings with
-/// nulls renumbered by first appearance.
-fn dedup_key(k: &Instance) -> String {
-    let mut lines: Vec<String> = k
-        .facts()
-        .map(|(rel, t)| format!("{}{t:?}", rel.0))
-        .collect();
-    lines.sort();
-    let joined = lines.join(";");
-    let mut ranks: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    let mut out = String::with_capacity(joined.len());
-    let bytes = joined.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if joined[i..].starts_with('⊥') {
-            let start = i + '⊥'.len_utf8();
-            let mut j = start;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            let id = joined[start..j].to_owned();
-            let next = ranks.len();
-            let rank = *ranks.entry(id).or_insert(next);
-            out.push_str(&format!("¤{rank}¤"));
-            i = j;
-        } else {
-            let ch = joined[i..]
-                .chars()
-                .next()
-                .expect("i < joined.len() and on a char boundary: i only advances by len_utf8");
-            out.push(ch);
-            i += ch.len_utf8();
-        }
-    }
-    out
-}
-
 /// Enumerate distinct solutions of the minimal family for `input` in
 /// `setting`.
 pub fn enumerate_solutions(
@@ -133,7 +96,7 @@ pub fn enumerate_solutions(
         } else {
             sol.clone()
         };
-        if seen.insert(dedup_key(&candidate)) {
+        if seen.insert(crate::generic::canonical_key(&candidate)) {
             solutions.push(candidate);
         }
         if solutions.len() >= options.max_solutions {

@@ -24,10 +24,14 @@
 use crate::setting::PdeSetting;
 use pde_chase::{find_egd_violation, find_tgd_violation, null_gen_for};
 use pde_constraints::{Egd, Tgd};
-use pde_relational::{exists_hom, for_each_hom, Assignment, Instance, NullGen, Tuple, Value, Var};
+use pde_relational::{
+    exists_hom, for_each_hom, is_identifier, Assignment, Instance, NullGen, NullId, Tuple, Value,
+    Var,
+};
 use pde_runtime::{Governor, StopReason};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::fmt::Write as _;
 use std::ops::ControlFlow;
 
 /// Resource limits for the search.
@@ -476,42 +480,61 @@ impl<F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'_, F> {
     }
 }
 
-/// An isomorphism-invariant key: render facts with null ids, sort, then
-/// renumber nulls by first appearance. Instances differing only in null
-/// naming share a key; different instances never collide.
-fn canonical_key(k: &Instance) -> String {
-    let mut lines: Vec<String> = k
+/// One fact of a [`canonical_key`], with the byte range and id of every
+/// null written into it.
+type KeyLine = (String, Vec<(usize, usize, NullId)>);
+
+/// An isomorphism-invariant key: render each fact with its null ids,
+/// sort the lines, then renumber nulls by first appearance. A constant is
+/// written bare when it is an identifier and as an escaped string literal
+/// otherwise, so no constant reads as a null, a separator or another split
+/// of the values. Instances differing only in null naming share a key;
+/// different instances never collide.
+pub(crate) fn canonical_key(k: &Instance) -> String {
+    let mut lines: Vec<KeyLine> = k
         .facts()
-        .map(|(rel, t)| format!("{}{t:?}", rel.0))
-        .collect();
-    lines.sort();
-    let joined = lines.join(";");
-    // Renumber nulls by first appearance, rebuilding in one pass so ids
-    // that prefix each other (⊥1 vs ⊥10) cannot collide.
-    let mut ranks: HashMap<String, usize> = HashMap::new();
-    let mut out = String::with_capacity(joined.len());
-    let bytes = joined.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if joined[i..].starts_with('⊥') {
-            let start = i + '⊥'.len_utf8();
-            let mut j = start;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
+        .map(|(rel, t)| {
+            let mut line = format!("{}(", rel.0);
+            let mut nulls = Vec::new();
+            for (i, v) in t.values().iter().enumerate() {
+                if i > 0 {
+                    line.push_str(", ");
+                }
+                match v {
+                    Value::Const(c) => {
+                        let s = c.as_str();
+                        if is_identifier(&s) {
+                            line.push_str(&s);
+                        } else {
+                            let _ = write!(line, "{s:?}");
+                        }
+                    }
+                    Value::Null(n) => {
+                        let start = line.len();
+                        let _ = write!(line, "{n:?}");
+                        nulls.push((start, line.len(), *n));
+                    }
+                }
             }
-            let id = joined[start..j].to_owned();
-            let next = ranks.len();
-            let rank = *ranks.entry(id).or_insert(next);
-            out.push_str(&format!("¤{rank}¤"));
-            i = j;
-        } else {
-            let ch = joined[i..]
-                .chars()
-                .next()
-                .expect("i < joined.len() and on a char boundary: i only advances by len_utf8");
-            out.push(ch);
-            i += ch.len_utf8();
+            line.push(')');
+            (line, nulls)
+        })
+        .collect();
+    lines.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut ranks: HashMap<NullId, usize> = HashMap::new();
+    let mut out = String::with_capacity(lines.iter().map(|(l, _)| l.len() + 1).sum());
+    for (i, (line, nulls)) in lines.iter().enumerate() {
+        if i > 0 {
+            out.push(';');
         }
+        let mut at = 0;
+        for &(start, end, n) in nulls {
+            out.push_str(&line[at..start]);
+            let next = ranks.len();
+            let _ = write!(out, "¤{}¤", ranks.entry(n).or_insert(next));
+            at = end;
+        }
+        out.push_str(&line[at..]);
     }
     out
 }
@@ -721,6 +744,20 @@ mod tests {
         assert_eq!(canonical_key(&a), canonical_key(&b));
         let c = parse_instance(p.schema(), "H(?3, a). H(?4, ?7).").unwrap();
         assert_ne!(canonical_key(&a), canonical_key(&c));
+        // Identifier constants are written bare, as they always were.
+        assert_eq!(canonical_key(&a), "1(¤0¤, a);1(¤0¤, ¤1¤)");
+    }
+
+    #[test]
+    fn canonical_key_keeps_quoted_constants_apart() {
+        let p = PdeSetting::parse("source E/2; source U/3; target H/2;", "", "", "").unwrap();
+        let key = |src: &str| canonical_key(&parse_instance(p.schema(), src).unwrap());
+        // A constant holding the value separator is not two values.
+        assert_ne!(key("U(p, 'a, b', c)."), key("U(p, a, 'b, c')."));
+        // A constant spelled like a null is neither that null nor renamed
+        // with it.
+        assert_ne!(key("H('⊥5', a)."), key("H(?5, a)."));
+        assert_ne!(key("H('⊥5', ?5)."), key("H('⊥6', ?6)."));
     }
 
     #[test]

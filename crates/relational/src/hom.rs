@@ -11,8 +11,7 @@
 //!    test at the heart of `ExistsSolution` (paper Fig. 3): a homomorphism
 //!    from (each block of) `I_can` to `I`.
 //!
-//! The search is backtracking with two optimizations that can be switched
-//! off for the ablation experiment (EXPERIMENTS.md E13): *dynamic atom
+//! The search is backtracking with two optimizations: *dynamic atom
 //! ordering* (always expand the atom with the fewest estimated candidate
 //! tuples next, preferring atoms already connected to the bound prefix) and
 //! *index-driven candidate enumeration* (scan only the rows sharing a bound
@@ -103,24 +102,6 @@ impl FromIterator<(Var, Value)> for Assignment {
     }
 }
 
-/// Tuning switches for the search; the defaults enable everything.
-#[derive(Clone, Copy, Debug)]
-pub struct HomConfig {
-    /// Use per-attribute indexes to enumerate candidate rows.
-    pub use_index: bool,
-    /// Pick the most constrained atom next instead of textual order.
-    pub reorder_atoms: bool,
-}
-
-impl Default for HomConfig {
-    fn default() -> Self {
-        HomConfig {
-            use_index: true,
-            reorder_atoms: true,
-        }
-    }
-}
-
 /// A half-open insertion-epoch window `[lo, hi)` constraining which rows an
 /// atom may match during a semi-naive search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,7 +134,6 @@ impl EpochWindow {
 struct Search<'a, F> {
     atoms: &'a [Atom],
     inst: &'a Instance,
-    config: HomConfig,
     /// Per-atom epoch windows (parallel to `atoms`); `None` means
     /// unconstrained.
     windows: Option<&'a [EpochWindow]>,
@@ -208,15 +188,13 @@ impl<F: FnMut(&Assignment) -> ControlFlow<()>> Search<'_, F> {
         // Candidate rows: via the best bound-position index, or a scan of
         // the (windowed) live row ids.
         let mut anchor: Option<(u16, ValueId, usize)> = None;
-        if self.config.use_index {
-            for (i, t) in atom.terms.iter().enumerate() {
-                if let Some(v) = assign.eval(t) {
-                    let attr = u16::try_from(i).expect("attribute index exceeds u16 arity bound");
-                    let id = ValueId::pack(v);
-                    let c = rel.count_with_id(attr, id);
-                    if anchor.as_ref().is_none_or(|(_, _, best)| c < *best) {
-                        anchor = Some((attr, id, c));
-                    }
+        for (i, t) in atom.terms.iter().enumerate() {
+            if let Some(v) = assign.eval(t) {
+                let attr = u16::try_from(i).expect("attribute index exceeds u16 arity bound");
+                let id = ValueId::pack(v);
+                let c = rel.count_with_id(attr, id);
+                if anchor.as_ref().is_none_or(|(_, _, best)| c < *best) {
+                    anchor = Some((attr, id, c));
                 }
             }
         }
@@ -304,9 +282,6 @@ impl<F: FnMut(&Assignment) -> ControlFlow<()>> Search<'_, F> {
         if remaining.is_empty() {
             return None;
         }
-        if !self.config.reorder_atoms {
-            return Some(0);
-        }
         let mut best = 0usize;
         let mut best_key = (true, usize::MAX);
         for (slot, &ai) in remaining.iter().enumerate() {
@@ -327,17 +302,15 @@ impl<F: FnMut(&Assignment) -> ControlFlow<()>> Search<'_, F> {
 
 /// Enumerate every homomorphism extending `partial` from `atoms` into
 /// `inst`, invoking `f` on each. `f` may break to stop early.
-pub fn for_each_hom_with(
+pub fn for_each_hom(
     atoms: &[Atom],
     inst: &Instance,
     partial: &Assignment,
-    config: HomConfig,
     f: impl FnMut(&Assignment) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut search = Search {
         atoms,
         inst,
-        config,
         windows: None,
         sink: f,
     };
@@ -360,12 +333,11 @@ pub fn for_each_hom_with(
 ///
 /// An empty conjunction yields nothing: its empty homomorphism touches no
 /// delta fact (callers wanting the seed-round semantics of the empty hom
-/// use [`for_each_hom_with`] directly).
+/// use [`for_each_hom`] directly).
 pub fn for_each_hom_seminaive(
     atoms: &[Atom],
     inst: &Instance,
     partial: &Assignment,
-    config: HomConfig,
     delta_lo: u64,
     delta_hi: u64,
     mut f: impl FnMut(&Assignment) -> ControlFlow<()>,
@@ -399,7 +371,6 @@ pub fn for_each_hom_seminaive(
         let mut search = Search {
             atoms,
             inst,
-            config,
             windows: Some(&windows),
             sink: &mut f,
         };
@@ -429,9 +400,9 @@ pub struct KeyShape {
 /// Enumerate the `(h(lhs), h(rhs))` value pairs of the premise
 /// homomorphisms `h` of a key-shaped egd over `rel` that touch the delta
 /// `[delta_lo, delta_hi)` — exactly the pairs, and in exactly the order,
-/// that [`for_each_hom_seminaive`] (default [`HomConfig`]) yields over the
-/// egd's premise, but read straight off the key columns' indexes with no
-/// [`Assignment`] and no per-pair allocation. `f` may break to stop early.
+/// that [`for_each_hom_seminaive`] yields over the egd's premise, but read
+/// straight off the key columns' indexes with no [`Assignment`] and no
+/// per-pair allocation. `f` may break to stop early.
 pub fn for_each_key_pair_seminaive(
     rel: &Relation,
     shape: &KeyShape,
@@ -516,29 +487,9 @@ fn key_pairs_from(
     ControlFlow::Continue(())
 }
 
-/// [`for_each_hom_with`] with the default configuration.
-pub fn for_each_hom(
-    atoms: &[Atom],
-    inst: &Instance,
-    partial: &Assignment,
-    f: impl FnMut(&Assignment) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    for_each_hom_with(atoms, inst, partial, HomConfig::default(), f)
-}
-
 /// Is there a homomorphism extending `partial`?
 pub fn exists_hom(atoms: &[Atom], inst: &Instance, partial: &Assignment) -> bool {
-    exists_hom_with(atoms, inst, partial, HomConfig::default())
-}
-
-/// [`exists_hom`] with an explicit configuration (ablation hook).
-pub fn exists_hom_with(
-    atoms: &[Atom],
-    inst: &Instance,
-    partial: &Assignment,
-    config: HomConfig,
-) -> bool {
-    for_each_hom_with(atoms, inst, partial, config, |_| ControlFlow::Break(())).is_break()
+    for_each_hom(atoms, inst, partial, |_| ControlFlow::Break(())).is_break()
 }
 
 /// The first homomorphism extending `partial`, if any.
@@ -592,15 +543,6 @@ pub fn instance_as_atoms(from: &Instance) -> Vec<Atom> {
 /// a map on the nulls of `from`. Constants of `from` must appear verbatim in
 /// `to` wherever required; nulls may map to any value.
 pub fn instance_hom(from: &Instance, to: &Instance) -> Option<HashMap<NullId, Value>> {
-    instance_hom_with(from, to, HomConfig::default())
-}
-
-/// [`instance_hom`] with an explicit configuration (ablation hook).
-pub fn instance_hom_with(
-    from: &Instance,
-    to: &Instance,
-    config: HomConfig,
-) -> Option<HashMap<NullId, Value>> {
     // Block-level hom searches (Prop. 1) route through here; the span
     // gives `--profile` the cost of whole-instance mapping separately
     // from delta trigger discovery.
@@ -609,7 +551,7 @@ pub fn instance_hom_with(
         .field("facts", from.fact_count());
     let atoms = instance_as_atoms(from);
     let mut found = None;
-    let _ = for_each_hom_with(&atoms, to, &Assignment::new(), config, |a| {
+    let _ = for_each_hom(&atoms, to, &Assignment::new(), |a| {
         found = Some(a.clone());
         ControlFlow::Break(())
     });
@@ -781,41 +723,14 @@ mod tests {
     }
 
     #[test]
-    fn config_variants_agree() {
+    fn two_cycle_pattern_finds_both_orientations() {
         let (s, i) = path_instance(&[("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")]);
         let atoms = vec![
             Atom::vars(&s, "E", &["x", "y"]),
             Atom::vars(&s, "E", &["y", "x"]),
         ];
-        let configs = [
-            HomConfig {
-                use_index: true,
-                reorder_atoms: true,
-            },
-            HomConfig {
-                use_index: false,
-                reorder_atoms: true,
-            },
-            HomConfig {
-                use_index: true,
-                reorder_atoms: false,
-            },
-            HomConfig {
-                use_index: false,
-                reorder_atoms: false,
-            },
-        ];
-        let mut counts = Vec::new();
-        for c in configs {
-            let mut n = 0usize;
-            let _ = for_each_hom_with(&atoms, &i, &Assignment::new(), c, |_| {
-                n += 1;
-                ControlFlow::Continue(())
-            });
-            counts.push(n);
-        }
-        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
-        assert_eq!(counts[0], 2); // (a,b)-(b,a) and (b,a)-(a,b)
+        // (a,b)-(b,a) and (b,a)-(a,b)
+        assert_eq!(all_homs(&atoms, &i, &Assignment::new()).len(), 2);
     }
 
     #[test]
@@ -889,18 +804,10 @@ mod tests {
 
     fn count_seminaive(atoms: &[Atom], i: &Instance, lo: u64, hi: u64) -> usize {
         let mut n = 0usize;
-        let _ = for_each_hom_seminaive(
-            atoms,
-            i,
-            &Assignment::new(),
-            HomConfig::default(),
-            lo,
-            hi,
-            |_| {
-                n += 1;
-                ControlFlow::Continue(())
-            },
-        );
+        let _ = for_each_hom_seminaive(atoms, i, &Assignment::new(), lo, hi, |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
         n
     }
 
@@ -1029,21 +936,13 @@ mod tests {
             // Both enumerations with the same early break after `limit`
             // pairs (a limit past the end never breaks).
             let mut want = Vec::new();
-            let want_flow = for_each_hom_seminaive(
-                &premise,
-                &i,
-                &Assignment::new(),
-                HomConfig::default(),
-                lo,
-                hi,
-                |h| {
-                    want.push((h.get(lhs).unwrap(), h.get(rhs).unwrap()));
-                    if want.len() == limit {
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
+            let want_flow = for_each_hom_seminaive(&premise, &i, &Assignment::new(), lo, hi, |h| {
+                want.push((h.get(lhs).unwrap(), h.get(rhs).unwrap()));
+                if want.len() == limit {
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            });
             let mut got = Vec::new();
             let got_flow =
                 for_each_key_pair_seminaive(i.relation(shape.rel), &shape, lo, hi, |l, r| {
@@ -1065,7 +964,7 @@ mod tests {
     }
 
     #[test]
-    fn seminaive_configs_agree() {
+    fn seminaive_mode_finds_the_paths_through_a_delta_edge() {
         let (s, mut i) = path_instance(&[("a", "b"), ("b", "c"), ("b", "a")]);
         let e1 = i.bump_epoch();
         i.insert_consts("E", ["c", "a"]);
@@ -1074,30 +973,15 @@ mod tests {
             Atom::vars(&s, "E", &["x", "y"]),
             Atom::vars(&s, "E", &["y", "z"]),
         ];
-        let mut counts = Vec::new();
-        for use_index in [true, false] {
-            for reorder_atoms in [true, false] {
-                let c = HomConfig {
-                    use_index,
-                    reorder_atoms,
-                };
-                let mut n = 0usize;
-                let _ = for_each_hom_seminaive(&atoms, &i, &Assignment::new(), c, e1, e2, |_| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                });
-                counts.push(n);
-            }
-        }
-        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
-        assert_eq!(counts[0], 2); // b-c-a and c-a-b touch the delta edge c-a
+        // b-c-a and c-a-b touch the delta edge c-a
+        assert_eq!(count_seminaive(&atoms, &i, e1, e2), 2);
     }
 
     #[test]
     fn ordering_prefers_connected_atoms_over_small_disconnected_ones() {
         // A tiny disconnected relation next to a selective connected one:
-        // the search must still find the right answers (counts are
-        // config-independent; this guards the lexicographic pick).
+        // the search must still find the right answers (this guards the
+        // lexicographic pick).
         let mut s = Schema::new();
         s.add_relation("E", 2, Peer::Source);
         s.add_relation("T", 1, Peer::Source);
@@ -1113,19 +997,7 @@ mod tests {
             Atom::vars(&s, "E", &["y", "z"]),
             Atom::vars(&s, "T", &["u"]),
         ];
-        for c in [
-            HomConfig::default(),
-            HomConfig {
-                use_index: true,
-                reorder_atoms: false,
-            },
-        ] {
-            let mut n = 0usize;
-            let _ = for_each_hom_with(&atoms, &i, &Assignment::new(), c, |_| {
-                n += 1;
-                ControlFlow::Continue(())
-            });
-            assert_eq!(n, 19 * 2); // 19 length-2 paths × 2 T-values
-        }
+        // 19 length-2 paths × 2 T-values
+        assert_eq!(all_homs(&atoms, &i, &Assignment::new()).len(), 19 * 2);
     }
 }

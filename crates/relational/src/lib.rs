@@ -34,15 +34,15 @@ pub mod value;
 
 pub use atom::{Atom, Conjunction, Term, Var};
 pub use hom::{
-    all_homs, exists_hom, exists_hom_with, find_hom, for_each_hom, for_each_hom_seminaive,
-    for_each_hom_with, for_each_key_pair_seminaive, instance_as_atoms, instance_hom,
-    instance_hom_exists, instance_hom_with, instances_isomorphic, Assignment, HomConfig, KeyShape,
+    all_homs, exists_hom, find_hom, for_each_hom, for_each_hom_seminaive,
+    for_each_key_pair_seminaive, instance_as_atoms, instance_hom, instance_hom_exists,
+    instances_isomorphic, Assignment, KeyShape,
 };
 pub use instance::Instance;
 pub use instance::StorageStats;
 pub use parser::{
-    parse_atom, parse_atom_list, parse_atoms, parse_instance, parse_query, parse_schema,
-    parse_term, Lexer, ParseError, Span, Token,
+    is_identifier, parse_atom, parse_atom_list, parse_atoms, parse_instance, parse_query,
+    parse_schema, parse_term, render_instance, Lexer, ParseError, Span, Token,
 };
 pub use query::{ConjunctiveQuery, UnionQuery};
 pub use relation::{Relation, BYTES_PER_FACT_BUDGET};

@@ -22,6 +22,7 @@ use crate::symbol::Symbol;
 use crate::tuple::Tuple;
 use crate::value::{NullId, Value};
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A half-open byte range `[start, end)` into a source string.
@@ -322,12 +323,9 @@ impl<'a> Lexer<'a> {
                     .map_err(|_| ParseError::new("null id too large", start))?;
                 Token::NullLit(n)
             }
-            b if b.is_ascii_alphanumeric() || b == b'_' => {
+            b if is_ident_byte(b) => {
                 let s = self.pos;
-                while self.pos < self.bytes.len()
-                    && (self.bytes[self.pos].is_ascii_alphanumeric()
-                        || self.bytes[self.pos] == b'_')
-                {
+                while self.pos < self.bytes.len() && is_ident_byte(self.bytes[self.pos]) {
                     self.pos += 1;
                 }
                 Token::Ident(self.src[s..self.pos].to_owned())
@@ -518,6 +516,55 @@ pub fn parse_atoms(schema: &Schema, src: &str) -> Result<Vec<Atom>, ParseError> 
         return Err(ParseError::new("trailing input after atoms", lex.offset()));
     }
     Ok(atoms)
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Does `s` lex as a single identifier token (a non-empty run of ASCII
+/// letters, digits and `_`)? Such a constant may be written bare; any other
+/// needs quotes.
+pub fn is_identifier(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(is_ident_byte)
+}
+
+/// Write `inst` in the syntax [`parse_instance`] reads, one `R(v, …).` fact
+/// per line: a constant bare when it is an identifier and quoted otherwise
+/// (in `"` when it holds a `'`), a null `?n`. Parsing the text gives back the
+/// same facts, except for a constant holding both quote characters: the
+/// syntax has no escapes, so such a constant has no spelling.
+pub fn render_instance(inst: &Instance) -> String {
+    let schema = inst.schema();
+    let mut out = String::new();
+    for (rel, t) in inst.facts() {
+        let _ = write!(out, "{}(", schema.name(rel));
+        for (i, v) in t.values().iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            match v {
+                Value::Const(c) => {
+                    let s = c.as_str();
+                    let quote = if is_identifier(&s) {
+                        ""
+                    } else if s.contains('\'') {
+                        "\""
+                    } else {
+                        "'"
+                    };
+                    out.push_str(quote);
+                    out.push_str(&s);
+                    out.push_str(quote);
+                }
+                Value::Null(n) => {
+                    let _ = write!(out, "?{}", n.0);
+                }
+            }
+        }
+        out.push_str(").\n");
+    }
+    out
 }
 
 /// Parse an instance: facts `R(a, b).` where bare identifiers and quoted

@@ -34,8 +34,8 @@ use std::ops::ControlFlow;
 const COMPACT_MIN_SLOTS: usize = 32;
 
 /// Budgeting constant: heap bytes per stored fact of the columnar layout,
-/// measured as a cross-workload upper bound (bench E18 measures ~40–90
-/// bytes/fact at arities 2–4 including index and membership tables; the
+/// measured as a cross-workload upper bound (~40–90 bytes/fact measured at
+/// arities 2–4 including index and membership tables; the
 /// constant rounds up for load-factor headroom). Plan certificates derive
 /// governor memory budgets as `fact_bound × BYTES_PER_FACT_BUDGET`, so this
 /// is exported for `pde-analysis` to re-export — the row-oriented layout it

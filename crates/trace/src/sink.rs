@@ -19,7 +19,7 @@ pub trait Sink: Send + Sync {
 }
 
 /// Discards every span. Installing it measures the cost of the recording
-/// machinery itself (the `<2%` E16 guard compares against *no* sink, which
+/// machinery itself (the `<2%` no-op sink guard compares against *no* sink, which
 /// skips even record construction).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;

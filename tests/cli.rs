@@ -132,6 +132,55 @@ fn format_roundtrips() {
     assert!(out2.status.success());
 }
 
+/// Two source facts whose constants hold the value separator. Rendered
+/// raw, `U(p, 'a, b', c)` and `U(p, a, 'b, c')` read alike, which once made
+/// the search memo skip the state that leads to the only solution.
+const QUOTED_CONSTANTS: &str = "
+%schema
+source S/1; source U/3; source Ok/2; target T/3; target V/2
+%st
+S(p) -> exists y, z . T(p, y, z)
+%ts
+T(p, y, z) -> U(p, y, z)
+V(y, w) -> Ok(y, w)
+%t
+T(p, y, z) -> exists w . V(y, w)
+%instance
+S(p). U(p, 'a, b', c). U(p, a, 'b, c'). Ok(a, q).
+";
+
+#[test]
+fn quoted_constants_stay_distinct_in_solve_enumerate_and_format() {
+    let p = write_temp("quoted.pde", QUOTED_CONSTANTS);
+    let path = p.to_str().unwrap();
+    let out = run(&["solve", "--no-lint", path]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("solution exists"));
+
+    let witness = write_temp("quoted.inst", "T(p, a, 'b, c'). V(a, q).");
+    let out = run(&["check", path, witness.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0));
+
+    let out = run(&["enumerate", "--no-lint", path, "5"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("1 distinct solution(s)"));
+
+    // The formatted bundle keeps both facts apart, and formats to itself.
+    let out = run(&["format", path]);
+    assert!(out.status.success());
+    let rendered = String::from_utf8(out.stdout).unwrap();
+    assert!(rendered.contains("U(p, 'a, b', c)."), "{rendered}");
+    let p2 = write_temp("quoted-formatted.pde", &rendered);
+    let again = run(&["format", p2.to_str().unwrap()]);
+    assert_eq!(String::from_utf8(again.stdout).unwrap(), rendered);
+    let out = run(&["solve", "--no-lint", p2.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
 #[test]
 fn enumerate_lists_solutions() {
     let p = write_temp("tri7.pde", EX1_TRIANGLE);

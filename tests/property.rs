@@ -6,7 +6,8 @@
 //!   the polynomial bound of Lemma 1;
 //! * block decomposition is a partition and Prop. 1 agrees with the direct
 //!   homomorphism test;
-//! * the four homomorphism-search configurations agree;
+//! * the homomorphism search, full and semi-naive, counts what a
+//!   brute-force enumeration over the active domain counts;
 //! * the CLIQUE and 3-COL reductions agree with the direct graph
 //!   algorithms on random graphs;
 //! * `ExistsSolution` agrees with the complete assignment search on random
@@ -16,6 +17,7 @@
 //!   static chase bounds dominate actual chase runs on random
 //!   weakly-acyclic settings.
 
+use pde_relational::{NullId, Tuple};
 use peer_data_exchange::core::{
     assignment, blocks, certain_answers, solution::is_solution, tractable, GenericLimits,
 };
@@ -48,6 +50,76 @@ fn edges_to_instance(setting: &PdeSetting, rel: &str, edges: &[(u32, u32)]) -> I
         src.push_str(&format!("{rel}(v{a}, v{b}). "));
     }
     parse_instance(setting.schema(), &src).unwrap()
+}
+
+/// Conjunctions over `E/2` for the homomorphism-count property: a
+/// triangle, a path, a self-loop, a constant, and a disconnected pair.
+const HOM_PATTERNS: [&str; 5] = [
+    "E(x, y), E(y, z), E(z, x)",
+    "E(x, y), E(y, z)",
+    "E(x, x)",
+    "E(x, 'v0'), E('v0', y)",
+    "E(x, y), E(z, z)",
+];
+
+/// Count the homomorphisms of the non-empty conjunction `atoms` into
+/// `facts` (each fact with its insertion epoch) that map some atom to a
+/// fact stamped in `[lo, hi)`, by trying every assignment of the variables
+/// over the active domain. Facts stamped `hi` or later are invisible. With
+/// `lo = 0` and every fact below `hi`, that is every homomorphism.
+fn brute_force_homs(
+    atoms: &[pde_relational::Atom],
+    facts: &[(Tuple, u64)],
+    lo: u64,
+    hi: u64,
+) -> usize {
+    use pde_relational::Term;
+    let mut domain: Vec<Value> = facts
+        .iter()
+        .flat_map(|(t, _)| t.values().to_vec())
+        .collect();
+    domain.sort();
+    domain.dedup();
+    let mut vars = Vec::new();
+    for t in atoms.iter().flat_map(|a| &a.terms) {
+        if let Term::Var(v) = t {
+            if !vars.contains(v) {
+                vars.push(*v);
+            }
+        }
+    }
+    if domain.is_empty() && !vars.is_empty() {
+        return 0;
+    }
+    let mut n = 0;
+    let mut choice = vec![0usize; vars.len()];
+    'assignments: loop {
+        let eval = |t: &Term| match t {
+            Term::Const(c) => Value::Const(*c),
+            Term::Var(v) => domain[choice[vars.iter().position(|w| w == v).unwrap()]],
+        };
+        let mut touches_delta = false;
+        let all_match = atoms.iter().all(|a| {
+            let t = Tuple::new(a.terms.iter().map(eval).collect::<Vec<_>>());
+            facts.iter().any(|(f, epoch)| {
+                let hit = *f == t && *epoch < hi;
+                touches_delta |= hit && *epoch >= lo;
+                hit
+            })
+        });
+        if all_match && touches_delta {
+            n += 1;
+        }
+        // Advance the odometer; stop after the last assignment.
+        for d in &mut choice {
+            *d += 1;
+            if *d < domain.len() {
+                continue 'assignments;
+            }
+            *d = 0;
+        }
+        return n;
+    }
 }
 
 /// A random graph from edge pairs (self-pairs dropped).
@@ -131,28 +203,49 @@ proptest! {
     }
 
     #[test]
-    fn hom_configs_agree(edges in arb_edge_instance(4, 8)) {
+    fn hom_search_counts_match_brute_force(
+        rounds in prop::collection::vec(prop::collection::vec((0u32..4, 0u32..4), 0..=5), 1..=3),
+        pattern in 0usize..HOM_PATTERNS.len(),
+    ) {
+        // Each round's edges land under a fresh epoch; value 3 is a null.
         let p = paper::example1_setting();
-        let inst = edges_to_instance(&p, "E", &edges);
-        let atoms = pde_relational::parse_atoms(p.schema(), "E(x, y), E(y, z), E(z, x)").unwrap();
-        let mut counts = Vec::new();
-        for use_index in [false, true] {
-            for reorder_atoms in [false, true] {
-                let mut n = 0usize;
-                let _ = pde_relational::for_each_hom_with(
-                    &atoms,
-                    &inst,
-                    &pde_relational::Assignment::new(),
-                    pde_relational::HomConfig { use_index, reorder_atoms },
-                    |_| {
-                        n += 1;
-                        ControlFlow::Continue(())
-                    },
-                );
-                counts.push(n);
+        let e = p.schema().rel_id("E").unwrap();
+        let value = |v: u32| match v {
+            3 => Value::Null(NullId(0)),
+            _ => Value::constant(format!("v{v}")),
+        };
+        let mut inst = Instance::new(p.schema().clone());
+        let mut epochs = Vec::new();
+        for round in &rounds {
+            let epoch = inst.current_epoch();
+            for &(a, b) in round {
+                let t = Tuple::new(vec![value(a), value(b)]);
+                if inst.insert(e, t.clone()) {
+                    epochs.push((t, epoch));
+                }
+            }
+            inst.bump_epoch();
+        }
+        let top = inst.current_epoch();
+        let atoms = pde_relational::parse_atoms(p.schema(), HOM_PATTERNS[pattern]).unwrap();
+        let none = pde_relational::Assignment::new();
+        let mut full = 0usize;
+        let _ = pde_relational::for_each_hom(&atoms, &inst, &none, |_| {
+            full += 1;
+            ControlFlow::Continue(())
+        });
+        prop_assert_eq!(full, brute_force_homs(&atoms, &epochs, 0, top));
+        for lo in 0..=top {
+            for hi in lo..=top {
+                let mut delta = 0usize;
+                let _ = pde_relational::for_each_hom_seminaive(&atoms, &inst, &none, lo, hi, |_| {
+                    delta += 1;
+                    ControlFlow::Continue(())
+                });
+                let want = brute_force_homs(&atoms, &epochs, lo, hi);
+                prop_assert_eq!(delta, want, "window [{}, {})", lo, hi);
             }
         }
-        prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "{:?}", counts);
     }
 
     #[test]

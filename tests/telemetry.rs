@@ -221,8 +221,11 @@ fn trace_sampling_interleaves_span_lines_for_sampled_ids_only() {
     for line in text.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "line: {line}");
         if line.contains("\"kind\":\"pde-span-sample\"") {
-            assert!(line.contains("\"v\":1"), "line: {line}");
-            sampled_ids.push(counter(line, "id"));
+            let id = counter(line, "id");
+            // The span record's own members follow the sample's kind and id.
+            let head = format!("{{\"kind\":\"pde-span-sample\",\"id\":{id},\"v\":1,\"span\":\"");
+            assert!(line.starts_with(&head), "line: {line}");
+            sampled_ids.push(id);
         }
     }
     // Every 2nd request is sampled; the tractable fast path emits spans
@@ -234,6 +237,128 @@ fn trace_sampling_interleaves_span_lines_for_sampled_ids_only() {
     );
     let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&log);
+}
+
+/// Replace every histogram's `"buckets":[...]` array with `N`: bucket
+/// boundaries follow wall-clock durations.
+fn scrub_buckets(line: &str) -> String {
+    let pat = "\"buckets\":";
+    let mut out = String::new();
+    let mut rest = line;
+    while let Some(at) = rest.find(pat) {
+        out.push_str(&rest[..at + pat.len()]);
+        out.push('N');
+        let mut depth = 0usize;
+        let tail = &rest[at + pat.len()..];
+        let end = tail
+            .char_indices()
+            .find_map(|(i, c)| {
+                match c {
+                    '[' => depth += 1,
+                    ']' => depth -= 1,
+                    _ => {}
+                }
+                (depth == 0).then_some(i + 1)
+            })
+            .expect("buckets array closes");
+        rest = &tail[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn serve_lines_golden_hello_responses_stats_and_flight_header() {
+    let (lines, store) = run_serve(
+        "lines-golden",
+        concat!(
+            "{\"op\":\"insert\",\"facts\":\"E('say \\\"hi\\\"', 'say \\\"hi\\\"').\"}\n",
+            "{\"op\":\"certain\",\"query\":\"q(x, y) :- H(x, y)\"}\n",
+            "{\"op\":\"frob\\tnicate\"}\n",
+            "this is not a request\n",
+            "{\"op\":\"stats\"}\n",
+        ),
+        |_| {},
+    );
+    assert_eq!(lines.len(), 6, "{lines:?}");
+    assert_eq!(
+        lines[0],
+        "{\"ok\":true,\"kind\":\"pde-serve-hello\",\"v\":1,\"epoch\":1,\"snapshot_epoch\":0,\
+         \"frames_replayed\":0,\"truncated_frames\":0,\"rewound\":false,\"seeded\":1,\
+         \"facts\":1,\"fast_path\":true}"
+    );
+    assert_eq!(
+        lines[1],
+        "{\"ok\":true,\"id\":1,\"op\":\"insert\",\"inserted\":1,\"epoch\":2}"
+    );
+    assert_eq!(
+        lines[2],
+        "{\"ok\":true,\"id\":2,\"op\":\"certain\",\"solution_exists\":true,\
+         \"solutions_examined\":1,\"answers\":[[\"a\",\"a\"],\
+         [\"say \\\"hi\\\"\",\"say \\\"hi\\\"\"]],\"epoch\":2}"
+    );
+    assert_eq!(
+        lines[3],
+        "{\"ok\":false,\"id\":3,\"error\":\"unknown op 'frob\\tnicate'\",\"epoch\":2}"
+    );
+    assert_eq!(
+        lines[4],
+        "{\"ok\":false,\"id\":4,\"error\":\"bad request: expected '{' at byte 0\",\"epoch\":2}"
+    );
+    assert_eq!(
+        scrub_buckets(&scrub(&lines[5], &["uptime_ns", "sum", "min", "max"])),
+        "{\"ok\":true,\"id\":5,\"op\":\"stats\",\"uptime_ns\":N,\"durable_epoch\":2,\
+         \"snapshot_epoch\":0,\"frames_replayed\":0,\"truncated_frames\":0,\"rewound\":false,\
+         \"flight_dumps\":0,\"epoch\":2,\"metrics\":{\"counters\":{\"serve.errors\":2,\
+         \"serve.flight_dumps\":0,\"serve.full_rechases\":0,\"serve.incremental_rechases\":0,\
+         \"serve.panics_isolated\":0,\"serve.requests\":5,\"store.commits\":2,\
+         \"store.epoch\":2,\"store.frames_replayed\":0,\"store.frames_skipped\":0,\
+         \"store.journal_bytes\":106,\"store.ops_committed\":2,\"store.recoveries\":0,\
+         \"store.snapshots_written\":0,\"store.truncated_bytes\":0,\
+         \"store.truncated_frames\":0},\"histograms\":{\
+         \"serve.request_ns\":{\"count\":5,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
+         \"serve.request_ns.certain\":{\"count\":1,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
+         \"serve.request_ns.insert\":{\"count\":1,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
+         \"serve.request_ns.invalid\":{\"count\":2,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
+         \"serve.request_ns.stats\":{\"count\":1,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
+         \"store.commit_ns\":{\"count\":2,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N}}}}"
+    );
+    // The shutdown dump's header line. Span counts are scrubbed: the
+    // trace sink is process-wide, so concurrently running tests' spans
+    // can land in this session's ring.
+    let dump = std::fs::read_to_string(store.join("flight-000-shutdown.jsonl")).unwrap();
+    assert_eq!(
+        scrub(
+            dump.lines().next().unwrap(),
+            &["uptime_ns", "spans", "evicted_spans"]
+        ),
+        "{\"v\":1,\"kind\":\"pde-flight\",\"reason\":\"shutdown\",\"at_request\":5,\
+         \"uptime_ns\":N,\"epoch\":2,\"requests\":5,\"spans\":N,\"evicted_spans\":N}"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+
+    // Undecided (with its reason), snapshot, retract and shutdown.
+    let (lines, store) = run_serve(
+        "lines-golden-2",
+        concat!(
+            "{\"op\":\"solve\"}\n",
+            "{\"op\":\"snapshot\"}\n",
+            "{\"op\":\"retract\",\"facts\":\"E(a, a).\"}\n",
+            "{\"op\":\"shutdown\"}\n",
+        ),
+        |o| o.timeout = Some(Duration::from_nanos(1)),
+    );
+    assert_eq!(
+        lines[1..],
+        [
+            "{\"ok\":true,\"id\":1,\"op\":\"solve\",\"result\":\"undecided\",\
+             \"reason\":\"deadline exceeded (1ns budget)\",\"epoch\":1}",
+            "{\"ok\":true,\"id\":2,\"op\":\"snapshot\",\"journal_bytes\":8,\"epoch\":1}",
+            "{\"ok\":true,\"id\":3,\"op\":\"retract\",\"retracted\":1,\"epoch\":2}",
+            "{\"ok\":true,\"id\":4,\"op\":\"shutdown\",\"epoch\":2}",
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// One random request line. Variant 5 injects a panic, which the

@@ -31,8 +31,7 @@ use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::{GenericLimits, PdeSetting, SolvePlan, SolverKind};
 use pde_relational::{Position, Schema, Term, Var};
 use pde_runtime::GovernorConfig;
-use pde_trace::json::{self, ObjExt as _};
-use pde_trace::json_escape;
+use pde_trace::json::{self, Json, ObjExt as _};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -1112,122 +1111,86 @@ fn marked_pair_violates(d: &Tgd, pair: &BTreeSet<Var>) -> bool {
 // ---------------------------------------------------------------------------
 
 impl Certificate {
-    /// Serialize as the versioned JSON schema of `docs/PLAN.md`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"version\":{}", self.version));
-        out.push_str(&format!(
-            ",\"regime\":{}",
-            json_escape(self.regime.as_str())
-        ));
-        out.push_str(&format!(
-            ",\"sol_complexity\":{}",
-            json_escape(self.sol_complexity.as_str())
-        ));
-        out.push_str(&format!(
-            ",\"certain_complexity\":{}",
-            json_escape(self.certain_complexity.as_str())
-        ));
-        out.push_str(&format!(
-            ",\"recommended_solver\":{}",
-            json_escape(solver_kind_str(self.recommended_solver))
-        ));
+    /// The certificate as the versioned JSON schema of `docs/PLAN.md`.
+    pub fn to_json(&self) -> Json {
+        let position = |p: &PositionRef| [("rel", p.rel.as_str().into()), ("attr", p.attr.into())];
+        let strings = |xs: &[String]| xs.iter().map(Json::from).collect();
         let c = &self.chase;
-        out.push_str(&format!(
-            ",\"chase\":{{\"weakly_acyclic\":{},\"max_rank\":{},\"degree\":{},\
-             \"adom_size\":{},\"value_bound\":{},\"fact_bound\":{},\"step_bound\":{}",
-            c.weakly_acyclic,
-            c.max_rank,
-            c.degree,
-            c.adom_size,
-            c.value_bound,
-            c.fact_bound,
-            c.step_bound
-        ));
-        out.push_str(",\"ranks\":[");
-        for (i, r) in c.ranks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rel\":{},\"attr\":{},\"rank\":{}}}",
-                json_escape(&r.pos.rel),
-                r.pos.attr,
-                r.rank
-            ));
-        }
-        out.push_str("],\"special_cycle\":[");
-        for (i, e) in c.special_cycle.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"from_rel\":{},\"from_attr\":{},\"to_rel\":{},\"to_attr\":{},\"special\":{}}}",
-                json_escape(&e.from.rel),
-                e.from.attr,
-                json_escape(&e.to.rel),
-                e.to.attr,
-                e.special
-            ));
-        }
-        out.push_str("],\"termination\":");
-        out.push_str(&c.termination.to_json());
-        out.push('}');
+        let ranks = c.ranks.iter().map(|r| {
+            let rank = ("rank", r.rank.into());
+            Json::from_iter(position(&r.pos).into_iter().chain([rank]))
+        });
+        let special_cycle = c.special_cycle.iter().map(|e| {
+            Json::from_iter([
+                ("from_rel", e.from.rel.as_str().into()),
+                ("from_attr", e.from.attr.into()),
+                ("to_rel", e.to.rel.as_str().into()),
+                ("to_attr", e.to.attr.into()),
+                ("special", e.special.into()),
+            ])
+        });
+        let chase = Json::from_iter([
+            ("weakly_acyclic", c.weakly_acyclic.into()),
+            ("max_rank", c.max_rank.into()),
+            ("degree", c.degree.into()),
+            ("adom_size", c.adom_size.into()),
+            ("value_bound", c.value_bound.into()),
+            ("fact_bound", c.fact_bound.into()),
+            ("step_bound", c.step_bound.into()),
+            ("ranks", ranks.collect()),
+            ("special_cycle", special_cycle.collect()),
+            ("termination", c.termination.to_json()),
+        ]);
         let t = &self.tract;
-        out.push_str(&format!(
-            ",\"tract\":{{\"condition1\":{},\"condition2_1\":{},\"condition2_2\":{},\
-             \"st_all_full\":{},\"ts_all_lav\":{},\"in_ctract\":{}",
-            t.condition1, t.condition2_1, t.condition2_2, t.st_all_full, t.ts_all_lav, t.in_ctract
-        ));
-        out.push_str(",\"marked_positions\":[");
-        for (i, p) in t.marked_positions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rel\":{},\"attr\":{}}}",
-                json_escape(&p.rel),
-                p.attr
-            ));
-        }
-        out.push_str("],\"marked_variables\":[");
-        for (i, vars) in t.marked_variables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, v) in vars.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_escape(v));
-            }
-            out.push(']');
-        }
-        out.push(']');
-        if let Some(cx) = &t.counterexample {
-            out.push_str(&format!(
-                ",\"counterexample\":{{\"kind\":{},\"tgd_index\":{},\"vars\":[",
-                json_escape(&cx.kind),
-                cx.tgd_index
-            ));
-            for (j, v) in cx.vars.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_escape(v));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
+        let marked_positions = t
+            .marked_positions
+            .iter()
+            .map(|p| Json::from_iter(position(p)));
+        let counterexample = t.counterexample.as_ref().map(|cx| {
+            let fields = [
+                ("kind", cx.kind.as_str().into()),
+                ("tgd_index", cx.tgd_index.into()),
+                ("vars", strings(&cx.vars)),
+            ];
+            ("counterexample", Json::from_iter(fields))
+        });
+        let tract = [
+            ("condition1", t.condition1.into()),
+            ("condition2_1", t.condition2_1.into()),
+            ("condition2_2", t.condition2_2.into()),
+            ("st_all_full", t.st_all_full.into()),
+            ("ts_all_lav", t.ts_all_lav.into()),
+            ("in_ctract", t.in_ctract.into()),
+            ("marked_positions", marked_positions.collect()),
+            (
+                "marked_variables",
+                t.marked_variables.iter().map(|vs| strings(vs)).collect(),
+            ),
+        ];
         let b = &self.budgets;
-        out.push_str(&format!(
-            ",\"budgets\":{{\"chase_steps\":{},\"chase_facts\":{},\"search_nodes\":{},\
-             \"search_branches\":{}}}",
-            b.chase_steps, b.chase_facts, b.search_nodes, b.search_branches
-        ));
-        out.push('}');
-        out
+        let budgets = Json::from_iter([
+            ("chase_steps", b.chase_steps.into()),
+            ("chase_facts", b.chase_facts.into()),
+            ("search_nodes", b.search_nodes.into()),
+            ("search_branches", b.search_branches.into()),
+        ]);
+        let solver = solver_kind_str(self.recommended_solver);
+        Json::from_iter([
+            ("version", self.version.into()),
+            ("regime", self.regime.as_str().into()),
+            ("sol_complexity", self.sol_complexity.as_str().into()),
+            (
+                "certain_complexity",
+                self.certain_complexity.as_str().into(),
+            ),
+            ("recommended_solver", solver.into()),
+            ("chase", chase),
+            (
+                "tract",
+                Json::from_iter(tract.into_iter().chain(counterexample)),
+            ),
+            ("budgets", budgets),
+        ])
     }
 
     /// Parse the JSON serialization back. Shape errors come back as

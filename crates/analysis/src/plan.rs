@@ -277,7 +277,7 @@ mod tests {
     fn json_roundtrip_is_lossless() {
         for setting in [example1(), clique_like(), non_terminating()] {
             let cert = plan_setting(&setting, 5);
-            let back = Certificate::from_json(&cert.to_json()).unwrap();
+            let back = Certificate::from_json(&cert.to_json().to_string()).unwrap();
             assert_eq!(back, cert);
             verify_certificate(&setting, &back).unwrap();
         }

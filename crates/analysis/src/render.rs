@@ -7,7 +7,7 @@
 
 use crate::diag::{Diagnostic, Group, Severity};
 use pde_core::bundle::{BundleSources, Section};
-use pde_trace::json_escape;
+use pde_trace::json::Json;
 
 /// Where the linted text came from, for position reporting.
 pub struct RenderContext<'a> {
@@ -79,60 +79,49 @@ pub fn render_text(diags: &[Diagnostic], ctx: Option<&RenderContext<'_>>) -> Str
     out
 }
 
-/// Render diagnostics as a JSON object (`{"diagnostics": [...], "counts":
-/// {...}}`). Hand-rolled: the workspace deliberately has no serialization
-/// dependency.
-pub fn render_json(diags: &[Diagnostic], ctx: Option<&RenderContext<'_>>) -> String {
-    let mut out = String::from("{\"diagnostics\":[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"code\":{},\"severity\":{},\"message\":{}",
-            json_escape(d.code.as_str()),
-            json_escape(&d.severity.to_string()),
-            json_escape(&d.message)
-        ));
+/// Diagnostics as a JSON object (`{"diagnostics": [...], "counts":
+/// {...}}`).
+pub fn render_json(diags: &[Diagnostic], ctx: Option<&RenderContext<'_>>) -> Json {
+    let diagnostics = diags.iter().map(|d| {
+        let mut fields = vec![
+            ("code", d.code.as_str().into()),
+            ("severity", d.severity.to_string().into()),
+            ("message", d.message.as_str().into()),
+        ];
         if let Some(c) = d.constraint {
-            out.push_str(&format!(
-                ",\"group\":{},\"index\":{}",
-                json_escape(c.group.section_name()),
-                c.index
-            ));
+            fields.push(("group", c.group.section_name().into()));
+            fields.push(("index", c.index.into()));
         }
         if let Some(span) = d.span {
-            out.push_str(&format!(
-                ",\"span\":{{\"start\":{},\"end\":{}}}",
-                span.start, span.end
+            fields.push((
+                "span",
+                Json::from_iter([("start", span.start.into()), ("end", span.end.into())]),
             ));
         }
         if let Some((line, col, _)) = ctx.and_then(|ctx| ctx.locate(d)) {
-            out.push_str(&format!(",\"line\":{line},\"col\":{col}"));
+            fields.push(("line", line.into()));
+            fields.push(("col", col.into()));
         }
         if !d.notes.is_empty() {
-            out.push_str(",\"notes\":[");
-            for (j, n) in d.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_escape(n));
-            }
-            out.push(']');
+            fields.push(("notes", d.notes.iter().map(Json::from).collect()));
         }
         if let Some(s) = &d.suggestion {
-            out.push_str(&format!(",\"suggestion\":{}", json_escape(s)));
+            fields.push(("suggestion", s.as_str().into()));
         }
-        out.push('}');
-    }
-    let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
-    out.push_str(&format!(
-        "],\"counts\":{{\"error\":{},\"warning\":{},\"note\":{}}}}}",
-        count(Severity::Error),
-        count(Severity::Warning),
-        count(Severity::Note)
-    ));
-    out
+        Json::from_iter(fields)
+    });
+    let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count().into();
+    Json::from_iter([
+        ("diagnostics", diagnostics.collect()),
+        (
+            "counts",
+            Json::from_iter([
+                ("error", count(Severity::Error)),
+                ("warning", count(Severity::Warning)),
+                ("note", count(Severity::Note)),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -173,7 +162,7 @@ mod tests {
             path: "ex.pde",
             sources: &sources,
         };
-        let json = render_json(&diags, Some(&ctx));
+        let json = render_json(&diags, Some(&ctx)).to_string();
         assert!(json.starts_with("{\"diagnostics\":["), "{json}");
         assert!(json.contains("\"code\":\"PDE019\""), "{json}");
         assert!(json.contains("\"group\":\"t\""), "{json}");
@@ -186,7 +175,7 @@ mod tests {
         let d = vec![Diagnostic::new(Code::TrivialEgd, "t").on(crate::diag::Group::T, 0)];
         let text = render_text(&d, None);
         assert!(text.contains("--> Σt #0\n"), "{text}");
-        let json = render_json(&d, None);
+        let json = render_json(&d, None).to_string();
         assert!(!json.contains("\"line\""), "{json}");
     }
 }

@@ -33,8 +33,7 @@ use crate::analyzer::subsumed_by;
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_core::setting::PdeSetting;
 use pde_relational::{for_each_hom, Assignment, Instance, RelId, Schema, Term, Tuple, Value, Var};
-use pde_trace::json::{self, ObjExt as _};
-use pde_trace::json_escape;
+use pde_trace::json::{self, Json, ObjExt as _};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -622,53 +621,39 @@ pub(crate) fn canonical_key(schema: &Schema, dep: &Dependency) -> String {
 }
 
 impl RewriteCertificate {
-    /// Serialize to the certificate JSON format (stable field order).
-    pub fn to_json(&self) -> String {
-        let names = |xs: &[String]| {
-            let inner: Vec<String> = xs.iter().map(|s| json_escape(s)).collect();
-            format!("[{}]", inner.join(","))
-        };
+    /// The certificate as JSON (stable field order).
+    pub fn to_json(&self) -> Json {
+        let names = |xs: &[String]| xs.iter().map(Json::from).collect();
         let counts = |c: &GroupCounts| {
-            format!(
-                "{{\"sigma_st\":{},\"sigma_ts\":{},\"sigma_t\":{}}}",
-                c.sigma_st, c.sigma_ts, c.sigma_t
-            )
+            Json::from_iter([
+                ("sigma_st", c.sigma_st.into()),
+                ("sigma_ts", c.sigma_ts.into()),
+                ("sigma_t", c.sigma_t.into()),
+            ])
         };
-        let actions: Vec<String> = self
-            .actions
-            .iter()
-            .map(|a| {
-                let head = format!(
-                    "{{\"action\":{},\"group\":{},\"index\":{}",
-                    json_escape(a.kind()),
-                    json_escape(a.group().as_str()),
-                    a.index()
-                );
-                match a {
-                    RewriteAction::RemoveTrivialEgd { .. } => format!("{head}}}"),
-                    RewriteAction::RemoveDuplicate { kept, .. } => {
-                        format!("{head},\"kept\":{kept}}}")
-                    }
-                    RewriteAction::RemoveSubsumed { by, .. } => format!("{head},\"by\":{by}}}"),
-                    RewriteAction::RemoveDead { relation, .. } => {
-                        format!("{head},\"relation\":{}}}", json_escape(relation))
-                    }
-                }
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"v\":{},\"kind\":\"pde-rewrite-certificate\",",
-                "\"input_nonempty\":{},\"dead_relations\":{},",
-                "\"before\":{},\"after\":{},\"actions\":[{}]}}"
-            ),
-            self.version,
-            names(&self.input_nonempty),
-            names(&self.dead_relations),
-            counts(&self.before),
-            counts(&self.after),
-            actions.join(",")
-        )
+        let actions = self.actions.iter().map(|a| {
+            let detail = match a {
+                RewriteAction::RemoveTrivialEgd { .. } => None,
+                RewriteAction::RemoveDuplicate { kept, .. } => Some(("kept", (*kept).into())),
+                RewriteAction::RemoveSubsumed { by, .. } => Some(("by", (*by).into())),
+                RewriteAction::RemoveDead { relation, .. } => Some(("relation", relation.into())),
+            };
+            let head = [
+                ("action", a.kind().into()),
+                ("group", a.group().as_str().into()),
+                ("index", a.index().into()),
+            ];
+            Json::from_iter(head.into_iter().chain(detail))
+        });
+        Json::from_iter([
+            ("v", self.version.into()),
+            ("kind", "pde-rewrite-certificate".into()),
+            ("input_nonempty", names(&self.input_nonempty)),
+            ("dead_relations", names(&self.dead_relations)),
+            ("before", counts(&self.before)),
+            ("after", counts(&self.after)),
+            ("actions", actions.collect()),
+        ])
     }
 
     /// Parse a certificate back from [`RewriteCertificate::to_json`]
@@ -882,7 +867,7 @@ mod tests {
         );
         let out = optimize(&p, "E(a, b).");
         assert!(out.certificate.actions.len() >= 3);
-        let back = RewriteCertificate::from_json(&out.certificate.to_json()).unwrap();
+        let back = RewriteCertificate::from_json(&out.certificate.to_json().to_string()).unwrap();
         assert_eq!(back, out.certificate);
     }
 

@@ -37,7 +37,6 @@ use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::PdeSetting;
 use pde_relational::{Position, RelId, Schema, Term, Var};
 use pde_trace::json::{self, Json, ObjExt};
-use pde_trace::json_escape;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -906,62 +905,53 @@ pub(crate) fn verify_tgds(
 // ---------------------------------------------------------------------------
 
 impl TerminationCertificate {
-    /// Serialize as the versioned JSON section of `docs/TERMINATION.md`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"v\":{}", self.version));
-        out.push_str(&format!(",\"adom_size\":{}", self.adom_size));
-        match self.criterion {
-            Some(c) => out.push_str(&format!(",\"criterion\":{}", json_escape(c.as_str()))),
-            None => out.push_str(",\"criterion\":null"),
-        }
-        out.push_str(",\"trail\":[");
-        for (i, c) in self.trail.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"criterion\":{},\"holds\":{}}}",
-                json_escape(c.criterion.as_str()),
-                c.holds
-            ));
-        }
-        out.push_str(&format!(
-            "],\"value_bound\":{},\"fact_bound\":{},\"step_bound\":{}",
-            self.value_bound, self.fact_bound, self.step_bound
-        ));
-        out.push_str(",\"witness\":");
-        match &self.witness {
-            TerminationWitness::Ranks => out.push_str("{\"kind\":\"ranks\"}"),
+    /// The section as the versioned JSON of `docs/TERMINATION.md`.
+    pub fn to_json(&self) -> Json {
+        let trail = self.trail.iter().map(|c| {
+            Json::from_iter([
+                ("criterion", c.criterion.as_str().into()),
+                ("holds", c.holds.into()),
+            ])
+        });
+        let witness = match &self.witness {
+            TerminationWitness::Ranks => Json::from_iter([("kind", "ranks".into())]),
             TerminationWitness::VarOrder { order, max_depth } => {
-                out.push_str(&format!(
-                    "{{\"kind\":\"variable-order\",\"max_depth\":{max_depth},\"order\":["
-                ));
-                for (i, v) in order.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"tgd\":{},\"var\":{}}}",
-                        v.tgd_index,
-                        json_escape(&v.var)
-                    ));
-                }
-                out.push_str("]}");
+                let order = order.iter().map(|v| {
+                    Json::from_iter([("tgd", v.tgd_index.into()), ("var", v.var.as_str().into())])
+                });
+                Json::from_iter([
+                    ("kind", "variable-order".into()),
+                    ("max_depth", (*max_depth).into()),
+                    ("order", order.collect()),
+                ])
             }
             TerminationWitness::CriticalChase {
                 steps,
                 facts,
                 max_fact_width,
                 limit,
-            } => out.push_str(&format!(
-                "{{\"kind\":\"critical-chase\",\"steps\":{steps},\"facts\":{facts},\
-                 \"max_fact_width\":{max_fact_width},\"limit\":{limit}}}"
-            )),
-            TerminationWitness::None => out.push_str("{\"kind\":\"none\"}"),
-        }
-        out.push('}');
-        out
+            } => Json::from_iter([
+                ("kind", "critical-chase".into()),
+                ("steps", (*steps).into()),
+                ("facts", (*facts).into()),
+                ("max_fact_width", (*max_fact_width).into()),
+                ("limit", (*limit).into()),
+            ]),
+            TerminationWitness::None => Json::from_iter([("kind", "none".into())]),
+        };
+        Json::from_iter([
+            ("v", self.version.into()),
+            ("adom_size", self.adom_size.into()),
+            (
+                "criterion",
+                self.criterion.map(TerminationCriterion::as_str).into(),
+            ),
+            ("trail", trail.collect()),
+            ("value_bound", self.value_bound.into()),
+            ("fact_bound", self.fact_bound.into()),
+            ("step_bound", self.step_bound.into()),
+            ("witness", witness),
+        ])
     }
 
     /// Parse the JSON section back (shape only; semantic validity is the
@@ -1199,7 +1189,7 @@ mod tests {
         assert!(tc.trail.iter().all(|c| !c.holds));
         assert_eq!((tc.value_bound, tc.fact_bound, tc.step_bound), (0, 0, 0));
         verify_termination(&s, &tc).expect("the uncertified section still verifies");
-        let back = TerminationCertificate::from_json(&tc.to_json()).unwrap();
+        let back = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
         assert_eq!(back, tc);
     }
 
@@ -1207,7 +1197,7 @@ mod tests {
     fn json_roundtrip_is_lossless() {
         for s in [wa_setting(), ja_setting(), swa_setting(), mfa_setting()] {
             let tc = analyze_termination(&s, 4);
-            let back = TerminationCertificate::from_json(&tc.to_json()).unwrap();
+            let back = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
             assert_eq!(back, tc);
             verify_termination(&s, &back).unwrap();
         }

@@ -10,9 +10,11 @@
 //! [`crate::sink::FanoutSink`]). [`FlightRecorder::dump`] renders both as
 //! one JSONL document behind a caller-provided header line.
 
+use crate::json::Json;
 use crate::record::SpanRecord;
 use crate::sink::Sink;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -72,15 +74,13 @@ impl FlightRecorder {
         self.evicted_spans.load(Ordering::Relaxed)
     }
 
-    /// Render the rings as one JSONL document: `header` first (one
-    /// pre-rendered JSON line, no trailing newline needed), then the
+    /// Render the rings as one JSONL document: `header` first, then the
     /// request records oldest-first, then the span tail oldest-first (as
     /// [`SpanRecord::to_json`] lines). Non-destructive: the rings keep
     /// recording afterwards.
-    pub fn dump(&self, header: &str) -> String {
+    pub fn dump(&self, header: &Json) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str(header.trim_end());
-        out.push('\n');
+        let _ = writeln!(out, "{header}");
         {
             let reqs = self
                 .requests
@@ -97,8 +97,7 @@ impl FlightRecorder {
                 .lock()
                 .expect("flight recorder lock never poisoned");
             for span in spans.iter() {
-                out.push_str(&span.to_json());
-                out.push('\n');
+                let _ = writeln!(out, "{}", span.to_json());
             }
         }
         out
@@ -137,8 +136,8 @@ mod tests {
     #[test]
     fn rings_are_bounded_and_evict_oldest_first() {
         let fr = FlightRecorder::with_capacity(2, 3);
-        for i in 0..4 {
-            fr.note_line(&format!("{{\"id\":{i}}}"));
+        for i in 0..4u64 {
+            fr.note_line(&Json::from_iter([("id", i.into())]).to_string());
         }
         for i in 0..5 {
             fr.record(&rec("a", i));
@@ -146,7 +145,7 @@ mod tests {
         assert_eq!(fr.request_count(), 2);
         assert_eq!(fr.span_count(), 3);
         assert_eq!(fr.evicted_spans(), 2);
-        let dump = fr.dump("{\"kind\":\"header\"}");
+        let dump = fr.dump(&Json::from_iter([("kind", "header".into())]));
         let lines: Vec<&str> = dump.lines().collect();
         // Header, the two newest requests, the three newest spans.
         assert_eq!(lines.len(), 6);
@@ -161,8 +160,9 @@ mod tests {
     fn dump_is_non_destructive() {
         let fr = FlightRecorder::with_capacity(4, 4);
         fr.note_line("{\"id\":1}");
-        let first = fr.dump("{}");
-        let second = fr.dump("{}");
+        let header = Json::Obj(vec![]);
+        let first = fr.dump(&header);
+        let second = fr.dump(&header);
         assert_eq!(first, second);
         assert_eq!(fr.request_count(), 1);
     }

@@ -1,43 +1,55 @@
-//! The workspace's one JSON escaper and reader.
+//! The workspace's one JSON codec: the [`Json`] value, its writer and its
+//! reader.
 //!
-//! Producers format JSON by hand (`format!` plus [`json_escape`]); every
-//! consumer — the plan, rewrite and termination certificate loaders and
-//! `pde serve`'s request decoder — parses through [`parse`]. The reader
-//! sits on a trust boundary, so it is built to survive hostile input:
-//! nesting is bounded by [`MAX_DEPTH`] instead of by the stack, and
-//! strings are copied run by run, so parsing stays linear in the input.
+//! Every producer — span records, metrics, run reports, lint output, the
+//! plan, rewrite and termination certificates, and `pde serve`'s lines —
+//! builds a [`Json`] value and prints it with `Display`, which writes
+//! compact JSON. Every consumer — the certificate loaders and `pde
+//! serve`'s request decoder — parses through [`parse`]. The reader sits on
+//! a trust boundary, so it is built to survive hostile input: nesting is
+//! bounded by [`MAX_DEPTH`] instead of by the stack, strings are copied
+//! run by run, and repeated object keys are caught with a set of the keys
+//! seen, so parsing stays linear in the input.
 //!
 //! Numbers are restricted to the unsigned integers the formats use; `-`,
 //! fractions and exponents are rejected.
 
-use std::fmt::Write as _;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`parse`] accepts. The deepest real
 /// certificate nests about 6 levels.
 pub const MAX_DEPTH: usize = 128;
 
-/// Escape `s` as a JSON string literal (including the quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Write `s` as a JSON string literal: short escapes for `"`, `\`, `\n`,
+/// `\r`, `\t`, `\u00xx` for other controls, everything else as is. All
+/// escaped characters are ASCII, so the runs between them are slices.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let short = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..at])?;
+        match short {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{byte:04x}")?,
         }
+        run = at + 1;
     }
-    out.push('"');
-    out
+    f.write_str(&s[run..])?;
+    f.write_char('"')
 }
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what every producer builds
+/// and prints with `Display` (compact, no whitespace).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -50,8 +62,100 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object's fields, in document order (duplicates kept).
+    /// An object's fields, in document order. [`parse`] rejects a
+    /// repeated key; producers write each key once.
     Obj(Vec<(String, Json)>),
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(f, key)?;
+                    f.write_char(':')?;
+                    value.fmt(f)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                // Lossless: u128 holds every unsigned width in use.
+                Json::Num(n as u128)
+            }
+        }
+    )*};
+}
+
+from_unsigned!(u32, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<&String> for Json {
+    fn from(s: &String) -> Json {
+        Json::Str(s.clone())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+}
+
+/// Collects an object, fields in iteration order.
+impl<K: Into<String>> FromIterator<(K, Json)> for Json {
+    fn from_iter<I: IntoIterator<Item = (K, Json)>>(fields: I) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
 }
 
 impl Json {
@@ -78,9 +182,9 @@ impl Json {
 
 /// Typed field accessors on an object's field list.
 pub trait ObjExt {
-    /// The first field named `key`, if any.
+    /// The field named `key`, if any.
     fn try_get(&self, key: &str) -> Option<&Json>;
-    /// The first field named `key`.
+    /// The field named `key`.
     fn field_of(&self, key: &str) -> Result<&Json, String>;
     /// A string field.
     fn get_str(&self, key: &str) -> Result<String, String>;
@@ -223,9 +327,11 @@ impl Reader<'_> {
         }
     }
 
-    /// An object's fields, after its `{`; `depth` counts the object.
+    /// An object's fields, after its `{`; `depth` counts the object. A
+    /// repeated key is an error, found with a set of the keys seen.
     fn object(&mut self, depth: usize) -> Result<Vec<(String, Json)>, String> {
         let mut fields = Vec::new();
+        let mut seen = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
@@ -233,7 +339,11 @@ impl Reader<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.at;
             let key = self.string()?;
+            if !seen.insert(key.clone()) {
+                return Err(format!("duplicate key '{key}' at byte {at}"));
+            }
             self.expect(b':')?;
             fields.push((key, self.value(depth)?));
             self.skip_ws();
@@ -349,11 +459,31 @@ mod tests {
         parse(src)
     }
 
+    fn text(s: &str) -> String {
+        Json::Str(s.into()).to_string()
+    }
+
     #[test]
     fn escaping_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_escape("Σt"), "\"Σt\"");
-        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
+        assert_eq!(text("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(text("Σt"), "\"Σt\"");
+        assert_eq!(text("\u{1}"), "\"\\u0001\"");
+        assert_eq!(text("\r\t\u{1f}/\u{7f}"), "\"\\r\\t\\u001f/\u{7f}\"");
+        assert_eq!(text(""), "\"\"");
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_with_their_offset() {
+        assert_eq!(
+            s(r#"{"op":"solve","op":"shutdown"}"#).unwrap_err(),
+            "duplicate key 'op' at byte 14"
+        );
+        // Keys compare after unescaping, at any depth.
+        assert_eq!(
+            s(r#"[{"a":{"x":1," x":2,"\u0078":3}}]"#).unwrap_err(),
+            "duplicate key 'x' at byte 20"
+        );
+        assert!(parse_object(r#"{"op":1,"OP":2,"o p":3}"#).is_ok());
     }
 
     #[test]
@@ -440,7 +570,7 @@ mod tests {
             Json::Str("a\"b\\c/d\ne\rf\tgé Σ😀".into())
         );
         let long = "é".repeat(1 << 20);
-        assert_eq!(s(&json_escape(&long)).unwrap(), Json::Str(long));
+        assert_eq!(s(&text(&long)).unwrap(), Json::Str(long));
     }
 
     #[test]

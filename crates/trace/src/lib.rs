@@ -9,10 +9,11 @@
 //! `std`.
 //!
 //! Being the leaf every crate already reaches, it also owns the
-//! workspace's one JSON escaper ([`json_escape`]) and reader
-//! ([`json::parse`]): span records, run reports, lint output and the
-//! certificates are written with the former, and the certificate loaders
-//! and `pde serve`'s request decoder parse with the latter.
+//! workspace's one JSON codec, [`json::Json`]: span records, run reports,
+//! lint output, the certificates and `pde serve`'s lines are built as
+//! `Json` values and printed with its `Display` writer, and the
+//! certificate loaders and `pde serve`'s request decoder read with
+//! [`json::parse`].
 //!
 //! # Design
 //!
@@ -46,7 +47,6 @@ pub mod record;
 pub mod sink;
 
 pub use flight::FlightRecorder;
-pub use json::json_escape;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use record::{FieldValue, SpanRecord};
 pub use sink::{

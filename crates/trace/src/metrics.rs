@@ -5,8 +5,8 @@
 //! export into a [`MetricsRegistry`] when a run report is assembled. That
 //! keeps this crate a leaf dependency and the hot loops allocation-free.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A power-of-two-bucket histogram of `u64` samples.
 ///
@@ -98,22 +98,20 @@ impl Histogram {
             .collect()
     }
 
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            self.count, self.sum, self.min, self.max
-        );
-        for (i, (e, c)) in self.nonzero_buckets().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{e},{c}]");
-        }
-        out.push_str("]}");
-        out
+    /// The histogram as a JSON object: count, sum, extrema, and the
+    /// non-empty buckets as `[exponent, count]` pairs.
+    pub fn to_json(&self) -> Json {
+        let buckets = self
+            .nonzero_buckets()
+            .into_iter()
+            .map(|(e, c)| Json::Arr(vec![e.into(), c.into()]));
+        Json::from_iter([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min.into()),
+            ("max", self.max.into()),
+            ("buckets", buckets.collect()),
+        ])
     }
 }
 
@@ -196,25 +194,19 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Render as a JSON object `{"counters":{...},"histograms":{...}}`
+    /// The registry as a JSON object `{"counters":{...},"histograms":{...}}`
     /// with keys in sorted order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", crate::json_escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", crate::json_escape(name), h.to_json());
-        }
-        out.push_str("}}");
-        out
+    pub fn to_json(&self) -> Json {
+        Json::from_iter([
+            (
+                "counters",
+                self.counters().map(|(k, v)| (k, v.into())).collect(),
+            ),
+            (
+                "histograms",
+                self.histograms().map(|(k, h)| (k, h.to_json())).collect(),
+            ),
+        ])
     }
 }
 
@@ -286,7 +278,7 @@ mod tests {
         r.observe("hist.x", 3);
         assert_eq!(r.get("a.first"), Some(5));
         assert_eq!(r.get("gauge.peak"), Some(10));
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.starts_with("{\"counters\":{\"a.first\":5,\"b.second\":2,\"gauge.peak\":10}"));
         assert!(json.contains("\"hist.x\":{\"count\":1,\"sum\":3"));
     }

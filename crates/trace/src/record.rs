@@ -1,7 +1,6 @@
 //! Span records and their JSON form.
 
-use crate::json_escape;
-use std::fmt::Write as _;
+use crate::json::Json;
 
 /// A structured field value attached to a span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,34 +28,25 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// Render as a single JSON object (one JSONL line, no trailing
-    /// newline). Fields appear under a `"fields"` object in attachment
-    /// order, so they can never collide with the fixed keys.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.fields.len() * 16);
-        let _ = write!(
-            out,
-            "{{\"v\":{},\"span\":{},\"seq\":{},\"dur_ns\":{},\"self_ns\":{},\"fields\":{{",
-            crate::REPORT_VERSION,
-            json_escape(self.name),
-            self.seq,
-            self.dur_ns,
-            self.self_ns
-        );
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:", json_escape(key));
-            match value {
-                FieldValue::U64(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                FieldValue::Str(s) => out.push_str(&json_escape(s)),
-            }
-        }
-        out.push_str("}}");
-        out
+    /// The span as one JSON object (printed, one JSONL line). Fields
+    /// appear under a `"fields"` object in attachment order, so they can
+    /// never collide with the fixed keys.
+    pub fn to_json(&self) -> Json {
+        let fields = self.fields.iter().map(|(key, value)| {
+            let value = match value {
+                FieldValue::U64(n) => Json::from(*n),
+                FieldValue::Str(s) => Json::from(s),
+            };
+            (*key, value)
+        });
+        Json::from_iter([
+            ("v", crate::REPORT_VERSION.into()),
+            ("span", self.name.into()),
+            ("seq", self.seq.into()),
+            ("dur_ns", self.dur_ns.into()),
+            ("self_ns", self.self_ns.into()),
+            ("fields", fields.collect()),
+        ])
     }
 }
 
@@ -77,7 +67,7 @@ mod tests {
             ],
         };
         assert_eq!(
-            r.to_json(),
+            r.to_json().to_string(),
             "{\"v\":1,\"span\":\"chase.round\",\"seq\":4,\"dur_ns\":1200,\"self_ns\":1000,\
              \"fields\":{\"round\":2,\"engine\":\"seminaive\"}}"
         );

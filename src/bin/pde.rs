@@ -101,12 +101,13 @@
 //! `serve --stats` attaches the `store.*`/`serve.*` metrics to every
 //! response.
 
+use pde_analysis::certificate::solver_kind_str;
 use pde_analysis::{
     analyze_setting, analyze_termination, any_denied, forward_schedule, optimize_setting,
     plan_setting, render_certificate_text, render_json, render_termination_text, render_text,
     verify_certificate, verify_rewrite, verify_termination, AnalysisInput, Certificate,
     LintSection, OptimizeResult, RenderContext, RewriteAction, RewriteCertificate, Severity,
-    SourceParseError, TerminationCertificate,
+    SourceParseError, TerminationCertificate, TerminationCriterion,
 };
 use pde_chase::{chase_tgds, ChaseEngine, DepSchedule};
 use pde_core::bundle::{split_sections, Bundle, BundleSources};
@@ -116,6 +117,7 @@ use pde_core::{
 };
 use pde_relational::{parse_instance, parse_query, Instance, Peer, UnionQuery};
 use pde_runtime::{Governor, GovernorConfig};
+use pde_trace::json::Json;
 use peer_data_exchange::serve::{serve, ServeOptions};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -462,16 +464,12 @@ fn describe_action(a: &RewriteAction) -> String {
 }
 
 /// The stratified schedule as JSON: `{"strata":[[0,1],[2]]}`.
-fn schedule_json(s: &DepSchedule) -> String {
-    let strata: Vec<String> = s
+fn schedule_json(s: &DepSchedule) -> Json {
+    let strata = s
         .strata
         .iter()
-        .map(|st| {
-            let xs: Vec<String> = st.iter().map(ToString::to_string).collect();
-            format!("[{}]", xs.join(","))
-        })
-        .collect();
-    format!("{{\"strata\":[{}]}}", strata.join(","))
+        .map(|st| Json::from_iter(st.iter().map(|&i| Json::from(i))));
+    Json::from_iter([("strata", strata.collect())])
 }
 
 /// The governor for a `solve` run: `--governed` seeds the memory budget
@@ -507,8 +505,7 @@ fn render_solve_json(
     cert: &Certificate,
     optimize: Option<(&RewriteCertificate, &DepSchedule)>,
     hist: Option<&pde_trace::HistogramSink>,
-) -> String {
-    use pde_trace::json_escape;
+) -> Json {
     let mut reg = pde_trace::MetricsRegistry::new();
     report.export_metrics(&mut reg);
     // Fold in the span-derived per-phase self-time distributions (the
@@ -517,59 +514,52 @@ fn render_solve_json(
         reg.merge_from(&h.snapshot());
     }
     let result = match report.exists {
-        Some(true) => "\"yes\"".to_owned(),
-        Some(false) => "\"no\"".to_owned(),
-        None => "\"undecided\"".to_owned(),
-    };
-    let undecided = match &report.undecided {
-        Some(reason) => json_escape(&reason.to_string()),
-        None => "null".to_owned(),
+        Some(true) => "yes",
+        Some(false) => "no",
+        None => "undecided",
     };
     let engine = match report.engine() {
         ChaseEngine::Naive => "naive",
         ChaseEngine::Seminaive => "seminaive",
     };
-    let optimize = match optimize {
-        Some((c, s)) => format!(
-            "{{\"before\":{},\"after\":{},\"actions\":{},\"schedule\":{}}}",
-            c.before.total(),
-            c.after.total(),
-            c.actions.len(),
-            schedule_json(s),
-        ),
-        None => "null".to_owned(),
-    };
+    let optimize = optimize.map(|(c, s)| {
+        Json::from_iter([
+            ("before", c.before.total().into()),
+            ("after", c.after.total().into()),
+            ("actions", c.actions.len().into()),
+            ("schedule", schedule_json(s)),
+        ])
+    });
     let term = &cert.chase.termination;
-    let termination = format!(
-        "{{\"certified\":{},\"criterion\":{}}}",
-        term.certified(),
-        term.criterion
-            .map_or("null".to_owned(), |c| json_escape(c.as_str())),
-    );
-    format!(
-        concat!(
-            "{{\"v\":{},\"solver\":{},\"engine\":{},\"result\":{},",
-            "\"undecided_reason\":{},\"engine_fallback\":{},",
-            "\"optimize\":{},",
-            "\"certificate\":{{\"version\":{},\"regime\":{},\"solver\":{},",
-            "\"termination\":{}}},",
-            "\"metrics\":{}}}"
+    let termination = Json::from_iter([
+        ("certified", term.certified().into()),
+        (
+            "criterion",
+            term.criterion.map(TerminationCriterion::as_str).into(),
         ),
-        pde_trace::REPORT_VERSION,
-        json_escape(pde_analysis::certificate::solver_kind_str(report.kind)),
-        json_escape(engine),
-        result,
-        undecided,
-        report.engine_fallback,
-        optimize,
-        cert.version,
-        json_escape(cert.regime.as_str()),
-        json_escape(pde_analysis::certificate::solver_kind_str(
-            cert.recommended_solver
-        )),
-        termination,
-        reg.to_json(),
-    )
+    ]);
+    Json::from_iter([
+        ("v", pde_trace::REPORT_VERSION.into()),
+        ("solver", solver_kind_str(report.kind).into()),
+        ("engine", engine.into()),
+        ("result", result.into()),
+        (
+            "undecided_reason",
+            report.undecided.as_ref().map(ToString::to_string).into(),
+        ),
+        ("engine_fallback", report.engine_fallback.into()),
+        ("optimize", optimize.into()),
+        (
+            "certificate",
+            Json::from_iter([
+                ("version", cert.version.into()),
+                ("regime", cert.regime.as_str().into()),
+                ("solver", solver_kind_str(cert.recommended_solver).into()),
+                ("termination", termination),
+            ]),
+        ),
+        ("metrics", reg.to_json()),
+    ])
 }
 
 /// Lint the setting before a solve-style command, printing any warning or
@@ -799,14 +789,16 @@ fn dispatch(
                     .map_err(|e| format!("termination self-check REJECTED: {e}"))?;
             }
             if let Some(emit_path) = &flags.emit_path {
-                std::fs::write(emit_path, tc.to_json()).map_err(|e| format!("{emit_path}: {e}"))?;
+                std::fs::write(emit_path, tc.to_json().to_string())
+                    .map_err(|e| format!("{emit_path}: {e}"))?;
             }
             if flags.json {
-                outln!(
-                    "{{\"v\":{},\"kind\":\"pde-terminate-report\",\"termination\":{}}}",
-                    pde_analysis::TERMINATION_VERSION,
-                    tc.to_json(),
-                );
+                let report = Json::from_iter([
+                    ("v", pde_analysis::TERMINATION_VERSION.into()),
+                    ("kind", "pde-terminate-report".into()),
+                    ("termination", tc.to_json()),
+                ]);
+                outln!("{report}");
             } else {
                 outln!("{}", bundle.summary());
                 if flags.check_path.is_some() {
@@ -848,17 +840,18 @@ fn dispatch(
                     .map_err(|e| format!("rewrite self-check REJECTED: {e}"))?;
             }
             if let Some(emit_path) = &flags.emit_path {
-                std::fs::write(emit_path, out.certificate.to_json())
+                std::fs::write(emit_path, out.certificate.to_json().to_string())
                     .map_err(|e| format!("{emit_path}: {e}"))?;
             }
             let schedule = forward_schedule(&out.optimized);
             if flags.json {
-                outln!(
-                    "{{\"v\":{},\"kind\":\"pde-optimize-report\",\"certificate\":{},\"schedule\":{}}}",
-                    pde_analysis::REWRITE_VERSION,
-                    out.certificate.to_json(),
-                    schedule_json(&schedule),
-                );
+                let report = Json::from_iter([
+                    ("v", pde_analysis::REWRITE_VERSION.into()),
+                    ("kind", "pde-optimize-report".into()),
+                    ("certificate", out.certificate.to_json()),
+                    ("schedule", schedule_json(&schedule)),
+                ]);
+                outln!("{report}");
                 return Ok(Verdict::Yes);
             }
             let c = &out.certificate;

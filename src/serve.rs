@@ -52,7 +52,7 @@ use pde_relational::{parse_instance, parse_query, Instance, Schema, UnionQuery, 
 use pde_runtime::{isolate, Governor, GovernorConfig};
 use pde_store::{InstanceStore, Op, RecoveryReport};
 use pde_trace::json::{self, Json};
-use pde_trace::{json_escape, CollectingSink, FanoutSink, FlightRecorder, MetricsRegistry, Sink};
+use pde_trace::{CollectingSink, FanoutSink, FlightRecorder, MetricsRegistry, Sink};
 use std::io::{BufRead, BufWriter, Write};
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -181,6 +181,10 @@ impl Drop for SinkGuard {
     }
 }
 
+/// A response's members, in wire order; the loop adds `ok`, `id`,
+/// `epoch` and `metrics` around a handler's.
+type Fields = Vec<(&'static str, Json)>;
+
 /// Three-valued solve answer on the wire.
 enum Answer {
     Yes,
@@ -290,7 +294,21 @@ pub fn serve(
         dump_flight(&mut state, &options.store_dir, "recovery-rewind", 0);
     }
 
-    writeln!(output, "{}", hello_line(&state, seeded)).map_err(|e| out_err(&e))?;
+    // The startup hello: what recovery found, in one machine-readable line.
+    let hello = Json::from_iter([
+        ("ok", true.into()),
+        ("kind", "pde-serve-hello".into()),
+        ("v", 1u32.into()),
+        ("epoch", state.store.epoch().into()),
+        ("snapshot_epoch", state.recovery.snapshot_epoch.into()),
+        ("frames_replayed", state.recovery.frames_replayed.into()),
+        ("truncated_frames", state.recovery.truncated_frames().into()),
+        ("rewound", state.recovery.rewound().into()),
+        ("seeded", seeded.into()),
+        ("facts", state.base.fact_count().into()),
+        ("fast_path", state.fast_path.into()),
+    ]);
+    writeln!(output, "{hello}").map_err(|e| out_err(&e))?;
     output.flush().map_err(|e| out_err(&e))?;
 
     let mut next_id: u64 = 0;
@@ -337,7 +355,7 @@ pub fn serve(
         state
             .metrics
             .observe(&format!("serve.request_ns.{kind}"), total_ns);
-        let status = match &body {
+        let status: u32 = match &body {
             Err(_) => 2,
             Ok(_) => match meta.result {
                 "no" => 1,
@@ -345,43 +363,47 @@ pub fn serve(
                 _ => 0,
             },
         };
-        let response = match &body {
-            Ok(fields) => {
-                let mut l = format!(
-                    "{{\"ok\":true,\"id\":{id},{fields},\"epoch\":{}",
-                    state.base.current_epoch()
-                );
-                push_metrics(&state, options, kind, &mut l);
-                l.push('}');
-                l
-            }
-            Err(e) => format!(
-                "{{\"ok\":false,\"id\":{id},\"error\":{},\"epoch\":{}}}",
-                json_escape(e),
-                state.base.current_epoch()
-            ),
-        };
-        let record = access_record(
-            id,
-            kind,
-            &meta,
-            body.is_ok(),
-            status,
-            total_ns,
-            line.len(),
-            response.len(),
-            state.base.current_epoch(),
-        );
+        let ok = body.is_ok();
+        let mut fields: Fields = vec![("ok", ok.into()), ("id", id.into())];
+        match body {
+            Ok(body) => fields.extend(body),
+            Err(e) => fields.push(("error", e.into())),
+        }
+        fields.push(("epoch", state.base.current_epoch().into()));
+        if ok && (options.stats || kind == "stats") {
+            fields.push(("metrics", session_metrics(&state).to_json()));
+        }
+        let response = Json::from_iter(fields).to_string();
+        // One versioned access-log record per request; the flight
+        // recorder's request ring holds the same line.
+        let record = Json::from_iter([
+            ("v", 1u32.into()),
+            ("kind", "pde-access".into()),
+            ("id", id.into()),
+            ("op", kind.into()),
+            ("result", if ok { meta.result } else { "error" }.into()),
+            ("status", status.into()),
+            ("total_ns", total_ns.into()),
+            ("chase_ns", meta.chase_ns.into()),
+            ("solve_ns", meta.solve_ns.into()),
+            ("governor", meta.governor.as_str().into()),
+            ("epoch", state.base.current_epoch().into()),
+            ("bytes_in", line.len().into()),
+            ("bytes_out", response.len().into()),
+        ])
+        .to_string();
         state.flight.note_line(&record);
         if let Some(w) = access.as_mut() {
             let io = writeln!(w, "{record}").and_then(|()| {
                 if let Some(c) = &collector {
                     for span in c.take() {
-                        writeln!(
-                            w,
-                            "{{\"kind\":\"pde-span-sample\",\"id\":{id},{}",
-                            &span.to_json()[1..]
-                        )?;
+                        // The span record's members follow the sample's own.
+                        let Json::Obj(record) = span.to_json() else {
+                            continue;
+                        };
+                        let head = [("kind", Json::from("pde-span-sample")), ("id", id.into())];
+                        let fields = head.into_iter().map(|(k, v)| (k.to_owned(), v));
+                        writeln!(w, "{}", Json::from_iter(fields.chain(record)))?;
                     }
                 }
                 w.flush()
@@ -429,41 +451,6 @@ fn kind_of(parsed: &Result<Request, String>) -> &'static str {
     }
 }
 
-/// One versioned access-log record (also what the flight recorder's
-/// request ring holds).
-#[allow(clippy::too_many_arguments)]
-fn access_record(
-    id: u64,
-    kind: &str,
-    meta: &ReqMeta,
-    ok: bool,
-    status: u32,
-    total_ns: u64,
-    bytes_in: usize,
-    bytes_out: usize,
-    epoch: u64,
-) -> String {
-    let result = if ok { meta.result } else { "error" };
-    format!(
-        concat!(
-            "{{\"v\":1,\"kind\":\"pde-access\",\"id\":{},\"op\":{},\"result\":{},",
-            "\"status\":{},\"total_ns\":{},\"chase_ns\":{},\"solve_ns\":{},",
-            "\"governor\":{},\"epoch\":{},\"bytes_in\":{},\"bytes_out\":{}}}"
-        ),
-        id,
-        json_escape(kind),
-        json_escape(result),
-        status,
-        total_ns,
-        meta.chase_ns,
-        meta.solve_ns,
-        json_escape(&meta.governor),
-        epoch,
-        bytes_in,
-        bytes_out,
-    )
-}
-
 /// The next free index for a `flight-NNN-<reason>.jsonl` dump in `dir`:
 /// one past the highest existing index, so dumps from restarted sessions
 /// never clobber earlier evidence.
@@ -488,19 +475,17 @@ fn next_flight_index(dir: &str) -> u64 {
 /// Dump the flight recorder to the store directory. Best-effort: a failed
 /// dump warns on stderr and never takes the loop down.
 fn dump_flight(state: &mut ServeState, dir: &str, reason: &str, at_request: u64) {
-    let header = format!(
-        concat!(
-            "{{\"v\":1,\"kind\":\"pde-flight\",\"reason\":{},\"at_request\":{},",
-            "\"uptime_ns\":{},\"epoch\":{},\"requests\":{},\"spans\":{},\"evicted_spans\":{}}}"
-        ),
-        json_escape(reason),
-        at_request,
-        ns_since(state.started),
-        state.store.epoch(),
-        state.flight.request_count(),
-        state.flight.span_count(),
-        state.flight.evicted_spans(),
-    );
+    let header = Json::from_iter([
+        ("v", 1u32.into()),
+        ("kind", "pde-flight".into()),
+        ("reason", reason.into()),
+        ("at_request", at_request.into()),
+        ("uptime_ns", ns_since(state.started).into()),
+        ("epoch", state.store.epoch().into()),
+        ("requests", state.flight.request_count().into()),
+        ("spans", state.flight.span_count().into()),
+        ("evicted_spans", state.flight.evicted_spans().into()),
+    ]);
     let path = Path::new(dir).join(format!(
         "flight-{:03}-{reason}.jsonl",
         next_flight_index(dir)
@@ -513,25 +498,6 @@ fn dump_flight(state: &mut ServeState, dir: &str, reason: &str, at_request: u64)
 
 fn out_err(e: &std::io::Error) -> String {
     format!("stdout: {e}")
-}
-
-/// The startup hello: what recovery found, in one machine-readable line.
-fn hello_line(state: &ServeState, seeded: usize) -> String {
-    format!(
-        concat!(
-            "{{\"ok\":true,\"kind\":\"pde-serve-hello\",\"v\":1,\"epoch\":{},",
-            "\"snapshot_epoch\":{},\"frames_replayed\":{},\"truncated_frames\":{},",
-            "\"rewound\":{},\"seeded\":{},\"facts\":{},\"fast_path\":{}}}"
-        ),
-        state.store.epoch(),
-        state.recovery.snapshot_epoch,
-        state.recovery.frames_replayed,
-        state.recovery.truncated_frames(),
-        state.recovery.rewound(),
-        seeded,
-        state.base.fact_count(),
-        state.fast_path,
-    )
 }
 
 /// Decode one request line: a JSON object with string `op`/`facts`/
@@ -597,7 +563,7 @@ fn handle(
     options: &ServeOptions,
     req: &Request,
     meta: &mut ReqMeta,
-) -> (Result<String, String>, bool) {
+) -> (Result<Fields, String>, bool) {
     let governor = match request_governor(options, req) {
         Ok(g) => g,
         Err(e) => return (Err(e), false),
@@ -609,18 +575,15 @@ fn handle(
         "retract" => handle_mutate(state, req, false),
         "snapshot" => handle_snapshot(state),
         "stats" => Ok(handle_stats(state)),
-        "shutdown" => Ok(r#""op":"shutdown""#.to_owned()),
+        "shutdown" => Ok(vec![("op", "shutdown".into())]),
         other => Err(format!("unknown op '{other}'")),
     };
     (body, req.op == "shutdown")
 }
 
-/// Attach the `metrics` member: always for the `stats` request, and for
-/// every response under `--stats`.
-fn push_metrics(state: &ServeState, options: &ServeOptions, kind: &str, line: &mut String) {
-    if !options.stats && kind != "stats" {
-        return;
-    }
+/// The session's `metrics` member, attached to the `stats` response and,
+/// under `--stats`, to every response.
+fn session_metrics(state: &ServeState) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     state.store.export_metrics(&mut reg);
     reg.add("serve.requests", state.counters.requests);
@@ -633,28 +596,23 @@ fn push_metrics(state: &ServeState, options: &ServeOptions, kind: &str, line: &m
     reg.add("serve.full_rechases", state.counters.full_rechases);
     reg.add("serve.flight_dumps", state.flight_dumps);
     reg.merge_from(&state.metrics);
-    line.push_str(",\"metrics\":");
-    line.push_str(&reg.to_json());
+    reg
 }
 
 /// `stats`: session telemetry — uptime, the durable epoch, what recovery
 /// found at startup, flight dumps written. The `metrics` member (with the
 /// latency histograms) is attached unconditionally for this op.
-fn handle_stats(state: &ServeState) -> String {
-    format!(
-        concat!(
-            "\"op\":\"stats\",\"uptime_ns\":{},\"durable_epoch\":{},",
-            "\"snapshot_epoch\":{},\"frames_replayed\":{},\"truncated_frames\":{},",
-            "\"rewound\":{},\"flight_dumps\":{}"
-        ),
-        ns_since(state.started),
-        state.store.epoch(),
-        state.recovery.snapshot_epoch,
-        state.recovery.frames_replayed,
-        state.recovery.truncated_frames(),
-        state.recovery.rewound(),
-        state.flight_dumps,
-    )
+fn handle_stats(state: &ServeState) -> Fields {
+    vec![
+        ("op", "stats".into()),
+        ("uptime_ns", ns_since(state.started).into()),
+        ("durable_epoch", state.store.epoch().into()),
+        ("snapshot_epoch", state.recovery.snapshot_epoch.into()),
+        ("frames_replayed", state.recovery.frames_replayed.into()),
+        ("truncated_frames", state.recovery.truncated_frames().into()),
+        ("rewound", state.recovery.rewound().into()),
+        ("flight_dumps", state.flight_dumps.into()),
+    ]
 }
 
 /// `solve`: the tractable fast path answers from the shared chased state
@@ -665,7 +623,7 @@ fn handle_solve(
     state: &mut ServeState,
     governor: &Governor,
     meta: &mut ReqMeta,
-) -> Result<String, String> {
+) -> Result<Fields, String> {
     let answer = if state.fast_path && state.base.is_ground() {
         let chase_start = Instant::now();
         let refreshed = refresh_chased(state, governor);
@@ -724,11 +682,11 @@ fn handle_solve(
             meta.governor.clone_from(reason);
         }
     }
-    let mut out = format!("\"op\":\"solve\",\"result\":\"{result}\"");
+    let mut fields: Fields = vec![("op", "solve".into()), ("result", result.into())];
     if let Some(reason) = reason {
-        out.push_str(&format!(",\"reason\":{}", json_escape(&reason)));
+        fields.push(("reason", reason.into()));
     }
-    Ok(out)
+    Ok(fields)
 }
 
 /// The general-purpose route: plan the setting afresh (static analysis,
@@ -855,7 +813,7 @@ fn refresh_chased(state: &mut ServeState, governor: &Governor) -> RefreshOutcome
 /// commit the batch durably *before* answering. A retract invalidates the
 /// chased cache (see module docs); an insert leaves it for the next solve
 /// to extend incrementally.
-fn handle_mutate(state: &mut ServeState, req: &Request, insert: bool) -> Result<String, String> {
+fn handle_mutate(state: &mut ServeState, req: &Request, insert: bool) -> Result<Fields, String> {
     let text = req
         .facts
         .as_deref()
@@ -909,7 +867,7 @@ fn handle_mutate(state: &mut ServeState, req: &Request, insert: bool) -> Result<
         .map_err(|e| format!("commit failed (state not durable): {e}"))?;
     let verb = if insert { "insert" } else { "retract" };
     let key = if insert { "inserted" } else { "retracted" };
-    Ok(format!("\"op\":\"{verb}\",\"{key}\":{changed}"))
+    Ok(vec![("op", verb.into()), (key, changed.into())])
 }
 
 /// `certain`: certain answers of a target UCQ over the current base.
@@ -917,7 +875,7 @@ fn handle_certain(
     state: &mut ServeState,
     req: &Request,
     meta: &mut ReqMeta,
-) -> Result<String, String> {
+) -> Result<Fields, String> {
     let qsrc = req
         .query
         .as_deref()
@@ -938,38 +896,35 @@ fn handle_certain(
             format!("request panicked (isolated): {e}")
         })?
         .map_err(|e| e.to_string())?;
-    let mut body = format!(
-        "\"op\":\"certain\",\"solution_exists\":{},\"solutions_examined\":{}",
-        out.solution_exists, out.solutions_examined
-    );
+    let mut fields: Fields = vec![
+        ("op", "certain".into()),
+        ("solution_exists", out.solution_exists.into()),
+        ("solutions_examined", out.solutions_examined.into()),
+    ];
     if q.is_boolean() {
         meta.result = if out.certain_bool() { "yes" } else { "no" };
-        body.push_str(&format!(",\"certain\":{}", out.certain_bool()));
+        fields.push(("certain", out.certain_bool().into()));
     } else {
-        let rows: Vec<String> = out
+        let rows = out
             .answers
             .iter()
-            .map(|t| {
-                let vals: Vec<String> = t.iter().map(|v| json_escape(&v.to_string())).collect();
-                format!("[{}]", vals.join(","))
-            })
-            .collect();
-        body.push_str(&format!(",\"answers\":[{}]", rows.join(",")));
+            .map(|t| Json::from_iter(t.iter().map(|v| Json::from(v.to_string()))));
+        fields.push(("answers", rows.collect()));
     }
-    Ok(body)
+    Ok(fields)
 }
 
 /// `snapshot`: checkpoint the base into an atomic snapshot and reset the
 /// journal.
-fn handle_snapshot(state: &mut ServeState) -> Result<String, String> {
+fn handle_snapshot(state: &mut ServeState) -> Result<Fields, String> {
     state
         .store
         .checkpoint(&state.base)
         .map_err(|e| e.to_string())?;
-    Ok(format!(
-        "\"op\":\"snapshot\",\"journal_bytes\":{}",
-        state.store.journal_bytes()
-    ))
+    Ok(vec![
+        ("op", "snapshot".into()),
+        ("journal_bytes", state.store.journal_bytes().into()),
+    ])
 }
 
 /// The journal ops equivalent to an instance's facts (all inserts).
@@ -1068,6 +1023,11 @@ mod tests {
             "form feed"
         );
         assert!(parse_request(r#"{"op":"solve","inject_panic_at":18446744073709551616}"#).is_err());
+        // A repeated field is a bad request, not "last one wins".
+        assert_eq!(
+            parse_request(r#"{"op":"solve","op":"shutdown"}"#).unwrap_err(),
+            "duplicate key 'op' at byte 14"
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ fn json_rendering_is_stable() {
         path: "demo.pde",
         sources: &sources,
     };
-    let json = pde_analysis::render_json(&diags, Some(&ctx));
+    let json = pde_analysis::render_json(&diags, Some(&ctx)).to_string();
     assert!(json.contains("\"code\":\"PDE001\""), "json:\n{json}");
     assert!(json.contains("\"severity\":\"error\""), "json:\n{json}");
     assert!(json.contains("\"line\":9"), "json:\n{json}");

@@ -131,11 +131,11 @@ fn padded_setting_produces_the_golden_certificate() {
         "{\"action\":\"remove-dead\",\"group\":\"sigma_t\",\"index\":1,\"relation\":\"G\"}",
         "]}"
     );
-    assert_eq!(opt.certificate.to_json(), golden);
+    assert_eq!(opt.certificate.to_json().to_string(), golden);
     verify_rewrite(&setting, &input, &opt.certificate).unwrap();
 
     // Round-trip through the serialized form.
-    let parsed = RewriteCertificate::from_json(&opt.certificate.to_json()).unwrap();
+    let parsed = RewriteCertificate::from_json(&opt.certificate.to_json().to_string()).unwrap();
     assert_eq!(parsed, opt.certificate);
     verify_rewrite(&setting, &input, &parsed).unwrap();
 }
@@ -144,7 +144,7 @@ fn padded_setting_produces_the_golden_certificate() {
 fn verify_rewrite_rejects_tampered_certificates() {
     let (setting, input) = padded();
     let cert = optimize_setting(&setting, &input).certificate;
-    let json = cert.to_json();
+    let json = cert.to_json().to_string();
     // Each tampering flips one recorded fact; all must be caught by the
     // independent checker, not trusted from the certificate.
     let tamperings = [

@@ -1080,10 +1080,76 @@ fn ascii_only_json(s: &str) -> String {
     out
 }
 
+/// Container nesting of `v` (a scalar is 0, `[]` is 1).
+fn depth_of(v: &pde_trace::json::Json) -> usize {
+    use pde_trace::json::Json;
+    match v {
+        Json::Arr(items) => 1 + items.iter().map(depth_of).max().unwrap_or(0),
+        Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| depth_of(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// A random `Json` tree. `nodes` drive a stack machine: `(op, n, len)`
+/// pushes a null, a boolean, a number (0, `u128::MAX` or `n`) or a string
+/// of up to 7 scalars drawn from `picks`, or pops up to three values into
+/// an array or into an object under distinct string keys. What is left on
+/// the stack becomes one array, wrapped in up to `wrap` further levels of
+/// alternating arrays and objects, never past `MAX_DEPTH` in total.
+fn json_tree(nodes: &[(u8, u32, u8)], picks: &[(u8, u32)], wrap: usize) -> pde_trace::json::Json {
+    use pde_trace::json::{Json, MAX_DEPTH};
+    let string = |n: u32, len: u8| -> String {
+        let start = n as usize % (picks.len() + 1);
+        picks[start..]
+            .iter()
+            .take(usize::from(len % 8))
+            .copied()
+            .map(scalar)
+            .collect()
+    };
+    let mut stack: Vec<Json> = Vec::new();
+    for &(op, n, len) in nodes {
+        let popped = stack.len().saturating_sub(usize::from(len % 4));
+        let value = match op {
+            0 => Json::Null,
+            1 => Json::Bool(n % 2 == 0),
+            2 => Json::Num(match n % 3 {
+                0 => 0,
+                1 => u128::MAX,
+                _ => u128::from(n),
+            }),
+            3 => Json::Str(string(n, len)),
+            4 => Json::Arr(stack.split_off(popped)),
+            _ => {
+                let mut fields: Vec<(String, Json)> = Vec::new();
+                for (i, v) in (0u32..).zip(stack.split_off(popped)) {
+                    let key = string(n.wrapping_add(i), len / 8);
+                    if fields.iter().all(|(k, _)| *k != key) {
+                        fields.push((key, v));
+                    }
+                }
+                Json::Obj(fields)
+            }
+        };
+        stack.push(value);
+    }
+    let mut tree = Json::Arr(stack);
+    for level in 0..wrap.min(MAX_DEPTH - depth_of(&tree)) {
+        tree = if level % 2 == 0 {
+            Json::Arr(vec![tree])
+        } else {
+            Json::Obj(vec![(String::new(), tree)])
+        };
+    }
+    tree
+}
+
 /// The golden plan certificate of `plan_golden.rs` (Example 1 at an
 /// active domain of 4).
 fn golden_plan_json() -> String {
-    pde_analysis::plan_setting(&paper::example1_setting(), 4).to_json()
+    pde_analysis::plan_setting(&paper::example1_setting(), 4)
+        .to_json()
+        .to_string()
 }
 
 /// Feed `src` to the reader and all three certificate loaders; each must
@@ -1117,10 +1183,25 @@ proptest! {
     ) {
         use pde_trace::json::{parse, Json};
         let s: String = picks.into_iter().map(scalar).collect();
-        let escaped = pde_trace::json_escape(&s);
-        prop_assert_eq!(parse(&escaped), Ok(Json::Str(s.clone())), "{}", escaped);
         let ascii = ascii_only_json(&s);
         prop_assert_eq!(parse(&ascii), Ok(Json::Str(s.clone())), "{}", ascii);
+    }
+
+    #[test]
+    fn printed_json_parses_back_to_itself(
+        nodes in prop::collection::vec((0u8..6, 0u32..0x11_0000, 0u8..64), 0..48),
+        picks in prop::collection::vec((0u8..4, 0u32..0x11_0000), 0..24),
+        wrap in 0usize..160,
+    ) {
+        use pde_trace::json::{parse, Json, MAX_DEPTH};
+        let v = json_tree(&nodes, &picks, wrap);
+        let printed = v.to_string();
+        prop_assert_eq!(parse(&printed), Ok(v.clone()), "{}", printed);
+        if depth_of(&v) == MAX_DEPTH {
+            // One level more and the reader refuses it.
+            let deeper = Json::Arr(vec![v]).to_string();
+            prop_assert!(parse(&deeper).is_err(), "{}", deeper);
+        }
     }
 
     #[test]

@@ -175,6 +175,25 @@ fn bad_requests_are_answered_in_band_and_do_not_kill_the_loop() {
 }
 
 #[test]
+fn a_repeated_field_is_a_bad_request_not_a_shutdown() {
+    let (bundle, store) = fixture("dupkey");
+
+    let mut serve = Serve::start(&bundle, &store);
+    let _ = serve.read_line();
+    // Were the last "op" to win, this line would end the session.
+    let err = serve.request("{\"op\":\"solve\",\"op\":\"shutdown\"}");
+    assert_eq!(
+        err.trim_end(),
+        "{\"ok\":false,\"id\":1,\"error\":\"bad request: duplicate key 'op' at byte 14\",\
+         \"epoch\":1}"
+    );
+    assert!(serve
+        .request("{\"op\":\"solve\"}")
+        .contains("\"result\":\"yes\""));
+    serve.shutdown();
+}
+
+#[test]
 fn hostile_json_is_answered_in_band_and_in_linear_time() {
     let (bundle, store) = fixture("hostile");
 
@@ -192,6 +211,11 @@ fn hostile_json_is_answered_in_band_and_in_linear_time() {
         "x".repeat(1 << 20)
     ));
     assert!(err.starts_with("{\"ok\":false"), "{}", &err[..80]);
+    // 200k distinct keys: the repeated-key check is a set lookup per
+    // key, not a pairwise scan.
+    let keys: Vec<String> = (0..200_000).map(|i| format!("\"k{i}\":0")).collect();
+    let err = serve.request(&format!("{{{}}}", keys.join(",")));
+    assert!(err.contains("unexpected field 'k0'"), "{err}");
     assert!(started.elapsed() < std::time::Duration::from_secs(10));
     assert!(serve
         .request("{\"op\":\"solve\"}")

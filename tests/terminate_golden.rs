@@ -37,9 +37,9 @@ fn spiral_produces_the_golden_joint_acyclicity_certificate() {
         "\"witness\":{\"kind\":\"variable-order\",\"max_depth\":0,",
         "\"order\":[{\"tgd\":2,\"var\":\"z\"}]}}"
     );
-    assert_eq!(tc.to_json(), golden);
+    assert_eq!(tc.to_json().to_string(), golden);
     verify_termination(&b.setting, &tc).unwrap();
-    let parsed = TerminationCertificate::from_json(&tc.to_json()).unwrap();
+    let parsed = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
     assert_eq!(parsed, tc);
     verify_termination(&b.setting, &parsed).unwrap();
 }
@@ -60,9 +60,9 @@ fn critical_only_produces_the_golden_critical_instance_certificate() {
         "\"witness\":{\"kind\":\"critical-chase\",\"steps\":6,\"facts\":5,",
         "\"max_fact_width\":2,\"limit\":256}}"
     );
-    assert_eq!(tc.to_json(), golden);
+    assert_eq!(tc.to_json().to_string(), golden);
     verify_termination(&b.setting, &tc).unwrap();
-    let parsed = TerminationCertificate::from_json(&tc.to_json()).unwrap();
+    let parsed = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
     assert_eq!(parsed, tc);
     verify_termination(&b.setting, &parsed).unwrap();
 }
@@ -82,19 +82,19 @@ fn divergent_fails_every_criterion_with_a_stable_trail() {
         "\"value_bound\":0,\"fact_bound\":0,\"step_bound\":0,",
         "\"witness\":{\"kind\":\"none\"}}"
     );
-    assert_eq!(tc.to_json(), golden);
+    assert_eq!(tc.to_json().to_string(), golden);
     assert!(!tc.certified());
     // The all-fail verdict must re-verify too: an uncertified section is a
     // faithful record, not an error.
     verify_termination(&b.setting, &tc).unwrap();
-    let parsed = TerminationCertificate::from_json(&tc.to_json()).unwrap();
+    let parsed = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
     assert_eq!(parsed, tc);
 }
 
 #[test]
 fn verify_termination_rejects_tampered_spiral_certificates() {
     let b = bundle("spiral");
-    let json = termination_of(&b).to_json();
+    let json = termination_of(&b).to_json().to_string();
     // Each tampering flips one recorded field of the certificate; every
     // one must be caught by independent replay.
     let tamperings = [
@@ -133,7 +133,7 @@ fn verify_termination_rejects_tampered_spiral_certificates() {
 #[test]
 fn verify_termination_rejects_tampered_critical_chase_witnesses() {
     let b = bundle("critical_only");
-    let json = termination_of(&b).to_json();
+    let json = termination_of(&b).to_json().to_string();
     let tamperings = [
         // Claim the saturated chase was shorter or smaller than replayed.
         ("\"steps\":6", "\"steps\":5"),

@@ -17,8 +17,8 @@ use pde_constraints::{
 use pde_core::bundle::BundleSources;
 use pde_core::setting::PdeSetting;
 use pde_relational::{
-    exists_hom, parse_schema, Assignment, Instance, ParseError, Peer, Position, RelId, Schema,
-    Span, Tuple, Value, Var,
+    exists_hom, parse_schema, Assignment, Atom, Instance, NullId, ParseError, Peer, Position,
+    RelId, Schema, Span, Tuple, Value, Var,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -534,15 +534,18 @@ impl AnalysisInput {
 
     /// PDE021: a tgd whose effect is already guaranteed by another tgd of
     /// the same group. Decided by freezing the candidate's premise to
-    /// constants, chasing with the other tgd, and looking for a
+    /// labeled nulls, chasing with the other tgd, and looking for a
     /// homomorphism of the candidate's conclusion that fixes the frontier.
+    /// Of two tgds that imply each other only the later one is reported,
+    /// so every reported tgd can be removed at once.
     fn subsumption_pass(&self, out: &mut Vec<Diagnostic>) {
         for (group, _, tgds) in self.each_tgd_group() {
             for &(i, ti, span) in &tgds {
-                if let Some(&(j, _, _)) = tgds
-                    .iter()
-                    .find(|&&(j, tj, _)| j != i && tj != ti && subsumed_by(&self.schema, ti, tj))
-                {
+                if let Some(&(j, _, _)) = tgds.iter().find(|&&(j, tj, _)| {
+                    j != i
+                        && tj != ti
+                        && implied_one_way(|a, b| subsumed_by(&self.schema, a, b), (i, ti), (j, tj))
+                }) {
                     out.push(
                         Diagnostic::new(
                             Code::SubsumedTgd,
@@ -647,6 +650,8 @@ impl AnalysisInput {
 
     /// PDE040: egd subsumption. `PDE021` only covers tgds; an egd whose
     /// every firing is already forced by another egd is just as redundant.
+    /// Mutually implied egds follow `PDE021`'s rule: only the later one is
+    /// reported.
     fn egd_subsumption_pass(&self, out: &mut Vec<Diagnostic>) {
         let egds: Vec<(usize, &Egd, Option<Span>)> = self
             .sigma_t
@@ -654,15 +659,16 @@ impl AnalysisInput {
             .enumerate()
             .filter_map(|(i, (d, s))| d.as_egd().map(|e| (i, e, *s)))
             .collect();
+        let implies = |a: &Egd, b: &Egd| crate::rewrite::egd_subsumed_by(&self.schema, a, b);
         for &(i, ei, span) in &egds {
             if ei.is_trivial() {
                 continue; // PDE019's territory
             }
-            let key_i = crate::rewrite::canonical_key(&self.schema, &self.sigma_t[i].0);
+            let key_i = crate::rewrite::canonical_key(&self.sigma_t[i].0);
             if let Some(&(j, _, _)) = egds.iter().find(|&&(j, ej, _)| {
                 j != i
-                    && key_i != crate::rewrite::canonical_key(&self.schema, &self.sigma_t[j].0)
-                    && crate::rewrite::egd_subsumed_by(&self.schema, ei, ej)
+                    && key_i != crate::rewrite::canonical_key(&self.sigma_t[j].0)
+                    && implied_one_way(implies, (i, ei), (j, ej))
             }) {
                 out.push(
                     Diagnostic::new(
@@ -686,9 +692,9 @@ impl AnalysisInput {
     fn alpha_duplicate_pass(&self, out: &mut Vec<Diagnostic>) {
         let check =
             |group: Group, items: Vec<(Dependency, Option<Span>)>, out: &mut Vec<Diagnostic>| {
-                let keys: Vec<String> = items
+                let keys: Vec<_> = items
                     .iter()
-                    .map(|(d, _)| crate::rewrite::canonical_key(&self.schema, d))
+                    .map(|(d, _)| crate::rewrite::canonical_key(d))
                     .collect();
                 for j in 1..items.len() {
                     if (0..j).any(|i| items[i].0 == items[j].0) {
@@ -901,6 +907,38 @@ fn cycle_culprit(
     None
 }
 
+/// Should dependency `i` be reported as implied by dependency `j`? Only
+/// when it is, and `j` comes first or is not itself implied by `i`: of two
+/// equivalent dependencies the later one is reported, never both, so every
+/// reported dependency can be removed at once.
+fn implied_one_way<D>(
+    implies: impl Fn(&D, &D) -> bool,
+    (i, di): (usize, &D),
+    (j, dj): (usize, &D),
+) -> bool {
+    implies(di, dj) && (j < i || !implies(dj, di))
+}
+
+/// Freeze variable `v` into a labeled null of its own. No dependency can
+/// spell a null, so a frozen variable never collides with a constant the
+/// user wrote.
+pub(crate) fn freeze(v: Var) -> Value {
+    Value::Null(NullId(
+        u32::try_from(v.0.index()).expect("symbol ids fit in u32"),
+    ))
+}
+
+/// The canonical instance of a premise: its atoms with every variable
+/// [frozen](freeze).
+pub(crate) fn freeze_premise(schema: &Arc<Schema>, atoms: &[Atom]) -> Instance {
+    let mut frozen = Instance::new(schema.clone());
+    for atom in atoms {
+        let values = atom.ground(&|v| Some(freeze(v))).expect("freeze is total");
+        frozen.insert(atom.rel, Tuple::new(values));
+    }
+    frozen
+}
+
 /// Does chasing `sub`'s frozen premise with `by` already satisfy `sub`'s
 /// conclusion (with the frontier held fixed)? If so, `sub` is redundant.
 /// Shared with the optimizer ([`crate::rewrite`]), whose verifier re-runs
@@ -909,22 +947,12 @@ pub(crate) fn subsumed_by(schema: &Arc<Schema>, sub: &Tgd, by: &Tgd) -> bool {
     if !is_weakly_acyclic(schema, [by]) {
         return false;
     }
-    let freeze = |v: Var| Some(Value::constant(format!("$lint${v}")));
-    let mut frozen = Instance::new(schema.clone());
-    for atom in &sub.premise.atoms {
-        let Some(values) = atom.ground(&freeze) else {
-            return false;
-        };
-        frozen.insert(atom.rel, Tuple::new(values));
-    }
+    let frozen = freeze_premise(schema, &sub.premise.atoms);
     let gen = null_gen_for(&frozen);
     let Some(chased) = chase_tgds(frozen, std::slice::from_ref(by), &gen).into_success() else {
         return false;
     };
-    let mut partial = Assignment::new();
-    for v in sub.frontier() {
-        partial.bind(v, freeze(v).expect("freeze is total"));
-    }
+    let partial: Assignment = sub.frontier().into_iter().map(|v| (v, freeze(v))).collect();
     exists_hom(&sub.conclusion.atoms, &chased, &partial)
 }
 

@@ -29,10 +29,10 @@
 //! which relations are nonempty in the input instance, which is why the
 //! certificate records that set and the verifier recomputes it.
 
-use crate::analyzer::subsumed_by;
+use crate::analyzer::{freeze, freeze_premise, subsumed_by};
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_core::setting::PdeSetting;
-use pde_relational::{for_each_hom, Assignment, Instance, RelId, Schema, Term, Tuple, Value, Var};
+use pde_relational::{for_each_hom, Assignment, Instance, RelId, Schema, Symbol, Term, Var};
 use pde_trace::json::{self, Json, ObjExt as _};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -499,7 +499,7 @@ fn prune_group(
     actions: &mut Vec<RewriteAction>,
 ) -> Vec<(usize, Dependency)> {
     let mut survivors: Vec<(usize, Dependency)> = Vec::new();
-    let mut first_by_key: HashMap<String, usize> = HashMap::new();
+    let mut first_by_key: HashMap<CanonicalKey, usize> = HashMap::new();
     for (index, dep) in deps.enumerate() {
         // Pass 1: trivial egds.
         if let Dependency::Egd(e) = &dep {
@@ -509,7 +509,7 @@ fn prune_group(
             }
         }
         // Pass 2: alpha-equivalent duplicates (first occurrence wins).
-        let key = canonical_key(schema, &dep);
+        let key = canonical_key(&dep);
         if let Some(&kept) = first_by_key.get(&key) {
             actions.push(RewriteAction::RemoveDuplicate { group, index, kept });
             continue;
@@ -541,16 +541,8 @@ fn prune_group(
 /// either orientation). If one exists, any instance satisfying `by` and
 /// containing an image of `sub`'s premise already equates `sub`'s pair.
 pub(crate) fn egd_subsumed_by(schema: &Arc<Schema>, sub: &Egd, by: &Egd) -> bool {
-    let freeze = |v: Var| Some(Value::constant(format!("$opt${v}")));
-    let mut frozen = Instance::new(schema.clone());
-    for atom in &sub.premise.atoms {
-        let Some(values) = atom.ground(&freeze) else {
-            return false;
-        };
-        frozen.insert(atom.rel, Tuple::new(values));
-    }
-    let lhs = freeze(sub.lhs).expect("freeze is total");
-    let rhs = freeze(sub.rhs).expect("freeze is total");
+    let frozen = freeze_premise(schema, &sub.premise.atoms);
+    let (lhs, rhs) = (freeze(sub.lhs), freeze(sub.rhs));
     if lhs == rhs {
         // Trivial egds are removed by pass 1; nothing can subsume them.
         return false;
@@ -569,6 +561,29 @@ pub(crate) fn egd_subsumed_by(schema: &Arc<Schema>, sub: &Egd, by: &Egd) -> bool
     .is_break()
 }
 
+/// One token of a [`CanonicalKey`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum KeyToken {
+    /// Starts a tgd key.
+    Tgd,
+    /// Starts an egd key.
+    Egd,
+    /// Separates the premise from the conclusion (tgd) or the equated
+    /// pair (egd).
+    Then,
+    /// An atom's relation; its arity many term tokens follow.
+    Rel(RelId),
+    /// A variable, numbered by first occurrence.
+    Var(usize),
+    /// A constant.
+    Const(Symbol),
+}
+
+/// Alpha-renaming-invariant dependency key, built from structured tokens
+/// so that no two distinct dependencies can share one, whatever their
+/// constants spell.
+pub(crate) type CanonicalKey = Vec<KeyToken>;
+
 /// Alpha-renaming-invariant key: atoms in textual order with variables
 /// renamed by first occurrence (premise first, then conclusion / equated
 /// pair). Two dependencies share a key iff they are equal up to renaming
@@ -576,45 +591,36 @@ pub(crate) fn egd_subsumed_by(schema: &Arc<Schema>, sub: &Egd, by: &Egd) -> bool
 /// (validation forbids unbound conclusion variables), so the key needs no
 /// separate quantifier encoding. The egd pair is order-normalized so
 /// `x = y` and `y = x` collide.
-pub(crate) fn canonical_key(schema: &Schema, dep: &Dependency) -> String {
+pub(crate) fn canonical_key(dep: &Dependency) -> CanonicalKey {
     let mut numbering: HashMap<Var, usize> = HashMap::new();
-    let mut canon_atoms = |atoms: &[pde_relational::Atom], out: &mut String| {
+    let mut number = |v: Var| {
+        let next = numbering.len();
+        *numbering.entry(v).or_insert(next)
+    };
+    let mut key = Vec::new();
+    let mut atoms = |atoms: &[pde_relational::Atom], key: &mut CanonicalKey| {
         for atom in atoms {
-            out.push_str(&schema.name(atom.rel).as_str());
-            out.push('(');
-            for term in &atom.terms {
-                match term {
-                    Term::Var(v) => {
-                        let next = numbering.len();
-                        let id = *numbering.entry(*v).or_insert(next);
-                        out.push('?');
-                        out.push_str(&id.to_string());
-                    }
-                    Term::Const(c) => {
-                        out.push('!');
-                        out.push_str(&c.as_str());
-                    }
-                }
-                out.push(',');
-            }
-            out.push(')');
+            key.push(KeyToken::Rel(atom.rel));
+            key.extend(atom.terms.iter().map(|term| match term {
+                Term::Var(v) => KeyToken::Var(number(*v)),
+                Term::Const(c) => KeyToken::Const(*c),
+            }));
         }
     };
-    let mut key = String::new();
     match dep {
         Dependency::Tgd(t) => {
-            key.push_str("tgd:");
-            canon_atoms(&t.premise.atoms, &mut key);
-            key.push_str("->");
-            canon_atoms(&t.conclusion.atoms, &mut key);
+            key.push(KeyToken::Tgd);
+            atoms(&t.premise.atoms, &mut key);
+            key.push(KeyToken::Then);
+            atoms(&t.conclusion.atoms, &mut key);
         }
         Dependency::Egd(e) => {
-            key.push_str("egd:");
-            canon_atoms(&e.premise.atoms, &mut key);
-            let num = |v: &Var| numbering.get(v).copied();
-            let (a, b) = (num(&e.lhs), num(&e.rhs));
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            key.push_str(&format!("={lo:?}~{hi:?}"));
+            key.push(KeyToken::Egd);
+            atoms(&e.premise.atoms, &mut key);
+            key.push(KeyToken::Then);
+            let mut pair = [number(e.lhs), number(e.rhs)];
+            pair.sort_unstable();
+            key.extend(pair.map(KeyToken::Var));
         }
     }
     key
@@ -766,6 +772,71 @@ mod tests {
             }]
         );
         assert_eq!(out.optimized.sigma_st().len(), 1);
+    }
+
+    /// The key of the only dependency of `st` (a Σst tgd) or `t` (Σt).
+    fn key_of(st: &str, t: &str) -> CanonicalKey {
+        let p = setting(st, "", t);
+        let dep = match p.sigma_st().first() {
+            Some(tgd) => Dependency::Tgd(tgd.clone()),
+            None => p.sigma_t()[0].clone(),
+        };
+        canonical_key(&dep)
+    }
+
+    #[test]
+    fn alpha_renamed_dependencies_share_a_key() {
+        assert_eq!(
+            key_of("E(x, y), F(y, z) -> exists w . H(x, w), G(w, 'c')", ""),
+            key_of("E(u, v), F(v, t) -> exists s . H(u, s), G(s, 'c')", "")
+        );
+        assert_eq!(
+            key_of("", "H(x, y), H(x, z) -> y = z"),
+            key_of("", "H(a, b), H(a, c) -> c = b")
+        );
+        assert_ne!(
+            key_of("", "H(x, y), H(x, z) -> y = z"),
+            key_of("", "H(x, y), H(x, z) -> x = z")
+        );
+    }
+
+    #[test]
+    fn constants_spelling_key_syntax_keep_dependencies_apart() {
+        // Alike as text once `,` and `!` split constants and `?` numbers
+        // variables.
+        assert_ne!(
+            key_of("E(x, y) -> H('a,!b', y)", ""),
+            key_of("E(x, y) -> H('a', 'b,?1')", "")
+        );
+        assert_ne!(
+            key_of("E(x, y) -> H(x, '!a')", ""),
+            key_of("E(x, y) -> H(x, 'a')", "")
+        );
+        let constants = [
+            "'a'",
+            "'a,b'",
+            "'a!b'",
+            "'!a'",
+            "'?0'",
+            "'$opt$y'",
+            "'$lint$x'",
+            "\"a'b\"",
+            "'a\"b'",
+        ];
+        for (i, a) in constants.iter().enumerate() {
+            for b in &constants[i + 1..] {
+                assert_ne!(
+                    key_of(&format!("E(x, y) -> H(x, {a})"), ""),
+                    key_of(&format!("E(x, y) -> H(x, {b})"), ""),
+                    "{a} vs {b}"
+                );
+                assert_ne!(
+                    key_of("", &format!("H(x, {a}), G(x, y) -> x = y")),
+                    key_of("", &format!("H(x, {b}), G(x, y) -> x = y")),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! into `I`" as the satisfaction test.
 
 use crate::setting::PdeSetting;
-use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine, ChaseOutcome};
+use crate::solver::SolveError;
+use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine};
 use pde_constraints::{DisjunctiveTgd, Orientation, Tgd};
 use pde_relational::{
     exists_hom, for_each_hom, Assignment, FxBuildHasher, Instance, NullId, Peer, RelId, Schema,
@@ -37,46 +38,8 @@ use pde_relational::{
 };
 use pde_runtime::{Governor, StopReason};
 use std::collections::{BTreeSet, HashMap};
-use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-
-/// Why the assignment solver refused to run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AssignmentError {
-    /// The setting has target constraints; use the generic search solver.
-    HasTargetConstraints,
-    /// The input instance contains labeled nulls.
-    InputNotGround,
-    /// The Σst chase exceeded its limits (cannot happen for valid
-    /// settings; surfaced rather than swallowed).
-    ChaseDidNotTerminate,
-    /// A disjunctive dependency failed validation.
-    InvalidDependency(String),
-    /// The runtime governor stopped the chase or the search (deadline,
-    /// memory budget, cancellation, or an injected fault). The question is
-    /// *undecided*, not answered.
-    Stopped(StopReason),
-}
-
-impl fmt::Display for AssignmentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AssignmentError::HasTargetConstraints => {
-                write!(
-                    f,
-                    "assignment solver requires a setting with no target constraints"
-                )
-            }
-            AssignmentError::InputNotGround => write!(f, "input instance contains nulls"),
-            AssignmentError::ChaseDidNotTerminate => write!(f, "chase resource limit exceeded"),
-            AssignmentError::InvalidDependency(m) => write!(f, "invalid dependency: {m}"),
-            AssignmentError::Stopped(reason) => write!(f, "search stopped: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for AssignmentError {}
 
 /// Search statistics.
 #[derive(Clone, Debug, Default)]
@@ -137,14 +100,14 @@ impl DisjunctiveProblem {
         schema: Arc<Schema>,
         sigma_st: Vec<Tgd>,
         sigma_ts: Vec<DisjunctiveTgd>,
-    ) -> Result<DisjunctiveProblem, AssignmentError> {
+    ) -> Result<DisjunctiveProblem, SolveError> {
         for t in &sigma_st {
             t.validate(&schema, Orientation::SourceToTarget)
-                .map_err(|e| AssignmentError::InvalidDependency(e.to_string()))?;
+                .map_err(|e| SolveError::InvalidDependency(e.to_string()))?;
         }
         for d in &sigma_ts {
             d.validate(&schema, Orientation::TargetToSource)
-                .map_err(|e| AssignmentError::InvalidDependency(e.to_string()))?;
+                .map_err(|e| SolveError::InvalidDependency(e.to_string()))?;
         }
         Ok(DisjunctiveProblem {
             schema,
@@ -156,9 +119,9 @@ impl DisjunctiveProblem {
     /// Lift a plain setting (each Σts tgd becomes a single disjunct).
     ///
     /// Fails if the setting has target constraints.
-    pub fn from_setting(setting: &PdeSetting) -> Result<DisjunctiveProblem, AssignmentError> {
+    pub fn from_setting(setting: &PdeSetting) -> Result<DisjunctiveProblem, SolveError> {
         if !setting.has_no_target_constraints() {
-            return Err(AssignmentError::HasTargetConstraints);
+            return Err(SolveError::HasTargetConstraints);
         }
         Ok(DisjunctiveProblem {
             schema: setting.schema().clone(),
@@ -189,20 +152,20 @@ impl DisjunctiveProblem {
 
 /// Decide existence of a solution for `input` in `setting` (Σt must be
 /// empty), returning a materialized witness when one exists.
-pub fn solve(setting: &PdeSetting, input: &Instance) -> Result<AssignmentOutcome, AssignmentError> {
+pub fn solve(setting: &PdeSetting, input: &Instance) -> Result<AssignmentOutcome, SolveError> {
     let problem = DisjunctiveProblem::from_setting(setting)?;
     solve_disjunctive(&problem, input)
 }
 
 /// [`solve`] under an explicit chase engine (for the Σst chase) and
 /// runtime governor, checked at every search node. A governor stop
-/// surfaces as [`AssignmentError::Stopped`] — never as a yes/no answer.
+/// surfaces as [`SolveError::Stopped`] — never as a yes/no answer.
 pub fn solve_governed(
     setting: &PdeSetting,
     input: &Instance,
     engine: ChaseEngine,
     governor: &Governor,
-) -> Result<AssignmentOutcome, AssignmentError> {
+) -> Result<AssignmentOutcome, SolveError> {
     let problem = DisjunctiveProblem::from_setting(setting)?;
     solve_disjunctive_governed(&problem, input, engine, governor)
 }
@@ -211,7 +174,7 @@ pub fn solve_governed(
 pub fn solve_disjunctive(
     problem: &DisjunctiveProblem,
     input: &Instance,
-) -> Result<AssignmentOutcome, AssignmentError> {
+) -> Result<AssignmentOutcome, SolveError> {
     solve_disjunctive_governed(
         problem,
         input,
@@ -227,7 +190,7 @@ fn solve_disjunctive_governed(
     input: &Instance,
     engine: ChaseEngine,
     governor: &Governor,
-) -> Result<AssignmentOutcome, AssignmentError> {
+) -> Result<AssignmentOutcome, SolveError> {
     let mut found = None;
     let stats = search(problem, input, engine, governor, |sol| {
         found = Some(sol.clone());
@@ -248,7 +211,7 @@ pub fn for_each_solution(
     problem: &DisjunctiveProblem,
     input: &Instance,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<SearchStats, AssignmentError> {
+) -> Result<SearchStats, SolveError> {
     search(
         problem,
         input,
@@ -297,17 +260,14 @@ fn search(
     engine: ChaseEngine,
     governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<SearchStats, AssignmentError> {
+) -> Result<SearchStats, SolveError> {
     if !input.is_ground() {
-        return Err(AssignmentError::InputNotGround);
+        return Err(SolveError::InputNotGround);
     }
     let gen = null_gen_for(input);
     let st_res = chase_tgds_governed(input.clone(), &problem.sigma_st, &gen, engine, governor);
     if !st_res.is_success() {
-        return Err(match st_res.outcome {
-            ChaseOutcome::Stopped { reason } => AssignmentError::Stopped(reason),
-            _ => AssignmentError::ChaseDidNotTerminate,
-        });
+        return Err(SolveError::chase_refusal(st_res.outcome));
     }
     let st_stats = st_res.stats;
     let jcan_combined = st_res.instance;
@@ -383,7 +343,7 @@ fn search(
         ctx.descend(0);
     }
     if let Some(reason) = ctx.stopped {
-        return Err(AssignmentError::Stopped(reason));
+        return Err(SolveError::Stopped(reason));
     }
     Ok(ctx.stats)
 }
@@ -766,7 +726,7 @@ mod tests {
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
         assert_eq!(
             solve(&p, &input).unwrap_err(),
-            AssignmentError::HasTargetConstraints
+            SolveError::HasTargetConstraints
         );
     }
 
@@ -783,10 +743,7 @@ mod tests {
         });
         let err =
             solve_governed(&p, &input, pde_chase::default_chase_engine(), &governor).unwrap_err();
-        assert!(matches!(
-            err,
-            AssignmentError::Stopped(StopReason::Cancelled)
-        ));
+        assert!(matches!(err, SolveError::Stopped(StopReason::Cancelled)));
     }
 
     #[test]

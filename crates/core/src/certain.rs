@@ -17,59 +17,13 @@
 //! When no solution exists, every tuple is vacuously certain; the outcome
 //! flags this case instead of trying to enumerate an infinite set.
 
-use crate::assignment::{self, AssignmentError, DisjunctiveProblem};
-use crate::generic::{self, GenericError, GenericLimits};
+use crate::assignment::{self, DisjunctiveProblem};
+use crate::generic::{self, GenericLimits};
 use crate::setting::PdeSetting;
+use crate::solver::SolveError;
 use pde_relational::{Instance, Peer, UnionQuery, Value};
 use std::collections::BTreeSet;
-use std::fmt;
 use std::ops::ControlFlow;
-
-/// Errors of the certain-answer computation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CertainError {
-    /// The query mentions non-target relations.
-    QueryNotOverTarget,
-    /// Underlying assignment-solver error.
-    Assignment(AssignmentError),
-    /// Underlying generic-solver error.
-    Generic(GenericError),
-    /// The solution space could not be exhausted within the limits, so the
-    /// intersection is not known to be complete.
-    Undecided,
-}
-
-impl fmt::Display for CertainError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CertainError::QueryNotOverTarget => {
-                write!(
-                    f,
-                    "certain answers are defined for queries over the target schema"
-                )
-            }
-            CertainError::Assignment(e) => write!(f, "{e}"),
-            CertainError::Generic(e) => write!(f, "{e}"),
-            CertainError::Undecided => {
-                write!(f, "solution enumeration hit its resource limit")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CertainError {}
-
-impl From<AssignmentError> for CertainError {
-    fn from(e: AssignmentError) -> Self {
-        CertainError::Assignment(e)
-    }
-}
-
-impl From<GenericError> for CertainError {
-    fn from(e: GenericError) -> Self {
-        CertainError::Generic(e)
-    }
-}
 
 /// The certain answers of a query on an input pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,13 +59,13 @@ pub fn certain_answers(
     input: &Instance,
     query: &UnionQuery,
     limits: GenericLimits,
-) -> Result<CertainOutcome, CertainError> {
+) -> Result<CertainOutcome, SolveError> {
     if !query
         .disjuncts
         .iter()
         .all(|q| q.over_peer(setting.schema(), Peer::Target))
     {
-        return Err(CertainError::QueryNotOverTarget);
+        return Err(SolveError::QueryNotOverTarget);
     }
     let mut acc: Option<BTreeSet<Vec<Value>>> = None;
     let mut examined = 0usize;
@@ -145,7 +99,7 @@ pub fn certain_answers(
         // un-exhausted space with a nonempty running intersection is
         // genuinely undecided.
         if !exhausted && acc.as_ref().is_none_or(|a| !a.is_empty()) {
-            return Err(CertainError::Undecided);
+            return Err(SolveError::Undecided);
         }
     }
 
@@ -373,7 +327,7 @@ mod tests {
         let input = parse_instance(p.schema(), "E(a, a).").unwrap();
         assert_eq!(
             certain_answers(&p, &input, &q, GenericLimits::default()).unwrap_err(),
-            CertainError::QueryNotOverTarget
+            SolveError::QueryNotOverTarget
         );
     }
 }

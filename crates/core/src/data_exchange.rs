@@ -9,59 +9,12 @@
 //! are exactly the certain answers.
 
 use crate::setting::PdeSetting;
+use crate::solver::SolveError;
 use pde_chase::{null_gen_for, ChaseEngine, ChaseLimits, ChaseOutcome, ChaseStats, DepSchedule};
 use pde_constraints::Dependency;
 use pde_relational::{Instance, Peer, UnionQuery, Value};
-use pde_runtime::{Governor, StopReason};
+use pde_runtime::Governor;
 use std::collections::BTreeSet;
-use std::fmt;
-
-/// Why the data-exchange solver refused to run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DataExchangeError {
-    /// The setting has target-to-source constraints: not a data exchange
-    /// setting.
-    HasTargetToSource,
-    /// The input instance contains labeled nulls.
-    InputNotGround,
-    /// The chase hit its resource limits (target tgds not weakly acyclic).
-    ChaseDidNotTerminate,
-    /// The query mentions non-target relations.
-    QueryNotOverTarget,
-    /// The runtime governor stopped the chase (deadline, memory budget,
-    /// cancellation, or an injected fault). The question is *undecided*,
-    /// not answered.
-    Stopped(StopReason),
-}
-
-impl fmt::Display for DataExchangeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DataExchangeError::HasTargetToSource => {
-                write!(
-                    f,
-                    "setting has target-to-source constraints; not data exchange"
-                )
-            }
-            DataExchangeError::InputNotGround => write!(f, "input instance contains nulls"),
-            DataExchangeError::ChaseDidNotTerminate => {
-                write!(
-                    f,
-                    "chase resource limit exceeded (weak acyclicity violated?)"
-                )
-            }
-            DataExchangeError::QueryNotOverTarget => {
-                write!(
-                    f,
-                    "certain answers are defined for queries over the target schema"
-                )
-            }
-            DataExchangeError::Stopped(reason) => write!(f, "chase stopped: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for DataExchangeError {}
 
 /// Outcome of the data-exchange chase.
 #[derive(Clone, Debug)]
@@ -82,7 +35,7 @@ pub struct DataExchangeOutcome {
 pub fn solve_data_exchange(
     setting: &PdeSetting,
     input: &Instance,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
+) -> Result<DataExchangeOutcome, SolveError> {
     solve_data_exchange_governed_scheduled(
         setting,
         input,
@@ -99,7 +52,7 @@ pub fn solve_data_exchange(
 /// the forward dependency list (Σst tgds first, then Σt — the order
 /// `pde-analysis`'s `forward_schedule` indexes). Only the semi-naive
 /// engine consumes the schedule. A governor stop surfaces as
-/// [`DataExchangeError::Stopped`] — never as a yes/no answer.
+/// [`SolveError::Stopped`] — never as a yes/no answer.
 pub fn solve_data_exchange_governed_scheduled(
     setting: &PdeSetting,
     input: &Instance,
@@ -107,12 +60,12 @@ pub fn solve_data_exchange_governed_scheduled(
     engine: ChaseEngine,
     governor: &Governor,
     schedule: Option<&DepSchedule>,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
+) -> Result<DataExchangeOutcome, SolveError> {
     if !setting.is_data_exchange() {
-        return Err(DataExchangeError::HasTargetToSource);
+        return Err(SolveError::HasTargetToSource);
     }
     if !input.is_ground() {
-        return Err(DataExchangeError::InputNotGround);
+        return Err(SolveError::InputNotGround);
     }
     let gen = null_gen_for(input);
     let deps: Vec<Dependency> = setting
@@ -144,8 +97,7 @@ pub fn solve_data_exchange_governed_scheduled(
             chase_steps: res.steps,
             chase_stats: res.stats,
         }),
-        ChaseOutcome::ResourceExceeded => Err(DataExchangeError::ChaseDidNotTerminate),
-        ChaseOutcome::Stopped { reason } => Err(DataExchangeError::Stopped(reason)),
+        outcome => Err(SolveError::chase_refusal(outcome)),
     }
 }
 
@@ -156,13 +108,13 @@ pub fn certain_answers_data_exchange(
     setting: &PdeSetting,
     input: &Instance,
     query: &UnionQuery,
-) -> Result<Option<BTreeSet<Vec<Value>>>, DataExchangeError> {
+) -> Result<Option<BTreeSet<Vec<Value>>>, SolveError> {
     if !query
         .disjuncts
         .iter()
         .all(|q| q.over_peer(setting.schema(), Peer::Target))
     {
-        return Err(DataExchangeError::QueryNotOverTarget);
+        return Err(SolveError::QueryNotOverTarget);
     }
     let out = solve_data_exchange(setting, input)?;
     Ok(out.canonical.map(|c| {
@@ -261,7 +213,7 @@ mod tests {
         let input = parse_instance(p.schema(), "E(a, a).").unwrap();
         assert_eq!(
             solve_data_exchange(&p, &input).unwrap_err(),
-            DataExchangeError::HasTargetToSource
+            SolveError::HasTargetToSource
         );
     }
 
@@ -286,7 +238,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            DataExchangeError::Stopped(StopReason::DeadlineExceeded { .. })
+            SolveError::Stopped(StopReason::DeadlineExceeded { .. })
         ));
         assert!(err.to_string().contains("deadline"));
     }
@@ -310,6 +262,6 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert_eq!(err, DataExchangeError::ChaseDidNotTerminate);
+        assert_eq!(err, SolveError::ChaseDidNotTerminate);
     }
 }

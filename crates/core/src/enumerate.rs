@@ -6,12 +6,12 @@
 //! deduplicated up to null renaming, optionally cored, capped at a limit —
 //! for exploration, debugging, and the `solution_space` example.
 
-use crate::assignment::{self, AssignmentError, DisjunctiveProblem};
-use crate::generic::{self, GenericError, GenericLimits};
+use crate::assignment::{self, DisjunctiveProblem};
+use crate::generic::{self, GenericLimits};
 use crate::setting::PdeSetting;
+use crate::solver::SolveError;
 use pde_relational::{core_of, Instance};
 use std::collections::HashSet;
-use std::fmt;
 use std::ops::ControlFlow;
 
 /// Options for [`enumerate_solutions`].
@@ -37,38 +37,6 @@ impl Default for EnumerateOptions {
     }
 }
 
-/// Enumeration errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EnumerateError {
-    /// Underlying assignment-solver error.
-    Assignment(AssignmentError),
-    /// Underlying generic-solver error.
-    Generic(GenericError),
-}
-
-impl fmt::Display for EnumerateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EnumerateError::Assignment(e) => write!(f, "{e}"),
-            EnumerateError::Generic(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for EnumerateError {}
-
-impl From<AssignmentError> for EnumerateError {
-    fn from(e: AssignmentError) -> Self {
-        EnumerateError::Assignment(e)
-    }
-}
-
-impl From<GenericError> for EnumerateError {
-    fn from(e: GenericError) -> Self {
-        EnumerateError::Generic(e)
-    }
-}
-
 /// The outcome: the distinct solutions found (sorted smallest-first) and
 /// whether the family was exhausted within the limits.
 #[derive(Clone, Debug)]
@@ -85,7 +53,7 @@ pub fn enumerate_solutions(
     setting: &PdeSetting,
     input: &Instance,
     options: EnumerateOptions,
-) -> Result<SolutionFamily, EnumerateError> {
+) -> Result<SolutionFamily, SolveError> {
     let mut seen: HashSet<String> = HashSet::new();
     let mut solutions: Vec<Instance> = Vec::new();
     let core_allowed = options.core && setting.target_tgds().next().is_none();

@@ -22,6 +22,7 @@
 //! CLIQUE with a single target egd or a single full target tgd.
 
 use crate::setting::PdeSetting;
+use crate::solver::SolveError;
 use pde_chase::{find_egd_violation, find_tgd_violation, null_gen_for};
 use pde_constraints::{Egd, Tgd};
 use pde_relational::{
@@ -30,7 +31,6 @@ use pde_relational::{
 };
 use pde_runtime::{Governor, StopReason};
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 
@@ -55,23 +55,6 @@ impl Default for GenericLimits {
         }
     }
 }
-
-/// Why the generic solver refused to run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GenericError {
-    /// The input instance contains labeled nulls.
-    InputNotGround,
-}
-
-impl fmt::Display for GenericError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GenericError::InputNotGround => write!(f, "input instance contains nulls"),
-        }
-    }
-}
-
-impl std::error::Error for GenericError {}
 
 /// Search statistics.
 #[derive(Clone, Debug, Default)]
@@ -166,7 +149,7 @@ pub fn solve(
     setting: &PdeSetting,
     input: &Instance,
     limits: GenericLimits,
-) -> Result<GenericOutcome, GenericError> {
+) -> Result<GenericOutcome, SolveError> {
     solve_governed(setting, input, limits, &Governor::unlimited())
 }
 
@@ -178,7 +161,7 @@ pub fn solve_governed(
     input: &Instance,
     limits: GenericLimits,
     governor: &Governor,
-) -> Result<GenericOutcome, GenericError> {
+) -> Result<GenericOutcome, SolveError> {
     let mut found = None;
     let (stats, exhausted, stopped) = run(setting, input, limits, governor, |sol| {
         found = Some(sol.clone());
@@ -201,7 +184,7 @@ pub fn for_each_solution(
     input: &Instance,
     limits: GenericLimits,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<(GenericStats, bool), GenericError> {
+) -> Result<(GenericStats, bool), SolveError> {
     let (stats, exhausted, _stopped) = run(setting, input, limits, &Governor::unlimited(), f)?;
     Ok((stats, exhausted))
 }
@@ -212,9 +195,9 @@ fn run(
     limits: GenericLimits,
     governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<(GenericStats, bool, Option<StopReason>), GenericError> {
+) -> Result<(GenericStats, bool, Option<StopReason>), SolveError> {
     if !input.is_ground() {
-        return Err(GenericError::InputNotGround);
+        return Err(SolveError::InputNotGround);
     }
     let gen = null_gen_for(input);
     // The tgds whose violations force chase steps: Σst ∪ (tgds of Σt).

@@ -14,6 +14,9 @@
 //! * [`generic`]: complete witness-chase search for Σt ≠ ∅;
 //! * [`solver`]: the façade that routes a setting to one of the above
 //!   ([`decide`], [`decide_governed_scheduled`]).
+//!
+//! Every solver, certain answers, enumeration and Lemma 2's shrink refuse
+//! with the one error type [`SolveError`].
 
 pub mod assignment;
 pub mod blocks;
@@ -22,20 +25,20 @@ pub mod solution;
 pub mod tractable;
 
 pub use assignment::{
-    solve as assignment_solve, AssignmentError, AssignmentOutcome, DisjunctiveProblem, SearchStats,
+    solve as assignment_solve, AssignmentOutcome, DisjunctiveProblem, SearchStats,
 };
 pub use blocks::{blocks, blockwise_hom_exists, check_blocks, Block};
 pub use setting::{PdeSetting, SettingClass, SettingError};
 pub use solution::{check_solution, core_solution, is_solution, SolutionViolation};
 pub use tractable::{
-    exists_solution, exists_solution_from_chased, TractableError, TractableOutcome, TractableStats,
+    exists_solution, exists_solution_from_chased, TractableOutcome, TractableStats,
 };
 
 pub mod generic;
-pub use generic::{GenericError, GenericLimits, GenericOutcome, GenericStats};
+pub use generic::{GenericLimits, GenericOutcome, GenericStats};
 
 pub mod certain;
-pub use certain::{brute_force_certain_superset, certain_answers, CertainError, CertainOutcome};
+pub use certain::{brute_force_certain_superset, certain_answers, CertainOutcome};
 
 pub mod bundle;
 pub mod data_exchange;
@@ -47,12 +50,12 @@ pub mod solver;
 pub use bundle::{split_sections, Bundle, BundleError, BundleSources, Section};
 pub use data_exchange::{
     certain_answers_data_exchange, solve_data_exchange, solve_data_exchange_governed_scheduled,
-    DataExchangeError, DataExchangeOutcome,
+    DataExchangeOutcome,
 };
-pub use enumerate::{enumerate_solutions, EnumerateError, EnumerateOptions, SolutionFamily};
+pub use enumerate::{enumerate_solutions, EnumerateOptions, SolutionFamily};
 pub use multi::{MultiPdeError, MultiPdeSetting, PeerConstraints};
 pub use pdms::{Pdms, StorageDescription};
-pub use small::{shrink_solution, ShrinkError};
+pub use small::shrink_solution;
 pub use solver::{
     decide, decide_governed_scheduled, SearchSummary, SolveError, SolvePlan, SolveReport,
     SolverKind,

@@ -13,33 +13,10 @@
 
 use crate::setting::PdeSetting;
 use crate::solution::is_solution;
+use crate::solver::SolveError;
 use pde_chase::{solution_aware_chase, ChaseLimits};
 use pde_constraints::Dependency;
 use pde_relational::Instance;
-use std::fmt;
-
-/// Errors of the Lemma 2 extraction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShrinkError {
-    /// The supplied candidate is not a solution for the input.
-    NotASolution,
-    /// The solution-aware chase hit its limits (target tgds not weakly
-    /// acyclic — outside Lemma 2's hypothesis).
-    ChaseDidNotTerminate,
-}
-
-impl fmt::Display for ShrinkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShrinkError::NotASolution => write!(f, "candidate is not a solution"),
-            ShrinkError::ChaseDidNotTerminate => {
-                write!(f, "solution-aware chase exceeded its limits")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShrinkError {}
 
 /// Lemma 2, constructively: given a solution `big` for `input`, return a
 /// solution `J* ⊆ big` obtained by the solution-aware chase of `input`
@@ -48,9 +25,9 @@ pub fn shrink_solution(
     setting: &PdeSetting,
     input: &Instance,
     big: &Instance,
-) -> Result<Instance, ShrinkError> {
+) -> Result<Instance, SolveError> {
     if !is_solution(setting, input, big) {
-        return Err(ShrinkError::NotASolution);
+        return Err(SolveError::NotASolution);
     }
     let deps: Vec<Dependency> = setting
         .sigma_st()
@@ -61,7 +38,7 @@ pub fn shrink_solution(
         .collect();
     let res = solution_aware_chase(input.clone(), &deps, big, ChaseLimits::default());
     if !res.is_success() {
-        return Err(ShrinkError::ChaseDidNotTerminate);
+        return Err(SolveError::ChaseDidNotTerminate);
     }
     let small = res.instance;
     debug_assert!(small.contained_in(big), "Lemma 2: J* ⊆ J'");
@@ -136,7 +113,7 @@ mod tests {
         let junk = parse_instance(p.schema(), "E(a, b). E(b, c). H(a, c).").unwrap();
         assert_eq!(
             shrink_solution(&p, &input, &junk),
-            Err(ShrinkError::NotASolution)
+            Err(SolveError::NotASolution)
         );
     }
 

@@ -11,12 +11,12 @@
 //! The first two are polynomial; the last two are complete exponential
 //! searches, matching the NP-completeness results of §3.
 
-use crate::assignment::{self, AssignmentError};
-use crate::data_exchange::{self, DataExchangeError};
+use crate::assignment;
+use crate::data_exchange;
 use crate::generic::{self, GenericLimits, GenericOutcome};
 use crate::setting::PdeSetting;
-use crate::tractable::{self, TractableError};
-use pde_chase::{ChaseEngine, ChaseLimits, ChaseStats, DepSchedule};
+use crate::tractable;
+use pde_chase::{ChaseEngine, ChaseLimits, ChaseOutcome, ChaseStats, DepSchedule};
 use pde_relational::{Instance, RelId, Tuple};
 use pde_runtime::{isolate, EngineError, Governor, GovernorReport, StopReason};
 use std::fmt;
@@ -152,20 +152,78 @@ impl SolveReport {
     }
 }
 
-/// Errors from the façade (the per-solver errors, unified).
-#[derive(Clone, Debug)]
+/// Why a pde-core solver refused to answer: the one error type of the
+/// façade, Fig. 3's `ExistsSolution`, both complete searches, the
+/// data-exchange chase, certain answers, enumeration and Lemma 2's shrink.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveError {
-    /// Input contains nulls or another per-solver precondition failed.
-    Precondition(String),
+    /// The input instance contains labeled nulls.
+    InputNotGround,
+    /// The setting has target constraints; the solver requires Σt = ∅.
+    HasTargetConstraints,
+    /// The setting has target-to-source constraints: not a data exchange
+    /// setting.
+    HasTargetToSource,
+    /// The setting is outside `C_tract` (and the solver checks the class).
+    NotInCtract,
+    /// A chase exceeded its resource limits (target tgds not weakly
+    /// acyclic; for the single-pass Σst and Σts chases this cannot happen,
+    /// but the engine's guard is surfaced rather than swallowed).
+    ChaseDidNotTerminate,
+    /// The query mentions non-target relations.
+    QueryNotOverTarget,
+    /// A disjunctive dependency failed validation.
+    InvalidDependency(String),
+    /// The candidate handed to Lemma 2's shrink is not a solution.
+    NotASolution,
+    /// The solution space could not be exhausted within the limits, so the
+    /// certain-answer intersection is not known to be complete.
+    Undecided,
+    /// The runtime governor stopped a chase or a search (deadline, memory
+    /// budget, cancellation, or an injected fault). The question is
+    /// *undecided*, not answered; the façade reports it as such.
+    Stopped(StopReason),
     /// An engine attempt panicked and the panic was contained at the
     /// solver boundary (after exhausting the engine-fallback retry).
     Engine(EngineError),
 }
 
+impl SolveError {
+    /// The refusal for a chase that did not succeed: a governor stop stays
+    /// distinguishable from a plain limit trip.
+    pub(crate) fn chase_refusal(outcome: ChaseOutcome) -> SolveError {
+        match outcome {
+            ChaseOutcome::Stopped { reason } => SolveError::Stopped(reason),
+            _ => SolveError::ChaseDidNotTerminate,
+        }
+    }
+}
+
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::Precondition(m) => write!(f, "{m}"),
+            SolveError::InputNotGround => write!(f, "input instance contains nulls"),
+            SolveError::HasTargetConstraints => write!(
+                f,
+                "ExistsSolution requires a setting with no target constraints"
+            ),
+            SolveError::HasTargetToSource => write!(
+                f,
+                "setting has target-to-source constraints; not data exchange"
+            ),
+            SolveError::NotInCtract => write!(
+                f,
+                "setting is outside C_tract; use the complete search solver"
+            ),
+            SolveError::ChaseDidNotTerminate => write!(f, "chase resource limit exceeded"),
+            SolveError::QueryNotOverTarget => write!(
+                f,
+                "certain answers are defined for queries over the target schema"
+            ),
+            SolveError::InvalidDependency(m) => write!(f, "invalid dependency: {m}"),
+            SolveError::NotASolution => write!(f, "candidate is not a solution"),
+            SolveError::Undecided => write!(f, "solution enumeration hit its resource limit"),
+            SolveError::Stopped(reason) => write!(f, "chase stopped: {reason}"),
             SolveError::Engine(e) => write!(f, "{e}"),
         }
     }
@@ -230,8 +288,8 @@ pub fn decide(setting: &PdeSetting, input: &Instance) -> Result<SolveReport, Sol
 ///
 /// The caller is responsible for the plan matching the setting (pair a
 /// certificate-derived plan with `verify_certificate` first); a
-/// mismatched plan surfaces as a solver precondition error, never a wrong
-/// answer.
+/// mismatched plan surfaces as the solver's refusal (say
+/// [`SolveError::HasTargetConstraints`]), never a wrong answer.
 ///
 /// Deadlines, memory budgets, and cancellation are enforced cooperatively
 /// inside the chase engines and search solvers, and a budget exhaustion
@@ -259,9 +317,9 @@ pub fn decide_governed_scheduled(
     let primary = pde_chase::default_chase_engine();
     let first = isolate(|| attempt(setting, input, plan, primary, governor, schedule));
     // Retry-with-degradation: a panic or an injected fault on the primary
-    // engine gets one retry on the naive oracle engine. Precondition
-    // errors and genuine budget stops are deterministic — retrying would
-    // only spend more budget on the same outcome.
+    // engine gets one retry on the naive oracle engine. A solver's refusal
+    // and a genuine budget stop are deterministic — retrying would only
+    // spend more budget on the same outcome.
     let retryable = match &first {
         Err(_) => true,
         Ok(Ok(r)) => matches!(r.undecided, Some(StopReason::FaultInjected { .. })),
@@ -290,8 +348,7 @@ pub fn decide_governed_scheduled(
 
 /// One engine attempt: dispatch to the governed solver for the plan's
 /// kind and normalize the outcome into a [`SolveReport`] (a governor stop
-/// becomes `undecided`, every other solver error surfaces as a
-/// precondition error).
+/// becomes `undecided`; every other refusal passes through unchanged).
 fn attempt(
     setting: &PdeSetting,
     input: &Instance,
@@ -301,7 +358,6 @@ fn attempt(
     schedule: Option<&DepSchedule>,
 ) -> Result<SolveReport, SolveError> {
     let start = Instant::now();
-    let wrap = |e: &dyn fmt::Display| SolveError::Precondition(e.to_string());
     let report = |exists, witness, chase_stats, search, undecided| SolveReport {
         kind: plan.kind,
         exists,
@@ -315,32 +371,27 @@ fn attempt(
         governor: GovernorReport::default(),
     };
 
-    match plan.kind {
-        SolverKind::DataExchange => {
-            match data_exchange::solve_data_exchange_governed_scheduled(
-                setting,
-                input,
-                plan.chase_limits,
-                engine,
-                governor,
-                schedule,
-            ) {
-                Ok(out) => Ok(report(
-                    Some(out.exists),
-                    out.canonical,
-                    Some(out.chase_stats),
-                    None,
-                    None,
-                )),
-                Err(DataExchangeError::Stopped(reason)) => {
-                    Ok(report(None, None, None, None, Some(reason)))
-                }
-                Err(e) => Err(wrap(&e)),
-            }
-        }
+    let decided = match plan.kind {
+        SolverKind::DataExchange => data_exchange::solve_data_exchange_governed_scheduled(
+            setting,
+            input,
+            plan.chase_limits,
+            engine,
+            governor,
+            schedule,
+        )
+        .map(|out| {
+            report(
+                Some(out.exists),
+                out.canonical,
+                Some(out.chase_stats),
+                None,
+                None,
+            )
+        }),
         SolverKind::Tractable => {
-            match tractable::exists_solution_governed(setting, input, engine, governor) {
-                Ok(out) => Ok(SolveReport {
+            tractable::exists_solution_governed(setting, input, engine, governor).map(|out| {
+                SolveReport {
                     unsatisfiable_demand: out.unsatisfiable_demand,
                     ..report(
                         Some(out.exists),
@@ -349,52 +400,45 @@ fn attempt(
                         None,
                         None,
                     )
-                }),
-                Err(TractableError::Stopped(reason)) => {
-                    Ok(report(None, None, None, None, Some(reason)))
                 }
-                Err(e) => Err(wrap(&e)),
-            }
+            })
         }
         SolverKind::AssignmentSearch => {
-            match assignment::solve_governed(setting, input, engine, governor) {
-                Ok(out) => {
-                    let search = SearchSummary {
-                        branches: out.stats.nodes,
-                        candidates_checked: out.stats.candidates_checked,
-                        prunes: out.stats.prunes,
-                    };
-                    Ok(report(
-                        Some(out.exists),
-                        out.witness,
-                        Some(out.stats.chase_stats),
-                        Some(search),
-                        None,
-                    ))
-                }
-                Err(AssignmentError::Stopped(reason)) => {
-                    Ok(report(None, None, None, None, Some(reason)))
-                }
-                Err(e) => Err(wrap(&e)),
-            }
+            assignment::solve_governed(setting, input, engine, governor).map(|out| {
+                let search = SearchSummary {
+                    branches: out.stats.nodes,
+                    candidates_checked: out.stats.candidates_checked,
+                    prunes: out.stats.prunes,
+                };
+                report(
+                    Some(out.exists),
+                    out.witness,
+                    Some(out.stats.chase_stats),
+                    Some(search),
+                    None,
+                )
+            })
         }
-        SolverKind::GenericSearch => {
-            let out = generic::solve_governed(setting, input, plan.limits, governor)
-                .map_err(|e| wrap(&e))?;
-            let gs = out.stats();
-            let search = SearchSummary {
-                branches: gs.nodes,
-                candidates_checked: gs.candidates_checked,
-                prunes: gs.memo_hits + gs.ts_prunes + gs.egd_failures,
-            };
-            let (exists, witness, undecided) = match out {
-                GenericOutcome::Solved { witness, .. } => (Some(true), Some(witness), None),
-                GenericOutcome::NoSolution { .. } => (Some(false), None, None),
-                GenericOutcome::Unknown { .. } => (None, None, None),
-                GenericOutcome::Stopped { reason, .. } => (None, None, Some(reason)),
-            };
-            Ok(report(exists, witness, None, Some(search), undecided))
-        }
+        SolverKind::GenericSearch => generic::solve_governed(setting, input, plan.limits, governor)
+            .map(|out| {
+                let gs = out.stats();
+                let search = SearchSummary {
+                    branches: gs.nodes,
+                    candidates_checked: gs.candidates_checked,
+                    prunes: gs.memo_hits + gs.ts_prunes + gs.egd_failures,
+                };
+                let (exists, witness, undecided) = match out {
+                    GenericOutcome::Solved { witness, .. } => (Some(true), Some(witness), None),
+                    GenericOutcome::NoSolution { .. } => (Some(false), None, None),
+                    GenericOutcome::Unknown { .. } => (None, None, None),
+                    GenericOutcome::Stopped { reason, .. } => (None, None, Some(reason)),
+                };
+                report(exists, witness, None, Some(search), undecided)
+            }),
+    };
+    match decided {
+        Err(SolveError::Stopped(reason)) => Ok(report(None, None, None, None, Some(reason))),
+        other => other,
     }
 }
 
@@ -492,48 +536,56 @@ mod tests {
         }
     }
 
+    /// One `(schema, Σst, Σts, Σt, input)` per solver kind, in
+    /// [`SolverKind`] order.
+    const ONE_PER_KIND: [(&str, &str, &str, &str, &str); 4] = [
+        (
+            "source E/2; target H/2;",
+            "E(x, y) -> H(x, y)",
+            "",
+            "",
+            "E(a, b).",
+        ),
+        (
+            "source E/2; target H/2;",
+            "E(x, z), E(z, y) -> H(x, y)",
+            "H(x, y) -> E(x, y)",
+            "",
+            "E(a, a).",
+        ),
+        (
+            "source D/2; source S/2; source E/2; target P/4;",
+            "D(x, y) -> exists z, w . P(x, z, y, w)",
+            "P(x, z, y, w) -> E(z, w); P(x, z, y, w), P(x, z2, y2, w2) -> S(z, z2)",
+            "",
+            "D(a1, a2). S(u, u). E(u, u).",
+        ),
+        (
+            "source E/2; target H/2;",
+            "E(x, y) -> H(x, y)",
+            "H(x, y) -> E(x, y)",
+            "H(x, y), H(x, z) -> y = z",
+            "E(a, b).",
+        ),
+    ];
+
     #[test]
-    fn precondition_errors_surface() {
-        let p = PdeSetting::parse("source E/2; target H/2;", "E(x, y) -> H(x, y)", "", "").unwrap();
-        let input = parse_instance(p.schema(), "E(?0, a).").unwrap();
-        assert!(decide(&p, &input).is_err());
+    fn a_null_in_the_input_is_refused_by_every_solver_kind() {
+        for (schema, st, ts, t, _) in ONE_PER_KIND {
+            let p = PdeSetting::parse(schema, st, ts, t).unwrap();
+            let input = parse_instance(p.schema(), "E(?0, a).").unwrap();
+            let plan = SolvePlan::for_setting(&p);
+            let err = decide_governed_scheduled(&p, &input, &plan, None, &Governor::unlimited())
+                .unwrap_err();
+            assert_eq!(err, SolveError::InputNotGround, "{:?}", plan.kind);
+            assert_eq!(err.to_string(), "input instance contains nulls");
+        }
     }
 
     #[test]
     fn governed_deadline_reports_undecided_for_every_solver_kind() {
         use pde_runtime::GovernorConfig;
-        let cases = [
-            // (schema, sigma_st, sigma_ts, sigma_t, input): one per kind.
-            (
-                "source E/2; target H/2;",
-                "E(x, y) -> H(x, y)",
-                "",
-                "",
-                "E(a, b).",
-            ),
-            (
-                "source E/2; target H/2;",
-                "E(x, z), E(z, y) -> H(x, y)",
-                "H(x, y) -> E(x, y)",
-                "",
-                "E(a, a).",
-            ),
-            (
-                "source D/2; source S/2; source E/2; target P/4;",
-                "D(x, y) -> exists z, w . P(x, z, y, w)",
-                "P(x, z, y, w) -> E(z, w); P(x, z, y, w), P(x, z2, y2, w2) -> S(z, z2)",
-                "",
-                "D(a1, a2). S(u, u). E(u, u).",
-            ),
-            (
-                "source E/2; target H/2;",
-                "E(x, y) -> H(x, y)",
-                "H(x, y) -> E(x, y)",
-                "H(x, y), H(x, z) -> y = z",
-                "E(a, b).",
-            ),
-        ];
-        for (schema, st, ts, t, src) in cases {
+        for (schema, st, ts, t, src) in ONE_PER_KIND {
             let p = PdeSetting::parse(schema, st, ts, t).unwrap();
             let input = parse_instance(p.schema(), src).unwrap();
             let plan = SolvePlan::for_setting(&p);

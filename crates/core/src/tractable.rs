@@ -19,58 +19,14 @@
 
 use crate::blocks::{blocks, check_blocks};
 use crate::setting::PdeSetting;
-use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine, ChaseOutcome, ChaseResult};
+use crate::solver::SolveError;
+use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine};
 use pde_relational::{Instance, Peer, Value};
-use pde_runtime::{Governor, StopReason};
-use std::fmt;
+use pde_runtime::Governor;
 
 /// Block count above which the per-block homomorphism checks run on
 /// multiple threads (they are independent by Prop. 1).
 const PARALLEL_BLOCK_THRESHOLD: usize = 64;
-
-/// Why the tractable solver refused to run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TractableError {
-    /// The setting has target constraints (the Fig. 3 algorithm requires
-    /// Σt = ∅).
-    HasTargetConstraints,
-    /// The setting is outside `C_tract` (and `check_class` was requested).
-    NotInCtract,
-    /// The input instance contains labeled nulls.
-    InputNotGround,
-    /// The Σst or Σts chase exceeded its resource limits (cannot happen for
-    /// valid settings: both chases are single-pass, but the engine's guard
-    /// is surfaced rather than swallowed).
-    ChaseDidNotTerminate,
-    /// The runtime governor stopped one of the chases (deadline, memory
-    /// budget, cancellation, or an injected fault). The question is
-    /// *undecided*, not answered.
-    Stopped(StopReason),
-}
-
-impl fmt::Display for TractableError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TractableError::HasTargetConstraints => {
-                write!(
-                    f,
-                    "ExistsSolution requires a setting with no target constraints"
-                )
-            }
-            TractableError::NotInCtract => {
-                write!(
-                    f,
-                    "setting is outside C_tract; use the complete search solver"
-                )
-            }
-            TractableError::InputNotGround => write!(f, "input instance contains nulls"),
-            TractableError::ChaseDidNotTerminate => write!(f, "chase resource limit exceeded"),
-            TractableError::Stopped(reason) => write!(f, "chase stopped: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for TractableError {}
 
 /// Statistics from a run of `ExistsSolution`.
 #[derive(Clone, Debug, Default)]
@@ -113,7 +69,7 @@ pub struct TractableOutcome {
 pub fn exists_solution(
     setting: &PdeSetting,
     input: &Instance,
-) -> Result<TractableOutcome, TractableError> {
+) -> Result<TractableOutcome, SolveError> {
     exists_solution_governed(
         setting,
         input,
@@ -123,30 +79,21 @@ pub fn exists_solution(
 }
 
 /// [`exists_solution`] under an explicit chase engine and runtime
-/// governor. A governor stop surfaces as [`TractableError::Stopped`] —
+/// governor. A governor stop surfaces as [`SolveError::Stopped`] —
 /// never as a yes/no answer.
 pub fn exists_solution_governed(
     setting: &PdeSetting,
     input: &Instance,
     engine: ChaseEngine,
     governor: &Governor,
-) -> Result<TractableOutcome, TractableError> {
+) -> Result<TractableOutcome, SolveError> {
     if !setting.has_no_target_constraints() {
-        return Err(TractableError::HasTargetConstraints);
+        return Err(SolveError::HasTargetConstraints);
     }
     if !setting.classification().ctract.in_ctract() {
-        return Err(TractableError::NotInCtract);
+        return Err(SolveError::NotInCtract);
     }
     exists_solution_governed_unchecked(setting, input, engine, governor)
-}
-
-/// Map a non-success chase to the right refusal (governor stops stay
-/// distinguishable from plain limit trips).
-fn chase_refusal(res: &ChaseResult) -> TractableError {
-    match &res.outcome {
-        ChaseOutcome::Stopped { reason } => TractableError::Stopped(reason.clone()),
-        _ => TractableError::ChaseDidNotTerminate,
-    }
 }
 
 /// Run the Fig. 3 algorithm without the `C_tract` membership check.
@@ -159,12 +106,12 @@ fn exists_solution_governed_unchecked(
     input: &Instance,
     engine: ChaseEngine,
     governor: &Governor,
-) -> Result<TractableOutcome, TractableError> {
+) -> Result<TractableOutcome, SolveError> {
     if !setting.has_no_target_constraints() {
-        return Err(TractableError::HasTargetConstraints);
+        return Err(SolveError::HasTargetConstraints);
     }
     if !input.is_ground() {
-        return Err(TractableError::InputNotGround);
+        return Err(SolveError::InputNotGround);
     }
     let mut stats = TractableStats::default();
     let gen = null_gen_for(input);
@@ -172,7 +119,7 @@ fn exists_solution_governed_unchecked(
     // Step 1: (I, J_can) := chase of (I, J) with Σst.
     let st_res = chase_tgds_governed(input.clone(), setting.sigma_st(), &gen, engine, governor);
     if !st_res.is_success() {
-        return Err(chase_refusal(&st_res));
+        return Err(SolveError::chase_refusal(st_res.outcome));
     }
     stats.chase_steps += st_res.steps;
     stats.chase_stats.absorb(st_res.stats);
@@ -194,12 +141,12 @@ pub fn exists_solution_from_chased(
     chased_st: &Instance,
     engine: ChaseEngine,
     governor: &Governor,
-) -> Result<TractableOutcome, TractableError> {
+) -> Result<TractableOutcome, SolveError> {
     if !setting.has_no_target_constraints() {
-        return Err(TractableError::HasTargetConstraints);
+        return Err(SolveError::HasTargetConstraints);
     }
     if !input.is_ground() {
-        return Err(TractableError::InputNotGround);
+        return Err(SolveError::InputNotGround);
     }
     let stats = TractableStats::default();
     solve_from_chased(setting, input, chased_st, stats, engine, governor)
@@ -214,7 +161,7 @@ fn solve_from_chased(
     mut stats: TractableStats,
     engine: ChaseEngine,
     governor: &Governor,
-) -> Result<TractableOutcome, TractableError> {
+) -> Result<TractableOutcome, SolveError> {
     stats.jcan_facts = chased_st.fact_count_of(Peer::Target);
     // Seed above the chase's nulls, not just the input's: step 2 must not
     // collide with witnesses step 1 already invented.
@@ -224,7 +171,7 @@ fn solve_from_chased(
     let jcan_only = chased_st.restrict(Peer::Target);
     let ts_res = chase_tgds_governed(jcan_only, setting.sigma_ts(), &gen, engine, governor);
     if !ts_res.is_success() {
-        return Err(chase_refusal(&ts_res));
+        return Err(SolveError::chase_refusal(ts_res.outcome));
     }
     stats.chase_steps += ts_res.steps;
     stats.chase_stats.absorb(ts_res.stats);
@@ -368,7 +315,7 @@ mod tests {
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
         assert_eq!(
             exists_solution(&p, &input).unwrap_err(),
-            TractableError::HasTargetConstraints
+            SolveError::HasTargetConstraints
         );
     }
 
@@ -384,7 +331,7 @@ mod tests {
         let input = parse_instance(p.schema(), "D(a, b).").unwrap();
         assert_eq!(
             exists_solution(&p, &input).unwrap_err(),
-            TractableError::NotInCtract
+            SolveError::NotInCtract
         );
         // The unchecked worker runs (condition 1 holds for this setting, so
         // the answer is still correct — just not guaranteed polynomial).
@@ -403,7 +350,7 @@ mod tests {
         let input = parse_instance(p.schema(), "E(?0, a).").unwrap();
         assert_eq!(
             exists_solution(&p, &input).unwrap_err(),
-            TractableError::InputNotGround
+            SolveError::InputNotGround
         );
     }
 
@@ -456,7 +403,7 @@ mod tests {
 
     #[test]
     fn governed_deadline_is_undecided_not_answered() {
-        use pde_runtime::GovernorConfig;
+        use pde_runtime::{GovernorConfig, StopReason};
         use std::time::Duration;
         let p = example1();
         let input = parse_instance(p.schema(), "E(a, b). E(b, c).").unwrap();
@@ -469,7 +416,7 @@ mod tests {
                 .unwrap_err();
         assert!(matches!(
             err,
-            TractableError::Stopped(StopReason::DeadlineExceeded { .. })
+            SolveError::Stopped(StopReason::DeadlineExceeded { .. })
         ));
     }
 

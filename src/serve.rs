@@ -46,7 +46,7 @@ use pde_chase::{
 };
 use pde_constraints::Dependency;
 use pde_core::{
-    certain_answers, exists_solution_from_chased, Bundle, GenericLimits, PdeSetting, TractableError,
+    certain_answers, exists_solution_from_chased, Bundle, GenericLimits, PdeSetting, SolveError,
 };
 use pde_relational::{parse_instance, parse_query, Instance, Schema, UnionQuery, Value};
 use pde_runtime::{isolate, Governor, GovernorConfig};
@@ -648,7 +648,7 @@ fn handle_solve(
                             Answer::No
                         }
                     }
-                    Err(TractableError::Stopped(reason)) => Answer::Undecided(reason.to_string()),
+                    Err(SolveError::Stopped(reason)) => Answer::Undecided(reason.to_string()),
                     Err(e) => return Err(e.to_string()),
                 }
             }

@@ -1157,3 +1157,102 @@ fn terminate_and_optimize_json_reports_golden() {
         )
     );
 }
+
+/// Σt = ∅: the two Σst tgds differ only in how their constants split the
+/// text `a,!b,!c`, so a key that writes constants as raw text merges them.
+const CONSTANTS_SPELLING_THE_KEY: &str = "
+%schema
+source S/1; source Ok/2; target T/3
+%st
+S(x) -> T(x, 'a,!b', 'c');
+S(x) -> T(x, 'a', 'b,!c')
+%ts
+T(x, y, z) -> Ok(y, z)
+%instance
+S(s). Ok('a,!b', c).
+";
+
+/// The second tgd's constant `'$lint$x'` reads as a frozen `x` to a
+/// redundancy check that freezes variables into constants.
+const TGD_CONSTANT_SPELLING_A_FROZEN_VARIABLE: &str = "
+%schema
+source A/1; source Ok/2; target B/2
+%st
+A(x) -> B(x, x);
+A(x) -> B(x, '$lint$x')
+%ts
+B(x, y) -> Ok(x, y)
+%instance
+A(a). Ok(a, a).
+";
+
+/// The data-exchange route: the second egd's constant `'$opt$y'` reads as
+/// a frozen `y` to a redundancy check that freezes variables into
+/// constants.
+const EGD_CONSTANT_SPELLING_A_FROZEN_VARIABLE: &str = "
+%schema
+source S/2; source R/2; target T/2; target U/2
+%st
+S(x, y) -> T(x, y);
+R(x, y) -> U(x, y)
+%t
+T(x, y), U(x, y) -> x = y;
+T(x, y), U(x, '$opt$y') -> x = y
+%instance
+S(a, b). R(a, '$opt$y').
+";
+
+/// `solve` and `solve --no-optimize` must exit alike with `code`.
+#[track_caller]
+fn solve_agrees_with_no_optimize(path: &str, code: i32) {
+    stdout_of(&["solve", "--no-lint", path], code);
+    stdout_of(&["solve", "--no-lint", "--no-optimize", path], code);
+}
+
+#[test]
+fn constants_spelling_optimizer_syntax_are_never_redundant() {
+    for (name, bundle) in [
+        ("spelling_key.pde", CONSTANTS_SPELLING_THE_KEY),
+        ("spelling_tgd.pde", TGD_CONSTANT_SPELLING_A_FROZEN_VARIABLE),
+        ("spelling_egd.pde", EGD_CONSTANT_SPELLING_A_FROZEN_VARIABLE),
+    ] {
+        let p = write_temp(name, bundle);
+        let path = p.to_str().unwrap();
+        solve_agrees_with_no_optimize(path, 1);
+        let optimized = stdout_of(&["optimize", path], 0);
+        assert!(optimized.contains("(0 removed)"), "{name}: {optimized}");
+        let lint = stdout_of(&["lint", path], 0);
+        for code in ["PDE021", "PDE040", "PDE041"] {
+            assert!(!lint.contains(code), "{name}: {lint}");
+        }
+    }
+}
+
+#[test]
+fn lint_reports_one_of_two_equivalent_tgds() {
+    let p = write_temp(
+        "equivalent_tgds.pde",
+        "
+%schema
+source A/1; target B/1
+%st
+A(x) -> B(x);
+A(x), A(x) -> B(x)
+%instance
+A(a).
+",
+    );
+    let path = p.to_str().unwrap();
+    solve_agrees_with_no_optimize(path, 0);
+    let lint = stdout_of(&["lint", path], 0);
+    assert_eq!(lint.matches("PDE021").count(), 1, "{lint}");
+    assert!(
+        lint.contains("warning[PDE021]: tgd is implied by Σst #0") && lint.contains("--> Σst #1"),
+        "{lint}"
+    );
+    let optimized = stdout_of(&["optimize", path], 0);
+    assert!(
+        optimized.contains("remove sigma_st #1: subsumed by #0"),
+        "{optimized}"
+    );
+}

@@ -41,13 +41,63 @@ impl Block {
     }
 }
 
-/// Root of slot `x` in the union-find `parent`, halving the path.
-fn find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        parent[x as usize] = parent[parent[x as usize] as usize];
-        x = parent[x as usize];
+/// Union-find over the nulls of an instance: each null gets a dense slot
+/// in order of first occurrence, and the facts seen so far join the slots
+/// of the nulls they share. [`blocks`] builds one per decomposition; the
+/// incremental steps 2–3 of `ExistsSolution` keep one across inserts.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NullForest {
+    slot_of: HashMap<NullId, u32, FxBuildHasher>,
+    /// Parent of each slot; a root is its own parent.
+    parent: Vec<u32>,
+}
+
+impl NullForest {
+    /// Number of slots (distinct nulls seen).
+    pub(crate) fn len(&self) -> usize {
+        self.parent.len()
     }
-    x
+
+    /// Root of slot `x`, halving the path.
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+        let parent = &mut self.parent;
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+
+    /// Join the nulls of one fact: new nulls get fresh slots, and every
+    /// null's tree joins the first null's. `merged(from, into)` sees each
+    /// root that stops being one. Returns the slot of the fact's first
+    /// null, or `None` for a ground fact.
+    pub(crate) fn join(
+        &mut self,
+        nulls: impl IntoIterator<Item = NullId>,
+        mut merged: impl FnMut(u32, u32),
+    ) -> Option<u32> {
+        let mut first = None;
+        for n in nulls {
+            let fresh = u32::try_from(self.parent.len()).expect("null count fits u32");
+            let s = *self.slot_of.entry(n).or_insert(fresh);
+            if s == fresh {
+                self.parent.push(s); // a new slot is its own root
+            }
+            let f = *first.get_or_insert(s);
+            let (root, into) = (self.find(s), self.find(f));
+            if root != into {
+                self.parent[root as usize] = into;
+                merged(root, into);
+            }
+        }
+        first
+    }
+
+    /// Every `(null, slot)` pair, in no particular order.
+    fn slots(&self) -> impl Iterator<Item = (NullId, u32)> + '_ {
+        self.slot_of.iter().map(|(n, s)| (*n, *s))
+    }
 }
 
 /// Decompose `inst` into its blocks. The ground block (if non-empty) comes
@@ -55,23 +105,12 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 /// in ascending order of their smallest null id; facts keep their order.
 pub fn blocks(inst: &Instance) -> Vec<Block> {
     let mut span = pde_trace::span("blocks.decompose").field("facts", inst.fact_count());
-    // Nulls get dense slots in order of first occurrence; `parent` is the
-    // union-find over slots.
-    let mut slot_of: HashMap<NullId, u32, FxBuildHasher> = HashMap::default();
-    let mut parent = Vec::new();
+    let mut forest = NullForest::default();
     // The ground block, and the other facts with their first null's slot.
     let mut ground = Block::default();
     let mut pending = Vec::new();
     let _ = inst.for_each_fact(|rel, ids| {
-        let mut first = None;
-        for n in ids.iter().filter_map(|id| id.value().as_null()) {
-            let fresh = u32::try_from(parent.len()).expect("null count fits u32");
-            let s = *slot_of.entry(n).or_insert(fresh);
-            parent.resize(slot_of.len(), s); // a new slot is its own root
-            let f = *first.get_or_insert(s);
-            let root = find(&mut parent, s);
-            parent[root as usize] = find(&mut parent, f);
-        }
+        let first = forest.join(ids.iter().filter_map(|id| id.value().as_null()), |_, _| {});
         let t = Tuple::new(ids.iter().map(|id| id.value()).collect::<Vec<_>>());
         match first {
             Some(f) => pending.push((rel, t, f)),
@@ -81,12 +120,12 @@ pub fn blocks(inst: &Instance) -> Vec<Block> {
     });
     // Visiting nulls in ascending order creates the blocks in order of
     // their smallest null, each listing its nulls in ascending order.
-    let mut by_null: Vec<(NullId, u32)> = slot_of.into_iter().collect();
+    let mut by_null: Vec<(NullId, u32)> = forest.slots().collect();
     by_null.sort_unstable();
     let mut out: Vec<Block> = (!ground.is_empty()).then_some(ground).into_iter().collect();
-    let mut block_of = vec![usize::MAX; parent.len()];
+    let mut block_of = vec![usize::MAX; forest.len()];
     for (n, s) in by_null {
-        let root = find(&mut parent, s) as usize;
+        let root = forest.find(s) as usize;
         if block_of[root] == usize::MAX {
             block_of[root] = out.len();
             out.push(Block::default());
@@ -94,7 +133,7 @@ pub fn blocks(inst: &Instance) -> Vec<Block> {
         out[block_of[root]].nulls.push(n);
     }
     for (rel, t, f) in pending {
-        let b = block_of[find(&mut parent, f) as usize];
+        let b = block_of[forest.find(f) as usize];
         out[b].facts.push((rel, t));
     }
     span.record_field("blocks", out.len());
@@ -163,7 +202,12 @@ pub fn check_blocks(
 }
 
 /// Check block `b` (index `i`) against `to`, adding its null map to `out`.
-fn check_block(to: &Instance, i: usize, b: &Block, out: &mut HashMap<NullId, Value>) -> bool {
+pub(crate) fn check_block(
+    to: &Instance,
+    i: usize,
+    b: &Block,
+    out: &mut HashMap<NullId, Value>,
+) -> bool {
     let _span = pde_trace::span("block.hom_search")
         .field("block", i)
         .field("nulls", b.nulls.len())

@@ -30,9 +30,7 @@ pub use assignment::{
 pub use blocks::{blocks, blockwise_hom_exists, check_blocks, Block};
 pub use setting::{PdeSetting, SettingClass, SettingError};
 pub use solution::{check_solution, core_solution, is_solution, SolutionViolation};
-pub use tractable::{
-    exists_solution, exists_solution_from_chased, TractableOutcome, TractableStats,
-};
+pub use tractable::{exists_solution, DemandState, TractableOutcome, TractableStats};
 
 pub mod generic;
 pub use generic::{GenericLimits, GenericOutcome, GenericStats};

@@ -17,12 +17,18 @@
 //! *materializes* a solution `J_img = h_J(J_can)` — the (⇐) construction of
 //! Theorem 5 — so callers receive a witness, not just a bit.
 
-use crate::blocks::{blocks, check_blocks};
+use crate::blocks::{blocks, check_block, check_blocks, Block, NullForest};
 use crate::setting::PdeSetting;
 use crate::solver::SolveError;
-use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine};
-use pde_relational::{Instance, Peer, Value};
+use pde_chase::{
+    chase_incremental_governed, chase_tgds_governed, null_gen_for, ChaseEngine, ChaseLimits,
+    WitnessMode,
+};
+use pde_constraints::Dependency;
+use pde_relational::{Instance, NullGen, NullId, Peer, RelId, Tuple, Value};
 use pde_runtime::Governor;
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Block count above which the per-block homomorphism checks run on
 /// multiple threads (they are independent by Prop. 1).
@@ -126,34 +132,9 @@ fn exists_solution_governed_unchecked(
     solve_from_chased(setting, input, &st_res.instance, stats, engine, governor)
 }
 
-/// Steps 2–3 of `ExistsSolution` on a *precomputed* step-1 chase.
-///
-/// `chased_st` must be the Σst-chase fixpoint of `input` (the combined
-/// `(I, J_can)` instance) — e.g. one maintained incrementally across
-/// inserts via `chase_incremental_governed`, which is how `pde serve`
-/// answers `solve` requests without re-chasing from scratch. The
-/// `C_tract` hypothesis of Theorems 5–6 still applies, and a stale or
-/// under-chased `chased_st` yields wrong answers — callers own that
-/// invariant.
-pub fn exists_solution_from_chased(
-    setting: &PdeSetting,
-    input: &Instance,
-    chased_st: &Instance,
-    engine: ChaseEngine,
-    governor: &Governor,
-) -> Result<TractableOutcome, SolveError> {
-    if !setting.has_no_target_constraints() {
-        return Err(SolveError::HasTargetConstraints);
-    }
-    if !input.is_ground() {
-        return Err(SolveError::InputNotGround);
-    }
-    let stats = TractableStats::default();
-    solve_from_chased(setting, input, chased_st, stats, engine, governor)
-}
-
 /// Shared tail of the Fig. 3 algorithm: steps 2–3 plus the witness
-/// construction, given the step-1 chase `chased_st`.
+/// construction, given the step-1 chase `chased_st` (the Σst fixpoint of
+/// `input`, the combined `(I, J_can)` instance).
 fn solve_from_chased(
     setting: &PdeSetting,
     input: &Instance,
@@ -212,10 +193,211 @@ fn solve_from_chased(
     })
 }
 
+/// Steps 2–3 of `ExistsSolution` kept across inserts: the state behind
+/// `pde serve`'s `solve`.
+///
+/// Under source inserts `J_can`, `I_can` and `I` only grow. A block of
+/// `I_can` that maps into `I` and gains no facts still maps: a
+/// homomorphism into `I` is one into any larger instance, and by Prop. 1
+/// the other blocks never constrain it. So [`DemandState::extend`] chases
+/// Σts only off the new `J_can` rows and re-checks only three kinds of
+/// block: new ones (each new fact starts one), older ones a new one merged
+/// into through a shared null, and ones (or ground facts) not known to map
+/// before.
+///
+/// Σts has no egds, so the Σts instance only grows and its row ids stay
+/// valid: a block holds its facts as `(relation, row)` references into it.
+/// A retract shrinks `I` and breaks the argument; drop the state then and
+/// start over from [`DemandState::new`].
+pub struct DemandState {
+    /// Σts as chase dependencies.
+    deps: Vec<Dependency>,
+    /// The Σts fixpoint: a copy of `J_can` plus `I_can`.
+    ts: Instance,
+    /// First epoch of the Σst fixpoint not yet copied into `ts`.
+    jcan_since: u64,
+    /// Has `ts` been chased yet?
+    chased: bool,
+    /// Union-find over the nulls of `I_can`.
+    forest: NullForest,
+    /// The facts of each block, at its root slot (empty off the roots).
+    members: Vec<Vec<(RelId, u32)>>,
+    /// Root slots of the blocks not known to map into `I`, in check order.
+    unmapped: Vec<u32>,
+    /// Ground facts of `I_can` not known to be in `I`.
+    missing: Vec<(RelId, u32)>,
+}
+
+impl DemandState {
+    /// The state before any `J_can` row: nothing chased, nothing demanded.
+    pub fn new(setting: &PdeSetting) -> Result<DemandState, SolveError> {
+        if !setting.has_no_target_constraints() {
+            return Err(SolveError::HasTargetConstraints);
+        }
+        Ok(DemandState {
+            deps: setting
+                .sigma_ts()
+                .iter()
+                .cloned()
+                .map(Dependency::Tgd)
+                .collect(),
+            ts: Instance::new(setting.schema().clone()),
+            jcan_since: 0,
+            chased: false,
+            forest: NullForest::default(),
+            members: Vec::new(),
+            unmapped: Vec::new(),
+            missing: Vec::new(),
+        })
+    }
+
+    /// Does a solution exist, as of the last extension? That is, does
+    /// `I_can` map into `I`?
+    pub fn exists(&self) -> bool {
+        self.missing.is_empty() && self.unmapped.is_empty()
+    }
+
+    /// Bring the state up to `chased_st`, the Σst fixpoint of `input`.
+    ///
+    /// Both must only have grown since the last extension. `gen` must have
+    /// minted the nulls of `chased_st` and every Σts null so far, so a
+    /// fresh null never reuses a live id (which would join unrelated
+    /// blocks). A governor stop or a chase refusal consumes the state:
+    /// nothing half-extended survives.
+    pub fn extend(
+        mut self,
+        input: &Instance,
+        chased_st: &Instance,
+        gen: &NullGen,
+        governor: &Governor,
+    ) -> Result<DemandState, SolveError> {
+        if !input.is_ground() {
+            return Err(SolveError::InputNotGround);
+        }
+        // Step 2: splice the new J_can rows in at a fresh watermark and
+        // chase off that delta (the whole instance the first time).
+        let schema = chased_st.schema().clone();
+        let mut ts = std::mem::replace(&mut self.ts, Instance::new(schema.clone()));
+        let watermark = ts.bump_epoch();
+        for rel in schema.rels_of(Peer::Target) {
+            let _ = chased_st.relation(rel).for_each_row_in_window(
+                self.jcan_since,
+                u64::MAX,
+                &mut |_, ids| {
+                    ts.insert_ids(rel, ids);
+                    ControlFlow::Continue(())
+                },
+            );
+        }
+        let since = if self.chased { watermark } else { 0 };
+        let res = chase_incremental_governed(
+            ts,
+            &self.deps,
+            WitnessMode::FreshNulls(gen),
+            ChaseLimits::default(),
+            governor,
+            None,
+            since,
+        );
+        if !res.is_success() {
+            return Err(SolveError::chase_refusal(res.outcome));
+        }
+        self.ts = res.instance;
+        self.jcan_since = chased_st.current_epoch() + 1;
+        self.chased = true;
+        // Step 3: file the new I_can rows, then re-check.
+        let new_rows: Vec<(RelId, u32)> = (schema.rels_of(Peer::Source))
+            .flat_map(|rel| {
+                let rows = self.ts.relation(rel).row_ids_in_window(since, u64::MAX);
+                rows.map(move |row| (rel, row))
+            })
+            .collect();
+        for (rel, row) in new_rows {
+            self.file(rel, row);
+        }
+        self.recheck(input);
+        Ok(self)
+    }
+
+    /// File row `row` of `rel`, a new `I_can` fact. A ground fact joins
+    /// `missing`. Otherwise its nulls join one block, merging the blocks
+    /// they connect, and that block joins `unmapped` for a re-check.
+    fn file(&mut self, rel: RelId, row: u32) {
+        let r = self.ts.relation(rel);
+        let nulls = (0..r.arity()).filter_map(|attr| r.value_id_at(row, attr).value().as_null());
+        let mut merges = Vec::new();
+        let Some(first) = self
+            .forest
+            .join(nulls, |from, into| merges.push((from, into)))
+        else {
+            self.missing.push((rel, row));
+            return;
+        };
+        let members = &mut self.members;
+        members.resize_with(self.forest.len(), Vec::new);
+        for (from, into) in merges {
+            // Move the smaller list, so merges cost O(n log n) in all.
+            let mut moved = std::mem::take(&mut members[from as usize]);
+            if moved.len() > members[into as usize].len() {
+                std::mem::swap(&mut moved, &mut members[into as usize]);
+            }
+            members[into as usize].extend(moved);
+        }
+        let root = self.forest.find(first);
+        members[root as usize].push((rel, row));
+        self.unmapped.push(root);
+    }
+
+    /// Drop the ground facts `input` now holds, then check the blocks not
+    /// known to map, earlier failures first, up to the first that still
+    /// fails. That block and the unchecked rest stay unmapped, so a "no"
+    /// costs one check; a missing ground fact answers "no" with none.
+    fn recheck(&mut self, input: &Instance) {
+        let ts = &self.ts;
+        let mut ids = Vec::new();
+        self.missing.retain(|&(rel, row)| {
+            let r = ts.relation(rel);
+            ids.clear();
+            ids.extend((0..r.arity()).map(|attr| r.value_id_at(row, attr)));
+            !input.relation(rel).contains_ids(&ids)
+        });
+        let mut roots = std::mem::take(&mut self.unmapped);
+        for s in &mut roots {
+            *s = self.forest.find(*s);
+        }
+        let mut seen = HashSet::new();
+        roots.retain(|root| seen.insert(*root));
+        if self.missing.is_empty() {
+            let mut h = HashMap::new();
+            let mapped = (roots.iter())
+                .take_while(|&&root| {
+                    h.clear();
+                    let block = block_at(ts, &self.members[root as usize]);
+                    check_block(input, root as usize, &block, &mut h)
+                })
+                .count();
+            roots.drain(..mapped);
+        }
+        self.unmapped = roots;
+    }
+}
+
+/// The block made of rows `facts` of `ts`, its nulls in ascending order.
+fn block_at(ts: &Instance, facts: &[(RelId, u32)]) -> Block {
+    let facts: Vec<(RelId, Tuple)> = (facts.iter())
+        .map(|&(rel, row)| (rel, ts.relation(rel).row(row).expect("Σts rows stay live")))
+        .collect();
+    let mut nulls: Vec<NullId> = facts.iter().flat_map(|(_, t)| t.nulls()).collect();
+    nulls.sort_unstable();
+    nulls.dedup();
+    Block { facts, nulls }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solution::is_solution;
+    use pde_chase::chase_tgds;
     use pde_relational::parse_instance;
 
     fn example1() -> PdeSetting {
@@ -414,6 +596,107 @@ mod tests {
         let err =
             exists_solution_governed(&p, &input, pde_chase::default_chase_engine(), &governor)
                 .unwrap_err();
+        assert!(matches!(
+            err,
+            SolveError::Stopped(StopReason::DeadlineExceeded { .. })
+        ));
+    }
+
+    /// Grow `input` fact by fact, keeping its Σst fixpoint incrementally
+    /// as `pde serve` does, and require [`DemandState`] to answer like a
+    /// fresh `exists_solution` after every insert.
+    fn follow_inserts(p: &PdeSetting, base: &str, inserts: &[&str]) {
+        let st_deps: Vec<Dependency> = p.sigma_st().iter().cloned().map(Dependency::Tgd).collect();
+        let gen = NullGen::new();
+        let governor = Governor::unlimited();
+        let mut input = parse_instance(p.schema(), base).unwrap();
+        let mut st = input.clone();
+        let mut demand = DemandState::new(p).unwrap();
+        let mut since = 0;
+        for step in std::iter::once("").chain(inserts.iter().copied()) {
+            let facts = parse_instance(p.schema(), step).unwrap();
+            for (rel, t) in facts.facts() {
+                input.insert(rel, t.clone());
+                st.insert(rel, t);
+            }
+            let res = chase_incremental_governed(
+                st,
+                &st_deps,
+                WitnessMode::FreshNulls(&gen),
+                ChaseLimits::default(),
+                &governor,
+                None,
+                since,
+            );
+            st = res.into_success().unwrap();
+            demand = demand.extend(&input, &st, &gen, &governor).unwrap();
+            let fresh = exists_solution(p, &input).unwrap().exists;
+            assert_eq!(demand.exists(), fresh, "after inserting {step:?}");
+            since = st.bump_epoch();
+        }
+    }
+
+    #[test]
+    fn demand_state_follows_inserts_like_a_fresh_solve() {
+        follow_inserts(
+            &example1(),
+            "E(a, a).",
+            &[
+                "E(a, b).",
+                "E(b, c).",
+                "E(a, c).",
+                "E(c, d).",
+                "E(b, d). E(a, d).",
+            ],
+        );
+        // Σts existentials: each H edge demands a 2-path in E.
+        let lav = PdeSetting::parse(
+            "source E/2; target H/2;",
+            "E(x, y) -> H(x, y)",
+            "H(x, y) -> exists z . E(x, z), E(z, y)",
+            "",
+        )
+        .unwrap();
+        follow_inserts(
+            &lav,
+            "E(a, a).",
+            &["E(a, b).", "E(b, b).", "E(b, c).", "E(c, c)."],
+        );
+        // A later R fact joins the block of the S null; the Q fact then
+        // makes that failed block map again.
+        let joining = PdeSetting::parse(
+            "source S/1; source R/2; source P/2; source Q/2; target T/2; target U/2;",
+            "S(a) -> exists y . T(a, y); R(a, b) -> U(a, b)",
+            "T(a, y) -> P(a, y); T(a, y), U(a, b) -> Q(y, b)",
+            "",
+        )
+        .unwrap();
+        follow_inserts(
+            &joining,
+            "S(s1). P(s1, c). R(s1, d). Q(c, d). Q(e, d).",
+            &["R(s1, z).", "Q(c, z).", "S(s2).", "P(s2, e).", "R(s2, d)."],
+        );
+    }
+
+    #[test]
+    fn demand_state_stop_is_undecided() {
+        use pde_runtime::{GovernorConfig, StopReason};
+        use std::time::Duration;
+        let p = example1();
+        let input = parse_instance(p.schema(), "E(a, b). E(b, c).").unwrap();
+        let gen = NullGen::new();
+        let st = chase_tgds(input.clone(), p.sigma_st(), &gen)
+            .into_success()
+            .unwrap();
+        let governor = Governor::new(GovernorConfig {
+            deadline: Some(Duration::ZERO),
+            ..GovernorConfig::default()
+        });
+        let err = DemandState::new(&p)
+            .unwrap()
+            .extend(&input, &st, &gen, &governor)
+            .err()
+            .unwrap();
         assert!(matches!(
             err,
             SolveError::Stopped(StopReason::DeadlineExceeded { .. })

@@ -42,7 +42,7 @@ pub use instance::Instance;
 pub use instance::StorageStats;
 pub use parser::{
     is_identifier, parse_atom, parse_atom_list, parse_atoms, parse_instance, parse_query,
-    parse_schema, parse_term, render_instance, Lexer, ParseError, Span, Token,
+    parse_schema, parse_term, render_fact, render_instance, Lexer, ParseError, Span, Token,
 };
 pub use query::{ConjunctiveQuery, UnionQuery};
 pub use relation::{Relation, BYTES_PER_FACT_BUDGET};

@@ -17,7 +17,7 @@
 use crate::atom::{Atom, Term, Var};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
-use crate::schema::{Peer, Schema};
+use crate::schema::{Peer, RelId, Schema};
 use crate::symbol::Symbol;
 use crate::tuple::Tuple;
 use crate::value::{NullId, Value};
@@ -538,33 +538,47 @@ pub fn render_instance(inst: &Instance) -> String {
     let schema = inst.schema();
     let mut out = String::new();
     for (rel, t) in inst.facts() {
-        let _ = write!(out, "{}(", schema.name(rel));
-        for (i, v) in t.values().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            match v {
-                Value::Const(c) => {
-                    let s = c.as_str();
-                    let quote = if is_identifier(&s) {
-                        ""
-                    } else if s.contains('\'') {
-                        "\""
-                    } else {
-                        "'"
-                    };
-                    out.push_str(quote);
-                    out.push_str(&s);
-                    out.push_str(quote);
-                }
-                Value::Null(n) => {
-                    let _ = write!(out, "?{}", n.0);
-                }
-            }
-        }
-        out.push_str(").\n");
+        write_fact(&mut out, schema, rel, t.values());
+        out.push_str(".\n");
     }
     out
+}
+
+/// Write one fact `R(v, …)` (no final period) in the syntax
+/// [`parse_instance`] reads, with [`render_instance`]'s spelling of
+/// constants and nulls.
+pub fn render_fact(schema: &Schema, rel: RelId, values: &[Value]) -> String {
+    let mut out = String::new();
+    write_fact(&mut out, schema, rel, values);
+    out
+}
+
+fn write_fact(out: &mut String, schema: &Schema, rel: RelId, values: &[Value]) {
+    let _ = write!(out, "{}(", schema.name(rel));
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match v {
+            Value::Const(c) => {
+                let s = c.as_str();
+                let quote = if is_identifier(&s) {
+                    ""
+                } else if s.contains('\'') {
+                    "\""
+                } else {
+                    "'"
+                };
+                out.push_str(quote);
+                out.push_str(&s);
+                out.push_str(quote);
+            }
+            Value::Null(n) => {
+                let _ = write!(out, "?{}", n.0);
+            }
+        }
+    }
+    out.push(')');
 }
 
 /// Parse an instance: facts `R(a, b).` where bare identifiers and quoted

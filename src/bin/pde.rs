@@ -115,7 +115,7 @@ use pde_core::{
     certain_answers, check_solution, decide_governed_scheduled, GenericLimits, PdeSetting,
     SolvePlan,
 };
-use pde_relational::{parse_instance, parse_query, Instance, Peer, UnionQuery};
+use pde_relational::{parse_instance, parse_query, render_fact, Instance, Peer, UnionQuery};
 use pde_runtime::{Governor, GovernorConfig};
 use pde_trace::json::Json;
 use peer_data_exchange::serve::{serve, ServeOptions};
@@ -967,7 +967,10 @@ fn dispatch(
                     if let Some(w) = report.witness {
                         outln!("witness target facts:");
                         for (rel, t) in w.facts_of(Peer::Target) {
-                            outln!("  {}{}", bundle.setting.schema().name(rel), t);
+                            outln!(
+                                "  {}",
+                                render_fact(bundle.setting.schema(), rel, t.values())
+                            );
                         }
                     }
                     Ok(Verdict::Yes)
@@ -979,9 +982,8 @@ fn dispatch(
                         outln!("unsatisfiable source demand:");
                         for (rel, t) in demand {
                             outln!(
-                                "  {}{}  (nulls match any value)",
-                                bundle.setting.schema().name(rel),
-                                t
+                                "  {}  (nulls match any value)",
+                                render_fact(bundle.setting.schema(), rel, t.values())
                             );
                         }
                     }
@@ -1037,7 +1039,7 @@ fn dispatch(
             }
             outln!("J_can (after Σst chase, {} steps):", st.steps);
             for (rel, t) in st.instance.facts_of(Peer::Target) {
-                outln!("  {}{}", schema.name(rel), t);
+                outln!("  {}", render_fact(schema, rel, t.values()));
             }
             let jcan = st.instance.restrict(Peer::Target);
             let ts = chase_tgds(jcan, bundle.setting.sigma_ts(), &gen);
@@ -1046,7 +1048,7 @@ fn dispatch(
             }
             outln!("I_can (after Σts chase, {} steps):", ts.steps);
             for (rel, t) in ts.instance.facts_of(Peer::Source) {
-                outln!("  {}{}", schema.name(rel), t);
+                outln!("  {}", render_fact(schema, rel, t.values()));
             }
             let ican = ts.instance.restrict(Peer::Source);
             let blocks = pde_core::blocks::blocks(&ican);
@@ -1111,7 +1113,10 @@ fn dispatch(
             for (i, sol) in fam.solutions.iter().enumerate() {
                 outln!("--- solution {i} ---");
                 for (rel, t) in sol.facts_of(Peer::Target) {
-                    outln!("  {}{}", bundle.setting.schema().name(rel), t);
+                    outln!(
+                        "  {}",
+                        render_fact(bundle.setting.schema(), rel, t.values())
+                    );
                 }
             }
             Ok(verdict(!fam.solutions.is_empty()))
@@ -1132,7 +1137,10 @@ fn dispatch(
                 small.fact_count_of(Peer::Target)
             );
             for (rel, t) in small.facts_of(Peer::Target) {
-                outln!("  {}{}", bundle.setting.schema().name(rel), t);
+                outln!(
+                    "  {}",
+                    render_fact(bundle.setting.schema(), rel, t.values())
+                );
             }
             Ok(Verdict::Yes)
         }

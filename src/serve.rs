@@ -12,16 +12,31 @@
 //! * Startup recovery replays the journal onto the last snapshot and
 //!   truncates any torn or corrupt tail; the hello line reports the
 //!   recovered epoch and what was dropped.
-//! * `solve` on tractable settings reuses a shared Σst-chased instance,
-//!   re-chased incrementally off epoch deltas after each insert
-//!   ([`pde_chase::chase_incremental_governed`]) instead of from scratch;
-//!   retracts invalidate the cache (an incremental window is only sound
-//!   on top of a fixpoint) and the next solve re-chases fully.
+//! * `solve` on tractable settings keeps all of Fig. 3 as session state
+//!   (`Chased`): the Σst fixpoint of the base, and a
+//!   [`pde_core::DemandState`] holding the Σts fixpoint (a `J_can` copy
+//!   plus `I_can`), the union-find over `I_can`'s nulls, each block's
+//!   facts as row references, and which blocks and ground facts are not
+//!   known to map into `I`. After inserts, a solve extends both chases off
+//!   the epoch deltas ([`pde_chase::chase_incremental_governed`]) and
+//!   re-checks only new blocks, blocks that gained facts or merged through
+//!   a shared null, and earlier failures: under inserts `J_can`, `I_can`
+//!   and `I` only grow, so by Prop. 1 a block that mapped and gained
+//!   nothing still maps. A solve with no new epoch answers from the cached
+//!   verdict. One session [`NullGen`] mints the nulls of both chases, so a
+//!   Σst null never reuses the id of a live Σts null (which would join
+//!   unrelated blocks into a false "no").
+//! * A retract drops the whole cache, since it can shrink `I` and undo
+//!   chase consequences that delta reasoning cannot see. So do a governor
+//!   stop and a contained panic, which can leave it half-extended. The
+//!   next solve rebuilds it from watermark 0.
+//!   `serve.incremental_rechases` / `serve.full_rechases` count
+//!   extensions and rebuilds.
 //! * Every request runs under its own [`Governor`] deadline/budget and
 //!   inside [`pde_runtime::isolate`]: a panicking request is answered
 //!   `undecided` without killing the loop, and the chased cache is moved
 //!   out during maintenance so a contained panic can never leave a
-//!   half-chased instance behind.
+//!   half-extended state behind.
 //!
 //! Telemetry (`docs/OBSERVABILITY.md` has the schemas):
 //!
@@ -40,15 +55,10 @@
 //!   every degraded outcome leaves a postmortem artifact.
 
 use pde_analysis::plan_setting;
-use pde_chase::{
-    chase_governed_with, chase_incremental_governed, null_gen_for, ChaseLimits, ChaseOutcome,
-    WitnessMode,
-};
+use pde_chase::{chase_incremental_governed, ChaseLimits, ChaseOutcome, WitnessMode};
 use pde_constraints::Dependency;
-use pde_core::{
-    certain_answers, exists_solution_from_chased, Bundle, GenericLimits, PdeSetting, SolveError,
-};
-use pde_relational::{parse_instance, parse_query, Instance, Schema, UnionQuery, Value};
+use pde_core::{certain_answers, Bundle, DemandState, GenericLimits, PdeSetting, SolveError};
+use pde_relational::{parse_instance, parse_query, Instance, NullGen, Schema, UnionQuery, Value};
 use pde_runtime::{isolate, Governor, GovernorConfig};
 use pde_store::{InstanceStore, Op, RecoveryReport};
 use pde_trace::json::{self, Json};
@@ -96,11 +106,18 @@ struct Request {
     inject_panic_at: Option<u64>,
 }
 
-/// The Σst-chase fixpoint of the base, tagged with the base epoch it
-/// covers. `covered < base.current_epoch()` means inserts arrived since;
-/// the next solve extends it incrementally from that watermark.
+/// The fast path's Fig. 3 state, tagged with the base epoch it covers.
+/// `covered < base.current_epoch()` means inserts arrived since; the next
+/// solve extends it incrementally from that watermark.
 struct Chased {
+    /// Step 1: the Σst fixpoint of the base.
     instance: Instance,
+    /// Steps 2–3: the Σts fixpoint, the blocks of `I_can` and their
+    /// verdicts.
+    demand: DemandState,
+    /// Mints the nulls of both chases, so a Σst null never reuses the id
+    /// of a live Σts null.
+    gen: NullGen,
     covered: u64,
 }
 
@@ -625,34 +642,10 @@ fn handle_solve(
     meta: &mut ReqMeta,
 ) -> Result<Fields, String> {
     let answer = if state.fast_path && state.base.is_ground() {
-        let chase_start = Instant::now();
-        let refreshed = refresh_chased(state, governor);
-        meta.chase_ns = ns_since(chase_start);
-        match refreshed {
-            RefreshOutcome::Ready => {
-                let solve_start = Instant::now();
-                let chased = state.chased.as_ref().expect("refresh left the cache ready");
-                let solved = exists_solution_from_chased(
-                    &state.setting,
-                    &state.base,
-                    &chased.instance,
-                    pde_chase::default_chase_engine(),
-                    governor,
-                );
-                meta.solve_ns = ns_since(solve_start);
-                match solved {
-                    Ok(out) => {
-                        if out.exists {
-                            Answer::Yes
-                        } else {
-                            Answer::No
-                        }
-                    }
-                    Err(SolveError::Stopped(reason)) => Answer::Undecided(reason.to_string()),
-                    Err(e) => return Err(e.to_string()),
-                }
-            }
-            RefreshOutcome::Stopped(reason) => Answer::Undecided(reason),
+        match refresh_chased(state, governor, meta) {
+            RefreshOutcome::Ready(true) => Answer::Yes,
+            RefreshOutcome::Ready(false) => Answer::No,
+            RefreshOutcome::Undecided(reason) => Answer::Undecided(reason),
             RefreshOutcome::Panicked(message) => {
                 state.counters.panics_isolated += 1;
                 meta.governor = format!("panic: {message}");
@@ -716,95 +709,117 @@ fn solve_full(state: &mut ServeState, governor: &Governor) -> Result<Answer, Str
 
 /// Outcome of bringing the chased cache up to the base's epoch.
 enum RefreshOutcome {
-    /// `state.chased` is the Σst fixpoint of the current base.
-    Ready,
-    /// The governor stopped the chase; the cache is dropped.
-    Stopped(String),
-    /// The chase panicked and was isolated; the cache is dropped.
+    /// `state.chased` covers the current base; the flag is its answer.
+    Ready(bool),
+    /// The governor, a chase limit or a refusal stopped the work; the
+    /// cache is dropped.
+    Undecided(String),
+    /// A chase or block check panicked and was isolated; the cache is
+    /// dropped.
     Panicked(String),
 }
 
-/// Ensure `state.chased` covers the current base epoch: extend an existing
-/// fixpoint incrementally off the epoch delta, or full-chase from scratch
-/// when there is nothing to extend (startup, post-retract, post-failure).
+/// Ensure `state.chased` covers the current base epoch, and answer from
+/// it: extend an existing cache off the epoch delta, or rebuild it from
+/// scratch (watermark 0) when there is none (startup, post-retract,
+/// post-failure). A solve with no new epoch answers from the cached
+/// verdict.
 ///
-/// The cache is *moved out* before any chase runs, so a contained panic
-/// drops the possibly half-mutated instance instead of caching it.
-fn refresh_chased(state: &mut ServeState, governor: &Governor) -> RefreshOutcome {
+/// The cache is *moved out* before any work runs and only put back once
+/// both steps succeed, so a stop or a contained panic drops all of it
+/// instead of caching a half-extended state.
+fn refresh_chased(
+    state: &mut ServeState,
+    governor: &Governor,
+    meta: &mut ReqMeta,
+) -> RefreshOutcome {
     let covered = state.base.current_epoch();
-    let limits = ChaseLimits::default();
-    let run = match state.chased.take() {
+    let (instance, demand, gen, since) = match state.chased.take() {
         Some(c) if c.covered == covered => {
+            let exists = c.demand.exists();
             state.chased = Some(c);
-            return RefreshOutcome::Ready;
+            return RefreshOutcome::Ready(exists);
         }
-        Some(mut c) => {
+        Some(Chased {
+            mut instance,
+            demand,
+            gen,
+            covered: from,
+        }) => {
             // Incremental: splice the base rows inserted after the covered
             // epoch into the fixpoint at a fresh watermark, then chase
             // only off that delta.
             state.counters.incremental_rechases += 1;
-            let schema = state.base.schema().clone();
-            let from = c.covered;
-            let watermark = c.instance.bump_epoch();
-            for rel in schema.rel_ids() {
+            let watermark = instance.bump_epoch();
+            for rel in state.base.schema().rel_ids() {
                 let _ = state.base.relation(rel).for_each_row_in_window(
                     from + 1,
                     u64::MAX,
                     &mut |_, ids| {
-                        c.instance.insert_ids(rel, ids);
+                        instance.insert_ids(rel, ids);
                         ControlFlow::Continue(())
                     },
                 );
             }
-            let deps = &state.st_deps;
-            isolate(move || {
-                let gen = null_gen_for(&c.instance);
-                chase_incremental_governed(
-                    c.instance,
-                    deps,
-                    WitnessMode::FreshNulls(&gen),
-                    limits,
-                    governor,
-                    None,
-                    watermark,
-                )
-            })
+            (instance, demand, gen, watermark)
         }
         None => {
             state.counters.full_rechases += 1;
-            let input = state.base.clone();
-            let deps = &state.st_deps;
-            isolate(move || {
-                let gen = null_gen_for(&input);
-                chase_governed_with(
-                    input,
-                    deps,
-                    WitnessMode::FreshNulls(&gen),
-                    limits,
-                    pde_chase::default_chase_engine(),
-                    governor,
-                )
-            })
+            let demand = match DemandState::new(&state.setting) {
+                Ok(d) => d,
+                Err(e) => return RefreshOutcome::Undecided(e.to_string()),
+            };
+            // The fast path only runs on a ground base: no null ids to
+            // avoid yet.
+            (state.base.clone(), demand, NullGen::new(), 0)
         }
     };
+    // Step 1: the Σst chase.
+    let start = Instant::now();
+    let run = isolate(|| {
+        chase_incremental_governed(
+            instance,
+            &state.st_deps,
+            WitnessMode::FreshNulls(&gen),
+            ChaseLimits::default(),
+            governor,
+            None,
+            since,
+        )
+    });
+    meta.chase_ns = ns_since(start);
+    let res = match run {
+        Ok(res) => res,
+        Err(e) => return RefreshOutcome::Panicked(e.to_string()),
+    };
+    state
+        .metrics
+        .merge_histogram("chase.round_ns", &res.stats.round_ns);
+    if !res.is_success() {
+        return RefreshOutcome::Undecided(match res.outcome {
+            ChaseOutcome::Stopped { reason } => reason.to_string(),
+            other => format!("chase did not reach a fixpoint: {other:?}"),
+        });
+    }
+    // Steps 2–3: extend the Σts chase and the block verdicts.
+    let instance = res.instance;
+    let start = Instant::now();
+    let base = &state.base;
+    let run = isolate(|| demand.extend(base, &instance, &gen, governor));
+    meta.solve_ns = ns_since(start);
     match run {
-        Ok(res) => {
-            state
-                .metrics
-                .merge_histogram("chase.round_ns", &res.stats.round_ns);
-            if res.is_success() {
-                state.chased = Some(Chased {
-                    instance: res.instance,
-                    covered,
-                });
-                RefreshOutcome::Ready
-            } else {
-                RefreshOutcome::Stopped(match res.outcome {
-                    ChaseOutcome::Stopped { reason } => reason.to_string(),
-                    other => format!("chase did not reach a fixpoint: {other:?}"),
-                })
-            }
+        Ok(Ok(demand)) => {
+            let exists = demand.exists();
+            state.chased = Some(Chased {
+                instance,
+                demand,
+                gen,
+                covered,
+            });
+            RefreshOutcome::Ready(exists)
         }
+        Ok(Err(SolveError::Stopped(reason))) => RefreshOutcome::Undecided(reason.to_string()),
+        Ok(Err(e)) => RefreshOutcome::Undecided(e.to_string()),
         Err(e) => RefreshOutcome::Panicked(e.to_string()),
     }
 }

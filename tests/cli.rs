@@ -181,6 +181,35 @@ fn quoted_constants_stay_distinct_in_solve_enumerate_and_format() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// Fact listings print constants and nulls the way instance text writes
+/// them, so a listed fact reads back as itself.
+#[test]
+fn fact_listings_quote_constants_and_mark_nulls() {
+    let bundle = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/quoted_constants.pde");
+    let out = run(&["solve", "--no-lint", bundle]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("\n  Ok('a,!b', c)  (nulls match any value)\n"),
+        "{stdout}"
+    );
+
+    let p = write_temp("quoted-witness.pde", QUOTED_CONSTANTS);
+    let out = run(&["solve", "--no-lint", p.to_str().unwrap()]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("\n  T(p, a, 'b, c')\n"), "{stdout}");
+
+    let nulls = write_temp(
+        "nulls.pde",
+        "%schema\nsource S/1; source E/2; target T/2\n%st\nS(x) -> exists y . T(x, y)\n\
+         %ts\nT(x, y) -> exists w . E(y, w)\n%instance\nS(a). E(b, c).\n",
+    );
+    let out = run(&["chase", nulls.to_str().unwrap()]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("\n  T(a, ?0)\n"), "{stdout}");
+    assert!(stdout.contains("\n  E(?0, ?1)\n"), "{stdout}");
+}
+
 #[test]
 fn enumerate_lists_solutions() {
     let p = write_temp("tri7.pde", EX1_TRIANGLE);

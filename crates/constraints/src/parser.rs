@@ -33,7 +33,7 @@ fn parse_exists_prefix(lex: &mut Lexer<'_>) -> Result<BTreeSet<Var>, ParseError>
                         span,
                     ));
                 }
-                vars.insert(Var::new(name.as_str()));
+                vars.insert(Var::new(name));
                 match lex.peek()? {
                     Some(Token::Comma) => {
                         lex.next()?;
@@ -41,7 +41,7 @@ fn parse_exists_prefix(lex: &mut Lexer<'_>) -> Result<BTreeSet<Var>, ParseError>
                     _ => break,
                 }
             }
-            lex.expect(&Token::Period)?;
+            lex.expect(Token::Period)?;
         }
     }
     Ok(vars)
@@ -76,14 +76,10 @@ fn parse_rhs(
                     ))
                 }
             };
-            Ok(Dependency::Egd(Egd::new(
-                premise,
-                Var::new(name.as_str()),
-                rhs,
-            )))
+            Ok(Dependency::Egd(Egd::new(premise, Var::new(name), rhs)))
         }
         Some(Token::LParen) => {
-            let first = parse_rest_of_atom(schema, lex, &name, name_span)?;
+            let first = parse_rest_of_atom(schema, lex, name, name_span)?;
             let mut atoms = vec![first];
             while let Some(Token::Comma | Token::Amp) = lex.peek()? {
                 lex.next()?;
@@ -98,7 +94,7 @@ fn parse_rhs(
         other => Err(ParseError::at(
             format!(
                 "expected '=' or '(' after {name}, found {}",
-                other.map_or("end of input".to_owned(), std::string::ToString::to_string)
+                other.map_or("end of input".to_owned(), |t| t.to_string())
             ),
             name_span,
         )),
@@ -115,7 +111,7 @@ fn parse_rest_of_atom(
     let rel = schema
         .rel_id(name)
         .ok_or_else(|| ParseError::at(format!("unknown relation {name}"), name_span))?;
-    lex.expect(&Token::LParen)?;
+    lex.expect(Token::LParen)?;
     let mut terms = Vec::new();
     if !matches!(lex.peek()?, Some(Token::RParen)) {
         loop {
@@ -128,7 +124,7 @@ fn parse_rest_of_atom(
             }
         }
     }
-    lex.expect(&Token::RParen)?;
+    lex.expect(Token::RParen)?;
     if terms.len() != schema.arity(rel) as usize {
         return Err(ParseError::at(
             format!(
@@ -159,7 +155,7 @@ pub fn parse_dependency_spanned_from(
 ) -> Result<(Dependency, Span), ParseError> {
     let start = lex.peek_span()?.start;
     let premise = Conjunction::new(parse_atom_list(schema, lex)?);
-    lex.expect(&Token::Arrow)?;
+    lex.expect(Token::Arrow)?;
     let d = parse_rhs(schema, lex, premise)?;
     Ok((d, Span::new(start, lex.last_end())))
 }
@@ -239,7 +235,7 @@ pub fn parse_egd(schema: &Schema, src: &str) -> Result<Egd, ParseError> {
 pub fn parse_disjunctive_tgd(schema: &Schema, src: &str) -> Result<DisjunctiveTgd, ParseError> {
     let mut lex = Lexer::new(src);
     let premise = Conjunction::new(parse_atom_list(schema, &mut lex)?);
-    lex.expect(&Token::Arrow)?;
+    lex.expect(Token::Arrow)?;
     let mut disjuncts = Vec::new();
     loop {
         let existentials = parse_exists_prefix(&mut lex)?;

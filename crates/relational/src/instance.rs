@@ -7,6 +7,7 @@
 
 use crate::relation::Relation;
 use crate::schema::{Peer, RelId, Schema};
+use crate::symbol::Symbol;
 use crate::tuple::Tuple;
 use crate::unionfind::ValueUnionFind;
 use crate::value::{NullId, Value, ValueId};
@@ -283,23 +284,29 @@ impl Instance {
 
     /// The active domain: every value occurring in some fact.
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.relations.iter().flat_map(Relation::values).collect()
+        distinct_values(self.relations.iter())
     }
 
     /// The active domain restricted to one peer's relations.
     pub fn active_domain_of(&self, peer: Peer) -> BTreeSet<Value> {
-        self.schema
-            .rels_of(peer)
-            .flat_map(|id| self.relations[id.index()].values())
-            .collect()
+        distinct_values(
+            self.schema
+                .rels_of(peer)
+                .map(|id| &self.relations[id.index()]),
+        )
     }
 
     /// The distinct labeled nulls occurring anywhere.
     pub fn nulls(&self) -> BTreeSet<NullId> {
-        self.relations
+        let mut nulls: Vec<NullId> = self
+            .relations
             .iter()
-            .flat_map(|r| r.values().filter_map(|v| v.as_null()))
-            .collect()
+            .flat_map(Relation::value_ids)
+            .filter_map(|id| id.value().as_null())
+            .collect();
+        nulls.sort_unstable();
+        nulls.dedup();
+        nulls.into_iter().collect()
     }
 
     /// Does the instance contain no nulls (a *ground* instance)?
@@ -367,6 +374,36 @@ impl Instance {
         }
         out
     }
+}
+
+/// The distinct values of `relations`' live rows, built without a set
+/// insert per occurrence. Constants are marked in a bitmap over symbol
+/// indices, which are dense and bounded by the interner's size; nulls are
+/// sorted and deduplicated. Both come out in [`Value`] order, so the set
+/// is built from values that are already sorted and distinct.
+fn distinct_values<'r>(relations: impl Iterator<Item = &'r Relation>) -> BTreeSet<Value> {
+    let mut consts: Vec<u64> = Vec::new();
+    let mut nulls: Vec<NullId> = Vec::new();
+    for id in relations.flat_map(Relation::value_ids) {
+        match id.value() {
+            Value::Const(c) => {
+                let (word, bit) = (c.index() / 64, c.index() % 64);
+                if word >= consts.len() {
+                    consts.resize(word + 1, 0);
+                }
+                consts[word] |= 1 << bit;
+            }
+            Value::Null(n) => nulls.push(n),
+        }
+    }
+    nulls.sort_unstable();
+    nulls.dedup();
+    let consts = consts.into_iter().enumerate().flat_map(|(word, bits)| {
+        (0..64)
+            .filter(move |bit| (bits >> bit) & 1 == 1)
+            .map(move |bit| Value::Const(Symbol::from_index(word * 64 + bit)))
+    });
+    consts.chain(nulls.into_iter().map(Value::Null)).collect()
 }
 
 /// Aggregate storage counters of an [`Instance`], as reported by

@@ -19,8 +19,7 @@ use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use crate::schema::{Peer, RelId, Schema};
 use crate::symbol::Symbol;
-use crate::tuple::Tuple;
-use crate::value::{NullId, Value};
+use crate::value::{NullId, Value, ValueId};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -117,14 +116,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Lexical tokens of the little language.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Token {
+/// Lexical tokens of the little language. Names and quoted text borrow
+/// from the lexed source, so a token is `Copy` and lexing allocates
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Token<'a> {
     /// Identifier (relation, variable, or bare constant, by context).
-    Ident(String),
-    /// Quoted constant: `'abc'` or `"abc"`.
-    Quoted(String),
-    /// Labeled null literal `?3`.
+    Ident(&'a str),
+    /// Quoted constant `'abc'` or `"abc"`, without its quotes.
+    Quoted(&'a str),
+    /// Labeled null literal `?3`; the id is at most
+    /// [`ValueId::MAX_PAYLOAD`].
     NullLit(u32),
     /// `(`
     LParen,
@@ -154,7 +156,7 @@ pub enum Token {
     RBracket,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -183,7 +185,7 @@ pub struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     last_end: usize,
-    peeked: Option<Option<(Token, Span)>>,
+    peeked: Option<Option<(Token<'a>, Span)>>,
 }
 
 impl<'a> Lexer<'a> {
@@ -210,125 +212,90 @@ impl<'a> Lexer<'a> {
     }
 
     fn skip_ws(&mut self) {
-        loop {
-            while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b.is_ascii_whitespace() {
                 self.pos += 1;
+            } else if b == b'#' || (b == b'-' && self.bytes.get(self.pos + 1) == Some(&b'-')) {
+                // Line comments: `# …` and `-- …`.
+                self.take_while(|c| c != b'\n');
+            } else {
+                break;
             }
-            // Line comments: `# …` and `-- …`.
-            if self.pos < self.bytes.len() && self.bytes[self.pos] == b'#'
-                || self.pos + 1 < self.bytes.len() && &self.bytes[self.pos..self.pos + 2] == b"--"
-            {
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
-                    self.pos += 1;
-                }
-                continue;
-            }
-            break;
         }
     }
 
-    fn lex_next(&mut self) -> Result<Option<(Token, Span)>, ParseError> {
+    /// Consume the next byte if it is `want`.
+    fn eat(&mut self, want: u8) -> bool {
+        let hit = self.bytes.get(self.pos) == Some(&want);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Advance past a run of bytes satisfying `keep` and return it.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let s = self.pos;
+        let rest = &self.bytes[s..];
+        self.pos += rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len());
+        &self.src[s..self.pos]
+    }
+
+    fn lex_next(&mut self) -> Result<Option<(Token<'a>, Span)>, ParseError> {
         self.skip_ws();
-        if self.pos >= self.bytes.len() {
+        let Some(&b) = self.bytes.get(self.pos) else {
             return Ok(None);
-        }
+        };
         let start = self.pos;
-        let b = self.bytes[self.pos];
+        // Every token starts with one byte; consume it up front.
+        self.pos += 1;
         let tok = match b {
-            b'(' => {
-                self.pos += 1;
-                Token::LParen
-            }
-            b')' => {
-                self.pos += 1;
-                Token::RParen
-            }
-            b',' => {
-                self.pos += 1;
-                Token::Comma
-            }
-            b'.' => {
-                self.pos += 1;
-                Token::Period
-            }
-            b';' => {
-                self.pos += 1;
-                Token::Semi
-            }
-            b'/' => {
-                self.pos += 1;
-                Token::Slash
-            }
-            b'=' => {
-                self.pos += 1;
-                Token::Eq
-            }
-            b'&' => {
-                self.pos += 1;
-                Token::Amp
-            }
-            b'|' => {
-                self.pos += 1;
-                Token::Pipe
-            }
-            b'[' => {
-                self.pos += 1;
-                Token::LBracket
-            }
-            b']' => {
-                self.pos += 1;
-                Token::RBracket
-            }
+            b'(' => Token::LParen,
+            b')' => Token::RParen,
+            b',' => Token::Comma,
+            b'.' => Token::Period,
+            b';' => Token::Semi,
+            b'/' => Token::Slash,
+            b'=' => Token::Eq,
+            b'&' => Token::Amp,
+            b'|' => Token::Pipe,
+            b'[' => Token::LBracket,
+            b']' => Token::RBracket,
             b'-' => {
-                if self.bytes.get(self.pos + 1) == Some(&b'>') {
-                    self.pos += 2;
-                    Token::Arrow
-                } else {
+                if !self.eat(b'>') {
                     return Err(ParseError::new("expected '->'", start));
                 }
+                Token::Arrow
             }
             b':' => {
-                if self.bytes.get(self.pos + 1) == Some(&b'-') {
-                    self.pos += 2;
-                    Token::ColonDash
-                } else {
+                if !self.eat(b'-') {
                     return Err(ParseError::new("expected ':-'", start));
                 }
+                Token::ColonDash
             }
             b'\'' | b'"' => {
-                let quote = b;
-                self.pos += 1;
-                let s = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != quote {
-                    self.pos += 1;
-                }
+                let text = self.take_while(|c| c != b);
                 if self.pos >= self.bytes.len() {
                     return Err(ParseError::new("unterminated quote", start));
                 }
-                let text = self.src[s..self.pos].to_owned();
                 self.pos += 1;
                 Token::Quoted(text)
             }
             b'?' => {
-                self.pos += 1;
-                let s = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-                    self.pos += 1;
-                }
-                if s == self.pos {
+                let digits = self.take_while(|c| c.is_ascii_digit());
+                if digits.is_empty() {
                     return Err(ParseError::new("expected digits after '?'", start));
                 }
-                let n: u32 = self.src[s..self.pos]
-                    .parse()
-                    .map_err(|_| ParseError::new("null id too large", start))?;
+                // A larger id has no packed `ValueId`: reject it here
+                // rather than let storage trip over it.
+                let n = digits
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|n| *n <= ValueId::MAX_PAYLOAD)
+                    .ok_or_else(|| ParseError::new("null id too large", start))?;
                 Token::NullLit(n)
             }
             b if is_ident_byte(b) => {
-                let s = self.pos;
-                while self.pos < self.bytes.len() && is_ident_byte(self.bytes[self.pos]) {
-                    self.pos += 1;
-                }
-                Token::Ident(self.src[s..self.pos].to_owned())
+                self.take_while(is_ident_byte);
+                Token::Ident(&self.src[start..self.pos])
             }
             other => {
                 return Err(ParseError::new(
@@ -340,45 +307,46 @@ impl<'a> Lexer<'a> {
         Ok(Some((tok, Span::new(start, self.pos))))
     }
 
-    /// Peek the next token without consuming it.
-    pub fn peek(&mut self) -> Result<Option<&Token>, ParseError> {
-        if self.peeked.is_none() {
-            self.peeked = Some(self.lex_next()?);
+    /// The next token and its span, lexed once and kept until consumed.
+    fn peeked(&mut self) -> Result<Option<(Token<'a>, Span)>, ParseError> {
+        match self.peeked {
+            Some(item) => Ok(item),
+            None => {
+                let item = self.lex_next()?;
+                self.peeked = Some(item);
+                Ok(item)
+            }
         }
-        Ok(self.peeked.as_ref().unwrap().as_ref().map(|(t, _)| t))
+    }
+
+    /// Peek the next token without consuming it.
+    pub fn peek(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        Ok(self.peeked()?.map(|(t, _)| t))
     }
 
     /// Span of the next (peeked) token; an empty span at the current
     /// position when at end of input.
     pub fn peek_span(&mut self) -> Result<Span, ParseError> {
-        if self.peeked.is_none() {
-            self.peeked = Some(self.lex_next()?);
-        }
-        Ok(self
-            .peeked
-            .as_ref()
-            .unwrap()
-            .as_ref()
-            .map_or(Span::point(self.pos), |(_, s)| *s))
+        Ok(self.peeked()?.map_or(Span::point(self.pos), |(_, s)| s))
     }
 
     /// Consume and return the next token.
     #[allow(clippy::should_implement_trait)] // fallible lexer step, not Iterator
-    pub fn next(&mut self) -> Result<Option<(Token, Span)>, ParseError> {
+    pub fn next(&mut self) -> Result<Option<(Token<'a>, Span)>, ParseError> {
         let item = match self.peeked.take() {
             Some(p) => p,
             None => self.lex_next()?,
         };
-        if let Some((_, span)) = &item {
+        if let Some((_, span)) = item {
             self.last_end = span.end;
         }
         Ok(item)
     }
 
     /// Consume the next token, requiring it to equal `want`.
-    pub fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
+    pub fn expect(&mut self, want: Token<'_>) -> Result<(), ParseError> {
         match self.next()? {
-            Some((t, _)) if t == *want => Ok(()),
+            Some((t, _)) if t == want => Ok(()),
             Some((t, span)) => Err(ParseError::at(format!("expected {want}, found {t}"), span)),
             None => Err(ParseError::new(
                 format!("expected {want}, found end of input"),
@@ -387,8 +355,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Consume an identifier.
-    pub fn expect_ident(&mut self) -> Result<(String, Span), ParseError> {
+    /// Consume an identifier, returning its text borrowed from the source.
+    pub fn expect_ident(&mut self) -> Result<(&'a str, Span), ParseError> {
         match self.next()? {
             Some((Token::Ident(s), span)) => Ok((s, span)),
             Some((t, span)) => Err(ParseError::at(format!("expected name, found {t}"), span)),
@@ -415,7 +383,7 @@ pub fn parse_schema(src: &str) -> Result<Schema, ParseError> {
             break;
         }
         let (kw, span) = lex.expect_ident()?;
-        let peer = match kw.as_str() {
+        let peer = match kw {
             "source" => Peer::Source,
             "target" => Peer::Target,
             other => {
@@ -426,15 +394,15 @@ pub fn parse_schema(src: &str) -> Result<Schema, ParseError> {
             }
         };
         let (name, nspan) = lex.expect_ident()?;
-        if schema.rel_id(name.as_str()).is_some() {
+        if schema.rel_id(name).is_some() {
             return Err(ParseError::at(format!("duplicate relation {name}"), nspan));
         }
-        lex.expect(&Token::Slash)?;
+        lex.expect(Token::Slash)?;
         let (ar, aspan) = lex.expect_ident()?;
         let arity: u16 = ar
             .parse()
             .map_err(|_| ParseError::at(format!("bad arity '{ar}'"), aspan))?;
-        schema.add_relation(name.as_str(), arity, peer);
+        schema.add_relation(name, arity, peer);
         if matches!(lex.peek()?, Some(Token::Semi)) {
             lex.next()?;
         }
@@ -454,9 +422,9 @@ pub fn parse_term(lex: &mut Lexer<'_>) -> Result<Term, ParseError> {
                     span,
                 ));
             }
-            Ok(Term::Var(Var::new(s.as_str())))
+            Ok(Term::Var(Var::new(s)))
         }
-        Some((Token::Quoted(s), _)) => Ok(Term::Const(Symbol::intern(&s))),
+        Some((Token::Quoted(s), _)) => Ok(Term::Const(Symbol::intern(s))),
         Some((t, span)) => Err(ParseError::at(format!("expected term, found {t}"), span)),
         None => Err(ParseError::new(
             "expected term, found end of input",
@@ -469,9 +437,9 @@ pub fn parse_term(lex: &mut Lexer<'_>) -> Result<Term, ParseError> {
 pub fn parse_atom(schema: &Schema, lex: &mut Lexer<'_>) -> Result<Atom, ParseError> {
     let (name, span) = lex.expect_ident()?;
     let rel = schema
-        .rel_id(name.as_str())
+        .rel_id(name)
         .ok_or_else(|| ParseError::at(format!("unknown relation {name}"), span))?;
-    lex.expect(&Token::LParen)?;
+    lex.expect(Token::LParen)?;
     let mut terms = Vec::new();
     if !matches!(lex.peek()?, Some(Token::RParen)) {
         loop {
@@ -484,7 +452,7 @@ pub fn parse_atom(schema: &Schema, lex: &mut Lexer<'_>) -> Result<Atom, ParseErr
             }
         }
     }
-    lex.expect(&Token::RParen)?;
+    lex.expect(Token::RParen)?;
     if terms.len() != schema.arity(rel) as usize {
         return Err(ParseError::at(
             format!(
@@ -584,23 +552,39 @@ fn write_fact(out: &mut String, schema: &Schema, rel: RelId, values: &[Value]) {
 /// Parse an instance: facts `R(a, b).` where bare identifiers and quoted
 /// strings are constants and `?k` is the labeled null `k`. The final period
 /// of the last fact is optional.
+///
+/// Facts stream straight into the relation columns as packed ids, one at
+/// a time: tokens borrow from `src`, each value is packed into one reused
+/// row buffer, and no [`Tuple`](crate::tuple::Tuple) is built. Constants
+/// are interned in order of first appearance.
 pub fn parse_instance(schema: &Arc<Schema>, src: &str) -> Result<Instance, ParseError> {
     let mut lex = Lexer::new(src);
     let mut inst = Instance::new(schema.clone());
+    let mut row: Vec<ValueId> = Vec::new();
+    // Facts of one relation come in runs: look a name up in the schema
+    // (which interns it) only when it differs from the previous fact's.
+    let mut last: Option<(&str, RelId)> = None;
     while !lex.at_end()? {
         let (name, span) = lex.expect_ident()?;
-        let rel = schema
-            .rel_id(name.as_str())
-            .ok_or_else(|| ParseError::at(format!("unknown relation {name}"), span))?;
-        lex.expect(&Token::LParen)?;
-        let mut vals: Vec<Value> = Vec::new();
+        let rel = match last {
+            Some((prev, rel)) if prev == name => rel,
+            _ => {
+                let rel = schema
+                    .rel_id(name)
+                    .ok_or_else(|| ParseError::at(format!("unknown relation {name}"), span))?;
+                last = Some((name, rel));
+                rel
+            }
+        };
+        lex.expect(Token::LParen)?;
+        row.clear();
         if !matches!(lex.peek()?, Some(Token::RParen)) {
             loop {
-                match lex.next()? {
-                    Some((Token::Ident(s), _)) | Some((Token::Quoted(s), _)) => {
-                        vals.push(Value::constant(s.as_str()));
+                let value = match lex.next()? {
+                    Some((Token::Ident(s) | Token::Quoted(s), _)) => {
+                        Value::Const(Symbol::intern(s))
                     }
-                    Some((Token::NullLit(n), _)) => vals.push(Value::Null(NullId(n))),
+                    Some((Token::NullLit(n), _)) => Value::Null(NullId(n)),
                     Some((t, s)) => {
                         return Err(ParseError::at(format!("expected value, found {t}"), s))
                     }
@@ -610,27 +594,26 @@ pub fn parse_instance(schema: &Arc<Schema>, src: &str) -> Result<Instance, Parse
                             lex.offset(),
                         ))
                     }
+                };
+                row.push(ValueId::pack(value));
+                if !matches!(lex.peek()?, Some(Token::Comma)) {
+                    break;
                 }
-                match lex.peek()? {
-                    Some(Token::Comma) => {
-                        lex.next()?;
-                    }
-                    _ => break,
-                }
+                lex.next()?;
             }
         }
-        lex.expect(&Token::RParen)?;
-        if vals.len() != schema.arity(rel) as usize {
+        lex.expect(Token::RParen)?;
+        if row.len() != schema.arity(rel) as usize {
             return Err(ParseError::at(
                 format!(
                     "relation {name} has arity {}, got {} values",
                     schema.arity(rel),
-                    vals.len()
+                    row.len()
                 ),
                 Span::new(span.start, lex.last_end()),
             ));
         }
-        inst.insert(rel, Tuple::new(vals));
+        inst.insert_ids(rel, &row);
         if matches!(lex.peek()?, Some(Token::Period)) {
             lex.next()?;
         }
@@ -649,10 +632,10 @@ pub fn parse_query(schema: &Schema, src: &str) -> Result<ConjunctiveQuery, Parse
             lex.next()?;
             has_head = true; // Boolean with explicit ":-"
         }
-        Some(Token::Ident(name)) if schema.rel_id(name.as_str()).is_none() => {
+        Some(Token::Ident(name)) if schema.rel_id(name).is_none() => {
             // Head predicate (any name not clashing with a relation).
             lex.next()?;
-            lex.expect(&Token::LParen)?;
+            lex.expect(Token::LParen)?;
             if !matches!(lex.peek()?, Some(Token::RParen)) {
                 loop {
                     match parse_term(&mut lex)? {
@@ -672,8 +655,8 @@ pub fn parse_query(schema: &Schema, src: &str) -> Result<ConjunctiveQuery, Parse
                     }
                 }
             }
-            lex.expect(&Token::RParen)?;
-            lex.expect(&Token::ColonDash)?;
+            lex.expect(Token::RParen)?;
+            lex.expect(Token::ColonDash)?;
             has_head = true;
         }
         _ => {}
@@ -716,6 +699,18 @@ mod tests {
         assert_eq!(i.fact_count(), 3);
         assert!(!i.is_ground());
         assert_eq!(i.nulls().len(), 1);
+    }
+
+    #[test]
+    fn null_ids_stop_at_the_packed_payload_bound() {
+        let s = schema();
+        let max = ValueId::MAX_PAYLOAD;
+        let i = parse_instance(&s, &format!("E(a, ?{max}).")).unwrap();
+        assert_eq!(i.max_null_id(), Some(max));
+        for big in [u64::from(max) + 1, 3_000_000_000, u64::from(u32::MAX) + 1] {
+            let err = parse_instance(&s, &format!("E(a, ?{big}).")).unwrap_err();
+            assert_eq!(err, ParseError::new("null id too large", 5));
+        }
     }
 
     #[test]

@@ -664,14 +664,14 @@ impl Relation {
         count
     }
 
-    /// All values occurring in live rows (column-major order, with
-    /// repetitions).
-    pub fn values(&self) -> impl Iterator<Item = Value> + '_ {
+    /// The packed ids of all values occurring in live rows (column-major
+    /// order, with repetitions).
+    pub fn value_ids(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.columns.iter().flat_map(move |c| {
             c.iter()
-                .enumerate()
-                .filter(|(r, _)| self.live[*r])
-                .map(|(_, id)| id.value())
+                .zip(&self.live)
+                .filter(|(_, live)| **live)
+                .map(|(id, _)| *id)
         })
     }
 }

@@ -59,11 +59,12 @@ pub(crate) fn hash_ids(ids: impl Iterator<Item = ValueId>) -> u64 {
 }
 
 /// Linear-probing `u32 → u32` map with power-of-two capacity and no
-/// deletion. The all-ones key is the empty sentinel.
+/// deletion. The all-ones key is the empty sentinel. Each key sits next to
+/// its value, so a probe that finds its key has the value in the same
+/// cache line.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct IdMap {
-    keys: Vec<u32>,
-    vals: Vec<u32>,
+    slots: Vec<(u32, u32)>,
     len: usize,
 }
 
@@ -71,10 +72,10 @@ impl IdMap {
     /// Slot holding `key`, or the empty slot where it would be inserted.
     /// Requires a non-empty table.
     fn probe(&self, key: u32) -> usize {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = hash32(key) & mask;
         loop {
-            let k = self.keys[i];
+            let k = self.slots[i].0;
             if k == key || k == EMPTY {
                 return i;
             }
@@ -84,57 +85,49 @@ impl IdMap {
 
     /// The value stored under `key`.
     pub fn get(&self, key: u32) -> Option<u32> {
-        if self.keys.is_empty() {
+        if self.slots.is_empty() {
             return None;
         }
-        let i = self.probe(key);
-        (self.keys[i] == key).then(|| self.vals[i])
+        let (k, v) = self.slots[self.probe(key)];
+        (k == key).then_some(v)
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
     pub fn set(&mut self, key: u32, val: u32) -> Option<u32> {
         debug_assert_ne!(key, EMPTY, "reserved sentinel used as a key");
-        if self.keys.len() < 2 * (self.len + 1) {
+        if self.slots.len() < 2 * (self.len + 1) {
             self.grow();
         }
         let i = self.probe(key);
-        if self.keys[i] == key {
-            return Some(std::mem::replace(&mut self.vals[i], val));
+        let old = std::mem::replace(&mut self.slots[i], (key, val));
+        if old.0 == key {
+            return Some(old.1);
         }
-        self.keys[i] = key;
-        self.vals[i] = val;
         self.len += 1;
         None
     }
 
     /// Double the table (or allocate the first 8 slots) and rehash.
     fn grow(&mut self) {
-        let cap = (self.keys.len() * 2).max(8);
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; cap]);
-        let old_vals = std::mem::take(&mut self.vals);
-        self.vals = vec![0; cap];
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        let cap = (self.slots.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); cap]);
+        for (k, v) in old {
             if k == EMPTY {
                 continue;
             }
             let i = self.probe(k);
-            self.keys[i] = k;
-            self.vals[i] = v;
+            self.slots[i] = (k, v);
         }
     }
 
     /// Allocated slot count.
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// Iterate over `(key, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .filter(|(k, _)| **k != EMPTY)
-            .map(|(k, v)| (*k, *v))
+        self.slots.iter().copied().filter(|(k, _)| *k != EMPTY)
     }
 }
 

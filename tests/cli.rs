@@ -1014,6 +1014,21 @@ fn governance_flags_are_solve_only_and_validated() {
 }
 
 #[test]
+fn an_oversized_null_id_is_a_parse_error() {
+    // 3000000000 fits a u32 but not a packed value id: the loader rejects
+    // it with a position instead of panicking in storage.
+    let src = EX1_NOSOL.replace("E(b, c).", "E(b, ?3000000000).");
+    let p = write_temp("bignull.pde", &src);
+    let out = run(&["solve", p.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("instance: parse error at byte 14: null id too large"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn usage_errors_exit_2() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));

@@ -175,6 +175,21 @@ fn bad_requests_are_answered_in_band_and_do_not_kill_the_loop() {
 }
 
 #[test]
+fn an_oversized_null_id_is_answered_in_band() {
+    let (bundle, store) = fixture("bignull");
+
+    let mut serve = Serve::start(&bundle, &store);
+    let _ = serve.read_line();
+    let err = serve.request("{\"op\":\"insert\",\"facts\":\"E(?3000000000, a).\"}");
+    assert!(err.contains("\"ok\":false"), "{err}");
+    assert!(err.contains("null id too large"), "{err}");
+    assert!(serve
+        .request("{\"op\":\"solve\"}")
+        .contains("\"result\":\"yes\""));
+    serve.shutdown();
+}
+
+#[test]
 fn a_repeated_field_is_a_bad_request_not_a_shutdown() {
     let (bundle, store) = fixture("dupkey");
 

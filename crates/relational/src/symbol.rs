@@ -6,8 +6,10 @@
 //! flat arrays of ids, and makes equality/hashing of values integer-cheap,
 //! which matters in the chase's inner homomorphism loops.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 /// An interned string.
@@ -68,8 +70,61 @@ impl From<String> for Symbol {
     }
 }
 
+/// Bytes of a key stored inside the map slot itself.
+const INLINE_KEY: usize = 22;
+
+/// A string as the interner's map stores it: a short one inline in the
+/// slot, so a lookup that finds its slot compares bytes without following
+/// a pointer to the heap; a longer one boxed. Hashes and compares as the
+/// `str` it holds, so the map is probed with plain `&str`s.
+enum Key {
+    Inline(u8, [u8; INLINE_KEY]),
+    Boxed(Box<str>),
+}
+
+impl Key {
+    fn new(s: &str) -> Key {
+        match u8::try_from(s.len()) {
+            Ok(len) if s.len() <= INLINE_KEY => {
+                let mut bytes = [0; INLINE_KEY];
+                bytes[..s.len()].copy_from_slice(s.as_bytes());
+                Key::Inline(len, bytes)
+            }
+            _ => Key::Boxed(s.into()),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            Key::Inline(len, bytes) => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("keys are copied from a str"),
+            Key::Boxed(s) => s,
+        }
+    }
+}
+
+impl Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Key {}
+
 struct Interner {
-    map: RwLock<HashMap<String, u32>>,
+    map: RwLock<HashMap<Key, u32>>,
     strings: RwLock<Vec<String>>,
 }
 
@@ -99,7 +154,7 @@ impl Interner {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let id = u32::try_from(strings.len()).expect("interner overflow");
         strings.push(s.to_owned());
-        map.insert(s.to_owned(), id);
+        map.insert(Key::new(s), id);
         Symbol(id)
     }
 
@@ -138,6 +193,26 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.as_str(), "x1");
         assert_eq!(b.as_str(), "x2");
+    }
+
+    #[test]
+    fn inline_and_boxed_keys_intern_alike() {
+        let texts = [
+            String::new(),
+            "é".repeat(11),
+            "x".repeat(super::INLINE_KEY),
+            "x".repeat(super::INLINE_KEY + 1),
+            "a, b".to_owned(),
+        ];
+        let syms: Vec<Symbol> = texts.iter().map(|t| Symbol::intern(t)).collect();
+        for (t, s) in texts.iter().zip(&syms) {
+            assert_eq!(s.as_str(), *t);
+            assert_eq!(Symbol::intern(t), *s);
+        }
+        let mut distinct = syms.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), syms.len());
     }
 
     #[test]

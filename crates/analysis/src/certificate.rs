@@ -5,7 +5,7 @@
 //! the paper's complexity map, together with concrete solver budgets
 //! derived from Lemma 1's chase bound. Everything in it is re-derivable
 //! from the setting alone; the certificate's value is that each claim
-//! carries a **witness** that [`verify_certificate`] re-validates without
+//! carries a **witness** that [`Verifiable::verify`] re-validates without
 //! trusting the planner:
 //!
 //! * the per-position ranks are checked as the *least fixpoint* of the
@@ -21,15 +21,19 @@
 //! * the §4 regime, the predicted complexity classes, the recommended
 //!   solver, and the budget arithmetic are all recomputed and compared.
 //!
-//! Certificates serialize to versioned JSON (hand-rolled, as everywhere
-//! in this workspace: no serialization dependency) and parse back via a
-//! small built-in JSON reader, so `pde solve --plan cert.json` can reuse
-//! a saved plan after re-verifying it. See `docs/PLAN.md` for the schema.
+//! Certificates serialize to versioned JSON through `pde_trace::json` and
+//! parse back, so `pde solve --plan cert.json` can reuse a saved plan
+//! after re-verifying it. See `docs/PLAN.md` for the schema.
+//!
+//! The [`Verifiable`] trait is the one interface of all three certificate
+//! kinds — this plan certificate, the [`TerminationCertificate`] and the
+//! [`crate::RewriteCertificate`] — and [`CertificateError`] their one
+//! rejection type.
 
 use crate::termination::{TerminationCertificate, TerminationCriterion};
 use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::{GenericLimits, PdeSetting, SolvePlan, SolverKind};
-use pde_relational::{Position, Schema, Term, Var};
+use pde_relational::{Instance, Position, Schema, Term, Var};
 use pde_runtime::GovernorConfig;
 use pde_trace::json::{self, Json, ObjExt as _};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -395,13 +399,21 @@ impl Certificate {
     }
 }
 
-/// Why a certificate was rejected.
+/// Why a certificate of any kind was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CertificateError {
-    /// The JSON is malformed or has the wrong shape.
-    Malformed(String),
+    /// The JSON of a certificate of the named kind is malformed or has the
+    /// wrong shape.
+    Malformed(&'static str, String),
     /// Unsupported schema version.
-    Version(u32),
+    Version {
+        /// The certificate kind ([`Verifiable::KIND`]).
+        kind: &'static str,
+        /// The version the certificate carries.
+        found: u32,
+        /// The version this build reads.
+        expected: u32,
+    },
     /// The rank witness fails the fixpoint equations of Def. 5.
     Rank(String),
     /// The marking witness disagrees with the Def. 8 fixpoint.
@@ -417,15 +429,22 @@ pub enum CertificateError {
     /// The termination section (criterion trail, witness, or bound) does
     /// not replay.
     Termination(String),
+    /// A rewrite action, relation set or count diverges from the replayed
+    /// derivation.
+    Rewrite(String),
 }
 
 impl fmt::Display for CertificateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CertificateError::Malformed(m) => write!(f, "malformed certificate: {m}"),
-            CertificateError::Version(v) => write!(
+            CertificateError::Malformed(kind, m) => write!(f, "malformed {kind} certificate: {m}"),
+            CertificateError::Version {
+                kind,
+                found,
+                expected,
+            } => write!(
                 f,
-                "certificate version {v} unsupported (expected {CERTIFICATE_VERSION})"
+                "{kind} certificate version {found} unsupported (expected {expected})"
             ),
             CertificateError::Rank(m) => write!(f, "rank witness rejected: {m}"),
             CertificateError::Marking(m) => write!(f, "marking witness rejected: {m}"),
@@ -436,17 +455,43 @@ impl fmt::Display for CertificateError {
             CertificateError::Termination(m) => {
                 write!(f, "termination section rejected: {m}")
             }
+            CertificateError::Rewrite(m) => write!(f, "derivation replay diverges: {m}"),
         }
     }
 }
 
 impl std::error::Error for CertificateError {}
 
-/// JSON reader errors are shape errors.
-impl From<String> for CertificateError {
-    fn from(m: String) -> Self {
-        CertificateError::Malformed(m)
+/// A certificate kind: its versioned JSON form and its independent checker.
+/// The plan [`Certificate`], the [`TerminationCertificate`] and the
+/// [`crate::RewriteCertificate`] implement it, and `pde plan`, `pde
+/// terminate` and `pde optimize` share one `--emit`/`--check` path through
+/// it.
+pub trait Verifiable: Sized {
+    /// The kind name: `plan`, `termination` or `rewrite`.
+    const KIND: &'static str;
+
+    /// The certificate as versioned JSON (stable field order).
+    fn to_json(&self) -> Json;
+
+    /// Decode an already parsed JSON value; shape errors only.
+    fn from_json_value(v: &Json) -> Result<Self, String>;
+
+    /// Parse a certificate printed by [`Verifiable::to_json`]. Shape errors
+    /// come back as [`CertificateError::Malformed`]; whether the claims
+    /// hold is the job of [`Verifiable::verify`].
+    fn from_json(src: &str) -> Result<Self, CertificateError> {
+        json::parse(src)
+            .and_then(|v| Self::from_json_value(&v))
+            .map_err(|m| CertificateError::Malformed(Self::KIND, m))
     }
+
+    /// Re-validate every claim against `setting` and `input` without
+    /// trusting the code that derived the certificate.
+    fn verify(&self, setting: &PdeSetting, input: &Instance) -> Result<(), CertificateError>;
+
+    /// The one-line summary printed after `<kind> certificate OK: `.
+    fn summary(&self) -> String;
 }
 
 // ---------------------------------------------------------------------------
@@ -714,12 +759,13 @@ fn marked_pairs_ok(d: &Tgd, marked_vars: &BTreeSet<Var>) -> bool {
 /// the planner. Accepts exactly the certificates the planner emits for
 /// this setting (up to soundness-preserving details); rejects any edit to
 /// a rank, a marking entry, a flag, a bound, a budget, or the routing.
-pub fn verify_certificate(
-    setting: &PdeSetting,
-    cert: &Certificate,
-) -> Result<(), CertificateError> {
+fn check(setting: &PdeSetting, cert: &Certificate) -> Result<(), CertificateError> {
     if cert.version != CERTIFICATE_VERSION {
-        return Err(CertificateError::Version(cert.version));
+        return Err(CertificateError::Version {
+            kind: Certificate::KIND,
+            found: cert.version,
+            expected: CERTIFICATE_VERSION,
+        });
     }
     let schema = setting.schema();
     let forward = forward_tgds(setting);
@@ -1110,9 +1156,11 @@ fn marked_pair_violates(d: &Tgd, pair: &BTreeSet<Var>) -> bool {
 // JSON serialization.
 // ---------------------------------------------------------------------------
 
-impl Certificate {
+impl Verifiable for Certificate {
+    const KIND: &'static str = "plan";
+
     /// The certificate as the versioned JSON schema of `docs/PLAN.md`.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let position = |p: &PositionRef| [("rel", p.rel.as_str().into()), ("attr", p.attr.into())];
         let strings = |xs: &[String]| xs.iter().map(Json::from).collect();
         let c = &self.chase;
@@ -1193,23 +1241,17 @@ impl Certificate {
         ])
     }
 
-    /// Parse the JSON serialization back. Shape errors come back as
-    /// [`CertificateError::Malformed`]; semantic validity is the job of
-    /// [`verify_certificate`].
-    pub fn from_json(src: &str) -> Result<Certificate, CertificateError> {
-        let v = json::parse(src)?;
+    fn from_json_value(v: &Json) -> Result<Certificate, String> {
         let top = v.as_obj("certificate")?;
         let version = top.get_num("version")?;
-        let version = u32::try_from(version)
-            .map_err(|_| CertificateError::Malformed("version out of range".into()))?;
-        let regime = Regime::from_str(&top.get_str("regime")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown regime".into()))?;
+        let version = u32::try_from(version).map_err(|_| "version out of range".to_string())?;
+        let regime = Regime::from_str(&top.get_str("regime")?).ok_or("unknown regime")?;
         let sol_complexity = ComplexityClass::from_str(&top.get_str("sol_complexity")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown sol_complexity".into()))?;
+            .ok_or("unknown sol_complexity")?;
         let certain_complexity = ComplexityClass::from_str(&top.get_str("certain_complexity")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown certain_complexity".into()))?;
+            .ok_or("unknown certain_complexity")?;
         let recommended_solver = solver_kind_from_str(&top.get_str("recommended_solver")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown recommended_solver".into()))?;
+            .ok_or("unknown recommended_solver")?;
 
         let cv = top.field_of("chase")?;
         let co = cv.as_obj("chase")?;
@@ -1263,41 +1305,19 @@ impl Certificate {
                 attr: o.get_num("attr")?,
             });
         }
-        let mut marked_variables = Vec::new();
-        for item in tv.get_arr("marked_variables")? {
-            let json::Json::Arr(inner) = item else {
-                return Err(CertificateError::Malformed(
-                    "marked_variables[] must be an array".into(),
-                ));
-            };
-            let mut vars = Vec::new();
-            for v in inner {
-                let json::Json::Str(s) = v else {
-                    return Err(CertificateError::Malformed(
-                        "marked_variables[][] must be a string".into(),
-                    ));
-                };
-                vars.push(s.clone());
-            }
-            marked_variables.push(vars);
-        }
+        let marked_variables = tv
+            .get_arr("marked_variables")?
+            .iter()
+            .map(|vs| vs.as_strings("marked_variables[]"))
+            .collect::<Result<_, _>>()?;
         let counterexample = match to.try_get("counterexample") {
             None => None,
             Some(cxv) => {
                 let o = cxv.as_obj("counterexample")?;
-                let mut vars = Vec::new();
-                for v in cxv.get_arr("vars")? {
-                    let json::Json::Str(s) = v else {
-                        return Err(CertificateError::Malformed(
-                            "counterexample vars must be strings".into(),
-                        ));
-                    };
-                    vars.push(s.clone());
-                }
                 Some(TractCounterexample {
                     kind: o.get_str("kind")?,
                     tgd_index: o.get_num("tgd_index")?,
-                    vars,
+                    vars: o.field_of("vars")?.as_strings("counterexample vars")?,
                 })
             }
         };
@@ -1331,5 +1351,15 @@ impl Certificate {
             tract,
             budgets,
         })
+    }
+
+    /// Only the setting matters: the active-domain size the bounds were
+    /// evaluated at is part of the certificate.
+    fn verify(&self, setting: &PdeSetting, _input: &Instance) -> Result<(), CertificateError> {
+        check(setting, self)
+    }
+
+    fn summary(&self) -> String {
+        format!("regime {}, solver {}", self.regime, self.recommended_solver)
     }
 }

@@ -23,7 +23,9 @@
 //! derives a static complexity [`Certificate`] (position ranks, Lemma 1
 //! chase bounds, `C_tract` membership witnesses, solver routing and
 //! budgets) and [`certificate`] re-validates every witness independently
-//! of the planner. See `docs/PLAN.md`.
+//! of the planner. See `docs/PLAN.md`. All three certificate kinds (plan,
+//! termination, rewrite) implement [`Verifiable`] — JSON out and in, and
+//! an independent `verify` — and reject with one [`CertificateError`].
 //!
 //! The `pde terminate` machinery lives in [`termination`]: a
 //! chase-termination hierarchy (weak acyclicity ⊂ joint acyclicity ⊂
@@ -34,7 +36,7 @@
 //!
 //! The `pde optimize` machinery lives in three sibling modules:
 //! [`rewrite`] prunes subsumed/duplicate/trivial/dead dependencies under
-//! a replayable [`RewriteCertificate`] (checked by [`verify_rewrite`]),
+//! a replayable [`RewriteCertificate`],
 //! [`interference`] builds the read/write interference graph over the
 //! survivors, and [`schedule`] condenses it into the stratified
 //! [`pde_chase::DepSchedule`] the semi-naive chase executes. See
@@ -56,8 +58,8 @@ pub use analyzer::{
     analyze_disjunctive, analyze_setting, AnalysisInput, LintSection, SourceParseError,
 };
 pub use certificate::{
-    verify_certificate, Budgets, Certificate, CertificateError, ChaseCertificate, ComplexityClass,
-    CycleEdge, PositionRef, RankEntry, Regime, TractCertificate, TractCounterexample,
+    Budgets, Certificate, CertificateError, ChaseCertificate, ComplexityClass, CycleEdge,
+    PositionRef, RankEntry, Regime, TractCertificate, TractCounterexample, Verifiable,
     CERTIFICATE_VERSION, GOVERNOR_BYTES_PER_FACT, GOVERNOR_SLACK_BYTES,
 };
 pub use diag::{any_denied, Code, ConstraintRef, Diagnostic, Group, Severity};
@@ -68,12 +70,11 @@ pub use interference::{
 pub use plan::{plan_setting, render_certificate_text};
 pub use render::{render_json, render_text, RenderContext};
 pub use rewrite::{
-    optimize_setting, verify_rewrite, GroupCounts, OptimizeResult, RewriteAction,
-    RewriteCertificate, RewriteError, RewriteGroup, REWRITE_VERSION,
+    optimize_setting, GroupCounts, OptimizeResult, RewriteAction, RewriteCertificate, RewriteGroup,
+    REWRITE_VERSION,
 };
 pub use schedule::{forward_schedule, schedule_from_graph};
 pub use termination::{
-    analyze_termination, render_termination_text, verify_termination, CriterionCheck, ExVarRef,
-    TerminationCertificate, TerminationCriterion, TerminationWitness, CRITICAL_CHASE_STEP_LIMIT,
-    TERMINATION_VERSION,
+    analyze_termination, render_termination_text, CriterionCheck, ExVarRef, TerminationCertificate,
+    TerminationCriterion, TerminationWitness, CRITICAL_CHASE_STEP_LIMIT, TERMINATION_VERSION,
 };

@@ -7,7 +7,7 @@
 //! results with witnesses into a certificate. The certificate then powers
 //! `pde_core::decide_governed_scheduled` (no per-call re-classification,
 //! budgets replacing hard-coded limits) and can be saved as JSON and
-//! re-verified later by [`crate::certificate::verify_certificate`], whose
+//! re-verified later by [`crate::Verifiable::verify`], whose
 //! independent re-derivations deliberately do *not* share the code paths
 //! used here.
 
@@ -232,8 +232,14 @@ fn yn(b: bool) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certificate::{verify_certificate, CertificateError, Regime};
+    use crate::certificate::{CertificateError, Regime, Verifiable};
     use pde_core::SolverKind;
+    use pde_relational::Instance;
+
+    /// Check `cert` against `setting`; the input instance plays no part.
+    fn verify(setting: &PdeSetting, cert: &Certificate) -> Result<(), CertificateError> {
+        cert.verify(setting, &Instance::new(setting.schema().clone()))
+    }
 
     fn example1() -> PdeSetting {
         PdeSetting::parse(
@@ -269,7 +275,7 @@ mod tests {
     fn planner_output_verifies() {
         for (setting, adom) in [(example1(), 4), (clique_like(), 7), (non_terminating(), 3)] {
             let cert = plan_setting(&setting, adom);
-            verify_certificate(&setting, &cert).expect("planner output must verify");
+            verify(&setting, &cert).expect("planner output must verify");
         }
     }
 
@@ -279,7 +285,7 @@ mod tests {
             let cert = plan_setting(&setting, 5);
             let back = Certificate::from_json(&cert.to_json().to_string()).unwrap();
             assert_eq!(back, cert);
-            verify_certificate(&setting, &back).unwrap();
+            verify(&setting, &back).unwrap();
         }
     }
 
@@ -289,7 +295,7 @@ mod tests {
         let mut cert = plan_setting(&setting, 4);
         cert.chase.ranks[0].rank += 1;
         assert!(matches!(
-            verify_certificate(&setting, &cert),
+            verify(&setting, &cert),
             Err(CertificateError::Rank(_))
         ));
     }
@@ -300,7 +306,7 @@ mod tests {
         let mut cert = plan_setting(&setting, 4);
         cert.tract.marked_positions.pop();
         assert!(matches!(
-            verify_certificate(&setting, &cert),
+            verify(&setting, &cert),
             Err(CertificateError::Marking(_))
         ));
     }
@@ -311,7 +317,7 @@ mod tests {
         let mut cert = plan_setting(&setting, 4);
         cert.tract.in_ctract = true;
         assert!(matches!(
-            verify_certificate(&setting, &cert),
+            verify(&setting, &cert),
             Err(CertificateError::Ctract(_))
         ));
     }
@@ -322,7 +328,7 @@ mod tests {
         let mut cert = plan_setting(&setting, 4);
         cert.budgets.search_nodes += 1;
         assert!(matches!(
-            verify_certificate(&setting, &cert),
+            verify(&setting, &cert),
             Err(CertificateError::Budget(_))
         ));
     }
@@ -333,8 +339,8 @@ mod tests {
         let mut cert = plan_setting(&setting, 4);
         cert.version = CERTIFICATE_VERSION + 1;
         assert!(matches!(
-            verify_certificate(&setting, &cert),
-            Err(CertificateError::Version(_))
+            verify(&setting, &cert),
+            Err(CertificateError::Version { .. })
         ));
     }
 
@@ -347,7 +353,7 @@ mod tests {
             e.special = false;
         }
         assert!(matches!(
-            verify_certificate(&setting, &cert),
+            verify(&setting, &cert),
             Err(CertificateError::Rank(_))
         ));
     }
@@ -362,7 +368,7 @@ mod tests {
         let mut bad = cert.clone();
         bad.tract.counterexample.as_mut().unwrap().tgd_index = 0;
         assert!(matches!(
-            verify_certificate(&clique_like(), &bad),
+            verify(&clique_like(), &bad),
             Err(CertificateError::Ctract(_))
         ));
     }
@@ -383,7 +389,7 @@ mod tests {
         let cert = plan_setting(&de, 4);
         assert_eq!(cert.regime, Regime::DataExchange);
         assert_eq!(cert.recommended_solver, SolverKind::DataExchange);
-        verify_certificate(&de, &cert).unwrap();
+        verify(&de, &cert).unwrap();
 
         let cert = plan_setting(&example1(), 4);
         assert_eq!(cert.regime, Regime::Tractable);

@@ -20,20 +20,21 @@
 //!    answers transfer by monotonicity of unions of conjunctive queries).
 //!
 //! Every deletion carries a machine-checkable witness inside a
-//! [`RewriteCertificate`]; [`verify_rewrite`] replays the derivation
-//! independently of the optimizer invocation that produced the
-//! certificate and rejects on any divergence, mirroring
-//! `verify_certificate` in [`crate::plan`].
+//! [`RewriteCertificate`]; its [`Verifiable::verify`] replays the
+//! derivation independently of the optimizer invocation that produced the
+//! certificate and rejects on any divergence, like the plan certificate's
+//! checker.
 //!
 //! Passes 1–3 depend only on the setting; pass 4 additionally depends on
 //! which relations are nonempty in the input instance, which is why the
 //! certificate records that set and the verifier recomputes it.
 
 use crate::analyzer::{freeze, freeze_premise, subsumed_by};
+use crate::certificate::{CertificateError, Verifiable};
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_core::setting::PdeSetting;
 use pde_relational::{for_each_hom, Assignment, Instance, RelId, Schema, Symbol, Term, Var};
-use pde_trace::json::{self, Json, ObjExt as _};
+use pde_trace::json::{Json, ObjExt as _};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -182,8 +183,8 @@ impl GroupCounts {
 }
 
 /// A machine-checkable record of one optimization run over one
-/// `(setting, input)` pair. [`verify_rewrite`] replays the derivation and
-/// rejects the certificate on any divergence.
+/// `(setting, input)` pair. [`Verifiable::verify`] replays the derivation
+/// and rejects the certificate on any divergence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RewriteCertificate {
     /// Format version ([`REWRITE_VERSION`]).
@@ -211,43 +212,6 @@ pub struct OptimizeResult {
     pub optimized: PdeSetting,
     /// The certificate justifying every removal.
     pub certificate: RewriteCertificate,
-}
-
-/// Why a rewrite certificate was rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RewriteError {
-    /// The certificate's version tag is not [`REWRITE_VERSION`].
-    Version {
-        /// The version found in the certificate.
-        found: u32,
-    },
-    /// The certificate could not be parsed or is structurally invalid.
-    Malformed(String),
-    /// The certificate's content diverges from the independently replayed
-    /// derivation.
-    Mismatch(String),
-}
-
-impl fmt::Display for RewriteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RewriteError::Version { found } => write!(
-                f,
-                "unsupported rewrite certificate version {found} (expected {REWRITE_VERSION})"
-            ),
-            RewriteError::Malformed(m) => write!(f, "malformed rewrite certificate: {m}"),
-            RewriteError::Mismatch(m) => write!(f, "rewrite certificate mismatch: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for RewriteError {}
-
-/// JSON reader errors are shape errors.
-impl From<String> for RewriteError {
-    fn from(m: String) -> Self {
-        RewriteError::Malformed(m)
-    }
 }
 
 /// Run all four pruning passes over `setting` with respect to `input`,
@@ -279,19 +243,21 @@ pub fn optimize_setting(setting: &PdeSetting, input: &Instance) -> OptimizeResul
 /// populatability fixpoint) and reject on any divergence — wrong version,
 /// a different nonempty-relation seed, a missing or fabricated action, or
 /// inconsistent counts.
-pub fn verify_rewrite(
+fn check(
     original: &PdeSetting,
     input: &Instance,
     cert: &RewriteCertificate,
-) -> Result<(), RewriteError> {
+) -> Result<(), CertificateError> {
     if cert.version != REWRITE_VERSION {
-        return Err(RewriteError::Version {
+        return Err(CertificateError::Version {
+            kind: RewriteCertificate::KIND,
             found: cert.version,
+            expected: REWRITE_VERSION,
         });
     }
     let before = GroupCounts::of(original);
     if cert.before != before {
-        return Err(RewriteError::Mismatch(format!(
+        return Err(CertificateError::Rewrite(format!(
             "certificate records {} original dependencies, setting has {}",
             cert.before.total(),
             before.total()
@@ -305,7 +271,7 @@ pub fn verify_rewrite(
             RewriteGroup::SigmaT => before.sigma_t,
         };
         if a.index() >= len {
-            return Err(RewriteError::Malformed(format!(
+            return Err(CertificateError::Rewrite(format!(
                 "action {} index {} out of range for {} (len {})",
                 a.kind(),
                 a.index(),
@@ -316,14 +282,14 @@ pub fn verify_rewrite(
     }
     let d = derive(original, input);
     if d.input_nonempty != cert.input_nonempty {
-        return Err(RewriteError::Mismatch(format!(
+        return Err(CertificateError::Rewrite(format!(
             "input-nonempty relations are [{}], certificate records [{}]",
             d.input_nonempty.join(", "),
             cert.input_nonempty.join(", ")
         )));
     }
     if d.dead_relations != cert.dead_relations {
-        return Err(RewriteError::Mismatch(format!(
+        return Err(CertificateError::Rewrite(format!(
             "dead relations are [{}], certificate records [{}]",
             d.dead_relations.join(", "),
             cert.dead_relations.join(", ")
@@ -334,17 +300,17 @@ pub fn verify_rewrite(
         match (d.actions.get(i), cert.actions.get(i)) {
             (Some(ours), Some(theirs)) if ours == theirs => {}
             (Some(ours), Some(theirs)) => {
-                return Err(RewriteError::Mismatch(format!(
+                return Err(CertificateError::Rewrite(format!(
                     "action {i} diverges: derivation finds {ours:?}, certificate records {theirs:?}"
                 )));
             }
             (Some(ours), None) => {
-                return Err(RewriteError::Mismatch(format!(
+                return Err(CertificateError::Rewrite(format!(
                     "certificate omits action {i}: {ours:?}"
                 )));
             }
             (None, Some(theirs)) => {
-                return Err(RewriteError::Mismatch(format!(
+                return Err(CertificateError::Rewrite(format!(
                     "certificate fabricates action {i}: {theirs:?}"
                 )));
             }
@@ -352,7 +318,7 @@ pub fn verify_rewrite(
         }
     }
     if d.after != cert.after {
-        return Err(RewriteError::Mismatch(format!(
+        return Err(CertificateError::Rewrite(format!(
             "surviving counts are {}/{}/{}, certificate records {}/{}/{}",
             d.after.sigma_st,
             d.after.sigma_ts,
@@ -366,7 +332,7 @@ pub fn verify_rewrite(
 }
 
 /// The full derivation: everything both [`optimize_setting`] and
-/// [`verify_rewrite`] need, computed in one deterministic order.
+/// its checker need, computed in one deterministic order.
 struct Derivation {
     actions: Vec<RewriteAction>,
     input_nonempty: Vec<String>,
@@ -626,9 +592,10 @@ pub(crate) fn canonical_key(dep: &Dependency) -> CanonicalKey {
     key
 }
 
-impl RewriteCertificate {
-    /// The certificate as JSON (stable field order).
-    pub fn to_json(&self) -> Json {
+impl Verifiable for RewriteCertificate {
+    const KIND: &'static str = "rewrite";
+
+    fn to_json(&self) -> Json {
         let names = |xs: &[String]| xs.iter().map(Json::from).collect();
         let counts = |c: &GroupCounts| {
             Json::from_iter([
@@ -662,29 +629,16 @@ impl RewriteCertificate {
         ])
     }
 
-    /// Parse a certificate back from [`RewriteCertificate::to_json`]
-    /// output.
-    pub fn from_json(src: &str) -> Result<RewriteCertificate, RewriteError> {
-        let malformed = RewriteError::Malformed;
-        let root = json::parse(src)?;
+    fn from_json_value(root: &Json) -> Result<RewriteCertificate, String> {
         let obj = root.as_obj("certificate")?;
         let kind = obj.get_str("kind")?;
         if kind != "pde-rewrite-certificate" {
-            return Err(malformed(format!("unexpected kind '{kind}'")));
+            return Err(format!("unexpected kind '{kind}'"));
         }
         let version = obj.get_num("v")?;
-        let version =
-            u32::try_from(version).map_err(|_| malformed("version out of range".to_string()))?;
-        let strings = |key: &str| -> Result<Vec<String>, RewriteError> {
-            root.get_arr(key)?
-                .iter()
-                .map(|v| match v {
-                    json::Json::Str(s) => Ok(s.clone()),
-                    _ => Err(malformed(format!("'{key}' entries must be strings"))),
-                })
-                .collect()
-        };
-        let counts = |key: &str| -> Result<GroupCounts, RewriteError> {
+        let version = u32::try_from(version).map_err(|_| "version out of range".to_string())?;
+        let strings = |key: &str| obj.field_of(key)?.as_strings(key);
+        let counts = |key: &str| -> Result<GroupCounts, String> {
             let c = obj.field_of(key)?.as_obj(key)?;
             Ok(GroupCounts {
                 sigma_st: c.get_num("sigma_st")?,
@@ -695,8 +649,7 @@ impl RewriteCertificate {
         let mut actions = Vec::new();
         for v in root.get_arr("actions")? {
             let a = v.as_obj("action")?;
-            let group = RewriteGroup::from_str(&a.get_str("group")?)
-                .ok_or_else(|| malformed("unknown group".to_string()))?;
+            let group = RewriteGroup::from_str(&a.get_str("group")?).ok_or("unknown group")?;
             let index = a.get_num("index")?;
             let action = match a.get_str("action")?.as_str() {
                 "remove-trivial-egd" => RewriteAction::RemoveTrivialEgd { group, index },
@@ -715,7 +668,7 @@ impl RewriteCertificate {
                     index,
                     relation: a.get_str("relation")?,
                 },
-                other => return Err(malformed(format!("unknown action '{other}'"))),
+                other => return Err(format!("unknown action '{other}'")),
             };
             actions.push(action);
         }
@@ -727,6 +680,19 @@ impl RewriteCertificate {
             after: counts("after")?,
             actions,
         })
+    }
+
+    fn verify(&self, setting: &PdeSetting, input: &Instance) -> Result<(), CertificateError> {
+        check(setting, input, self)
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "{} action(s), {} -> {} dependencies",
+            self.actions.len(),
+            self.before.total(),
+            self.after.total()
+        )
     }
 }
 
@@ -751,12 +717,8 @@ mod tests {
         assert!(out.certificate.actions.is_empty());
         assert_eq!(out.certificate.before, out.certificate.after);
         assert_eq!(out.optimized.sigma_st(), p.sigma_st());
-        verify_rewrite(
-            &p,
-            &parse_instance(p.schema(), "E(a, b). F(a, b).").unwrap(),
-            &out.certificate,
-        )
-        .unwrap();
+        let input = parse_instance(p.schema(), "E(a, b). F(a, b).").unwrap();
+        out.certificate.verify(&p, &input).unwrap();
     }
 
     #[test]
@@ -947,20 +909,20 @@ mod tests {
         let p = setting("E(x, y) -> H(x, y); E(u, w) -> H(u, w)", "", "");
         let input = parse_instance(p.schema(), "E(a, b). F(a, b).").unwrap();
         let out = optimize_setting(&p, &input);
-        verify_rewrite(&p, &input, &out.certificate).unwrap();
+        out.certificate.verify(&p, &input).unwrap();
 
         let mut wrong_version = out.certificate.clone();
         wrong_version.version = REWRITE_VERSION + 1;
         assert!(matches!(
-            verify_rewrite(&p, &input, &wrong_version),
-            Err(RewriteError::Version { .. })
+            wrong_version.verify(&p, &input),
+            Err(CertificateError::Version { .. })
         ));
 
         let mut dropped = out.certificate.clone();
         dropped.actions.clear();
         assert!(matches!(
-            verify_rewrite(&p, &input, &dropped),
-            Err(RewriteError::Mismatch(_))
+            dropped.verify(&p, &input),
+            Err(CertificateError::Rewrite(_))
         ));
 
         let mut fabricated = out.certificate.clone();
@@ -970,8 +932,8 @@ mod tests {
             by: 1,
         });
         assert!(matches!(
-            verify_rewrite(&p, &input, &fabricated),
-            Err(RewriteError::Mismatch(_))
+            fabricated.verify(&p, &input),
+            Err(CertificateError::Rewrite(_))
         ));
 
         let mut out_of_range = out.certificate.clone();
@@ -981,15 +943,15 @@ mod tests {
             kept: 0,
         };
         assert!(matches!(
-            verify_rewrite(&p, &input, &out_of_range),
-            Err(RewriteError::Malformed(_))
+            out_of_range.verify(&p, &input),
+            Err(CertificateError::Rewrite(_))
         ));
 
         let mut wrong_input = out.certificate.clone();
         wrong_input.input_nonempty = vec!["G".to_string()];
         assert!(matches!(
-            verify_rewrite(&p, &input, &wrong_input),
-            Err(RewriteError::Mismatch(_))
+            wrong_input.verify(&p, &input),
+            Err(CertificateError::Rewrite(_))
         ));
     }
 

@@ -28,15 +28,17 @@
 //! Each certifying criterion produces a machine-checkable witness — the
 //! acyclic-graph topological order, or the saturated critical-chase log —
 //! plus derived value/fact/step bounds in the Lemma 1 layered-recurrence
-//! style. [`verify_termination`] independently replays the criterion
+//! style. [`Verifiable::verify`] independently replays the criterion
 //! trail, validates the witness against the recomputed graph or chase
 //! log, and re-derives every bound. See `docs/TERMINATION.md`.
 
-use crate::certificate::{bound_params, evaluate_bound, forward_tgds, CertificateError};
+use crate::certificate::{
+    bound_params, evaluate_bound, forward_tgds, CertificateError, Verifiable,
+};
 use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::PdeSetting;
-use pde_relational::{Position, RelId, Schema, Term, Var};
-use pde_trace::json::{self, Json, ObjExt};
+use pde_relational::{Instance, Position, RelId, Schema, Term, Var};
+use pde_trace::json::{Json, ObjExt};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -751,18 +753,9 @@ fn enumerate_matches(
 // The independent checker.
 // ---------------------------------------------------------------------------
 
-/// Re-validate a termination section against `setting` without trusting
-/// the planner: replay the criterion trail, validate the witness against
-/// the recomputed graph or chase log, and re-derive every bound.
-pub fn verify_termination(
-    setting: &PdeSetting,
-    tc: &TerminationCertificate,
-) -> Result<(), CertificateError> {
-    let schema = setting.schema();
-    let forward = forward_tgds(setting);
-    verify_tgds(schema, &forward, tc)
-}
-
+/// Re-validate a termination section against the forward tgds without
+/// trusting the planner: replay the criterion trail, validate the witness
+/// against the recomputed graph or chase log, and re-derive every bound.
 pub(crate) fn verify_tgds(
     schema: &Schema,
     forward: &[Tgd],
@@ -770,10 +763,11 @@ pub(crate) fn verify_tgds(
 ) -> Result<(), CertificateError> {
     let fail = |m: String| Err(CertificateError::Termination(m));
     if tc.version != TERMINATION_VERSION {
-        return fail(format!(
-            "termination section version {} unsupported (expected {TERMINATION_VERSION})",
-            tc.version
-        ));
+        return Err(CertificateError::Version {
+            kind: TerminationCertificate::KIND,
+            found: tc.version,
+            expected: TERMINATION_VERSION,
+        });
     }
 
     // Replay the trail, criterion by criterion, in hierarchy order.
@@ -904,9 +898,11 @@ pub(crate) fn verify_tgds(
 // Serialization and rendering.
 // ---------------------------------------------------------------------------
 
-impl TerminationCertificate {
+impl Verifiable for TerminationCertificate {
+    const KIND: &'static str = "termination";
+
     /// The section as the versioned JSON of `docs/TERMINATION.md`.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let trail = self.trail.iter().map(|c| {
             Json::from_iter([
                 ("criterion", c.criterion.as_str().into()),
@@ -954,37 +950,26 @@ impl TerminationCertificate {
         ])
     }
 
-    /// Parse the JSON section back (shape only; semantic validity is the
-    /// job of [`verify_termination`]).
-    pub fn from_json(src: &str) -> Result<TerminationCertificate, CertificateError> {
-        let v = json::parse(src)?;
-        Self::from_json_value(&v)
-    }
-
-    pub(crate) fn from_json_value(v: &Json) -> Result<TerminationCertificate, CertificateError> {
+    fn from_json_value(v: &Json) -> Result<TerminationCertificate, String> {
         let top = v.as_obj("termination")?;
         let version = u32::try_from(top.get_num("v")?)
-            .map_err(|_| CertificateError::Malformed("termination version out of range".into()))?;
+            .map_err(|_| "termination version out of range".to_string())?;
         let adom_size = top.get_num("adom_size")?;
         let criterion = match top.field_of("criterion")? {
             Json::Null => None,
-            Json::Str(s) => Some(TerminationCriterion::from_str(s).ok_or_else(|| {
-                CertificateError::Malformed(format!("unknown termination criterion '{s}'"))
-            })?),
-            _ => {
-                return Err(CertificateError::Malformed(
-                    "criterion must be a string or null".into(),
-                ))
-            }
+            Json::Str(s) => Some(
+                TerminationCriterion::from_str(s)
+                    .ok_or_else(|| format!("unknown termination criterion '{s}'"))?,
+            ),
+            _ => return Err("criterion must be a string or null".into()),
         };
         let mut trail = Vec::new();
         for item in v.get_arr("trail")? {
             let o = item.as_obj("trail[]")?;
             let c = o.get_str("criterion")?;
             trail.push(CriterionCheck {
-                criterion: TerminationCriterion::from_str(&c).ok_or_else(|| {
-                    CertificateError::Malformed(format!("unknown trail criterion '{c}'"))
-                })?,
+                criterion: TerminationCriterion::from_str(&c)
+                    .ok_or_else(|| format!("unknown trail criterion '{c}'"))?,
                 holds: o.get_bool("holds")?,
             });
         }
@@ -1013,11 +998,7 @@ impl TerminationCertificate {
                 limit: wo.get_num("limit")?,
             },
             "none" => TerminationWitness::None,
-            other => {
-                return Err(CertificateError::Malformed(format!(
-                    "unknown witness kind '{other}'"
-                )))
-            }
+            other => return Err(format!("unknown witness kind '{other}'")),
         };
         Ok(TerminationCertificate {
             version,
@@ -1029,6 +1010,19 @@ impl TerminationCertificate {
             fact_bound: top.get_num("fact_bound")?,
             step_bound: top.get_num("step_bound")?,
         })
+    }
+
+    /// Only the setting matters: the section records the active-domain
+    /// size its bounds were evaluated at.
+    fn verify(&self, setting: &PdeSetting, _input: &Instance) -> Result<(), CertificateError> {
+        verify_tgds(setting.schema(), &forward_tgds(setting), self)
+    }
+
+    fn summary(&self) -> String {
+        match self.criterion {
+            Some(c) => format!("certified by {c}"),
+            None => "uncertified (every criterion fails)".into(),
+        }
     }
 }
 
@@ -1088,6 +1082,11 @@ mod tests {
 
     fn setting(schema: &str, st: &str, ts: &str, t: &str) -> PdeSetting {
         PdeSetting::parse(schema, st, ts, t).unwrap()
+    }
+
+    /// Check `tc` against `s`; the input instance plays no part.
+    fn verify(s: &PdeSetting, tc: &TerminationCertificate) -> Result<(), CertificateError> {
+        tc.verify(s, &Instance::new(s.schema().clone()))
     }
 
     /// Weakly acyclic: the hierarchy stops at criterion 1.
@@ -1171,7 +1170,7 @@ mod tests {
             assert_eq!(tc.trail.len(), trail_len);
             assert_eq!(tc.certified(), expected.is_some());
             assert!(tc.fact_bound > 0, "certified sections carry a bound");
-            verify_termination(&s, &tc).expect("analysis output must verify");
+            verify(&s, &tc).expect("analysis output must verify");
         }
     }
 
@@ -1188,7 +1187,7 @@ mod tests {
         assert_eq!(tc.trail.len(), 4);
         assert!(tc.trail.iter().all(|c| !c.holds));
         assert_eq!((tc.value_bound, tc.fact_bound, tc.step_bound), (0, 0, 0));
-        verify_termination(&s, &tc).expect("the uncertified section still verifies");
+        verify(&s, &tc).expect("the uncertified section still verifies");
         let back = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
         assert_eq!(back, tc);
     }
@@ -1199,7 +1198,7 @@ mod tests {
             let tc = analyze_termination(&s, 4);
             let back = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
             assert_eq!(back, tc);
-            verify_termination(&s, &back).unwrap();
+            verify(&s, &back).unwrap();
         }
     }
 
@@ -1209,7 +1208,7 @@ mod tests {
         let mut tc = analyze_termination(&s, 3);
         tc.trail[0].holds = true;
         assert!(matches!(
-            verify_termination(&s, &tc),
+            verify(&s, &tc),
             Err(CertificateError::Termination(_))
         ));
     }
@@ -1223,7 +1222,7 @@ mod tests {
         };
         order.clear();
         assert!(matches!(
-            verify_termination(&s, &tc),
+            verify(&s, &tc),
             Err(CertificateError::Termination(_))
         ));
     }
@@ -1237,7 +1236,7 @@ mod tests {
         };
         *facts += 1;
         assert!(matches!(
-            verify_termination(&s, &tc),
+            verify(&s, &tc),
             Err(CertificateError::Termination(_))
         ));
     }
@@ -1248,7 +1247,7 @@ mod tests {
         let mut tc = analyze_termination(&s, 3);
         tc.fact_bound += 1;
         assert!(matches!(
-            verify_termination(&s, &tc),
+            verify(&s, &tc),
             Err(CertificateError::Termination(_))
         ));
     }
@@ -1257,7 +1256,7 @@ mod tests {
     fn forged_certification_of_a_divergent_setting_is_rejected() {
         let s = divergent_setting();
         let forged = analyze_termination(&ja_setting(), 3);
-        assert!(verify_termination(&s, &forged).is_err());
+        assert!(verify(&s, &forged).is_err());
     }
 
     #[test]

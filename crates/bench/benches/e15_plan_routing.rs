@@ -8,7 +8,7 @@
 //! delta on a small instance where routing overhead is visible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pde_analysis::{plan_setting, verify_certificate};
+use pde_analysis::{plan_setting, Verifiable};
 use pde_core::{decide, decide_governed_scheduled};
 use pde_runtime::Governor;
 use pde_workloads::paper::{example1_instances, example1_setting};
@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| plan_setting(&setting, triangle.active_domain().len()));
     });
     g.bench_function("verify_certificate_example1", |b| {
-        b.iter(|| verify_certificate(&setting, &cert).unwrap());
+        b.iter(|| cert.verify(&setting, &triangle).unwrap());
     });
 
     // The clique setting has the largest Σts and a 4-ary target relation,

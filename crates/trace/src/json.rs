@@ -178,6 +178,22 @@ impl Json {
             _ => Err(format!("missing array field '{key}'")),
         }
     }
+
+    /// The items of an array of strings; `what` names the value in the
+    /// error.
+    pub fn as_strings(&self, what: &str) -> Result<Vec<String>, String> {
+        let err = || format!("{what} must be an array of strings");
+        let Json::Arr(items) = self else {
+            return Err(err());
+        };
+        items
+            .iter()
+            .map(|v| match v {
+                Json::Str(s) => Ok(s.clone()),
+                _ => Err(err()),
+            })
+            .collect()
+    }
 }
 
 /// Typed field accessors on an object's field list.
@@ -512,6 +528,15 @@ mod tests {
             "field 'b' must be an unsigned integer"
         );
         assert_eq!(obj.field_of("c").unwrap_err(), "missing field 'c'");
+        for key in ["a", "b"] {
+            let err = obj.field_of(key).unwrap().as_strings(key).unwrap_err();
+            assert_eq!(err, format!("{key} must be an array of strings"));
+        }
+        assert_eq!(
+            s(r#"["x",""]"#).unwrap().as_strings("x").unwrap(),
+            ["x", ""]
+        );
+        assert!(s("[]").unwrap().as_strings("x").unwrap().is_empty());
     }
 
     #[test]

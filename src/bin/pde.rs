@@ -19,9 +19,9 @@
 //! Bundles are the `.pde` text format of `pde_core::bundle`; `<candidate>`
 //! is a plain instance file over the bundle's schema. Exit code 0 on
 //! "yes"/success outcomes, 1 on "no" outcomes (for `lint`: denied
-//! diagnostics present; for `plan --check`: certificate rejected), 2 on
-//! usage or input errors, 3 when `solve` could not decide within its
-//! budgets (search caps, `--timeout`, `--memory-limit`, cancellation).
+//! diagnostics present; for `--check`: certificate rejected), 2 on usage
+//! or input errors, 3 when `solve` could not decide within its budgets
+//! (search caps, `--timeout`, `--memory-limit`, cancellation).
 //!
 //! `solve`, `certain`, and `enumerate` run the linter first and print any
 //! warnings to stderr (never changing the exit code); `--no-lint` skips
@@ -29,11 +29,10 @@
 //! `--deny warnings`.
 //!
 //! `plan` emits a versioned JSON certificate (ranks, chase bounds,
-//! `C_tract` witnesses, solver routing, budgets); `plan --check <cert>`
-//! re-verifies a saved certificate against the bundle with the
-//! independent checker. `solve` routes through the certificate-derived
-//! plan (`decide_governed_scheduled`); pass `--plan <cert.json>` to reuse
-//! a saved certificate instead of planning afresh. `solve`, `certain`,
+//! `C_tract` witnesses, solver routing, budgets). `solve` routes through
+//! the certificate-derived plan (`decide_governed_scheduled`); `solve` and
+//! `certain` take `--plan <cert.json>` to reuse a saved certificate, which
+//! must verify, instead of planning afresh. `solve`, `certain`,
 //! and `enumerate` take `--max-steps <n>` (search node / chase step cap)
 //! and `--max-branches <n>` (active-domain values tried per existential);
 //! exceeding a cap reports "undecided", never a wrong answer.
@@ -61,26 +60,29 @@
 //! critical-instance check — cheapest-first and prints the certifying
 //! criterion, its criterion trail, witness, and derived bounds. Exit 0
 //! when some criterion certifies termination, 1 when every criterion
-//! fails. `--emit <cert.json>` saves the standalone termination
-//! certificate; `--check [cert.json]` re-verifies a saved certificate (or
-//! self-checks a fresh derivation) with the independent
-//! `verify_termination` checker, exiting 2 on any stale or tampered
-//! witness and 0 otherwise.
+//! fails.
 //!
 //! `optimize` (docs/OPTIMIZER.md) runs the semantics-preserving rewrite
 //! passes — trivial-egd removal, duplicate elimination up to renaming,
-//! subsumption, input-aware dead-dependency elimination — prints the
-//! actions and the stratified chase schedule, and carries a
-//! machine-checkable rewrite certificate: `--emit <cert.json>` saves it,
-//! `--check [cert.json]` re-verifies a saved certificate (or, with no
-//! path, self-checks a fresh derivation) with the independent
-//! `verify_rewrite` checker, exiting 2 on any mismatch. `solve`,
-//! `certain`, and `enumerate` optimize automatically (like auto-lint);
-//! `--no-optimize` opts out, and `--plan` disables optimization because a
-//! saved plan certificate describes the original setting. The optimized
-//! solve threads the stratified schedule into the semi-naive chase and
-//! reports it under `--stats` and in the JSON run report's `optimize`
-//! section.
+//! subsumption, input-aware dead-dependency elimination — and prints the
+//! actions, backed by a rewrite certificate, and the stratified chase
+//! schedule.
+//!
+//! `plan`, `terminate` and `optimize` share one certificate flow
+//! (docs/PLAN.md). `--emit <cert.json>` saves the fresh certificate next
+//! to the usual report. `--check <cert.json>` instead re-verifies a saved
+//! certificate against the bundle with its kind's independent checker and
+//! prints `<kind> certificate OK: …` (exit 0) or `<kind> certificate
+//! REJECTED: …` (exit 1) on stdout. An unreadable or malformed
+//! certificate, `--check` without a path, and `--emit` with `--check` are
+//! input errors (exit 2).
+//!
+//! `solve`, `certain`, and `enumerate` optimize automatically (like
+//! auto-lint); `--no-optimize` opts out, and `--plan` disables
+//! optimization because a saved plan certificate describes the original
+//! setting. The optimized solve threads the stratified schedule into the
+//! semi-naive chase and reports it under `--stats` and in the JSON run
+//! report's `optimize` section.
 //!
 //! `solve` and `serve` accept the resource-governance flags of
 //! `docs/ROBUSTNESS.md`: `--timeout <dur>` (e.g. `500ms`, `2s`; bare
@@ -105,9 +107,9 @@ use pde_analysis::certificate::solver_kind_str;
 use pde_analysis::{
     analyze_setting, analyze_termination, any_denied, forward_schedule, optimize_setting,
     plan_setting, render_certificate_text, render_json, render_termination_text, render_text,
-    verify_certificate, verify_rewrite, verify_termination, AnalysisInput, Certificate,
-    LintSection, OptimizeResult, RenderContext, RewriteAction, RewriteCertificate, Severity,
-    SourceParseError, TerminationCertificate, TerminationCriterion,
+    AnalysisInput, Certificate, CertificateError, LintSection, OptimizeResult, RenderContext,
+    RewriteAction, RewriteCertificate, Severity, SourceParseError, TerminationCriterion,
+    Verifiable,
 };
 use pde_chase::{chase_tgds, ChaseEngine, DepSchedule};
 use pde_core::bundle::{split_sections, Bundle, BundleSources};
@@ -179,9 +181,9 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   pde classify  <bundle.pde>
   pde lint      <bundle.pde> [--format text|json] [--deny warnings]
-  pde plan      <bundle.pde> [--format text|json] [--check <cert.json>]
-  pde terminate <bundle.pde> [--format text|json] [--emit <cert.json>] [--check [cert.json]]
-  pde optimize  <bundle.pde> [--format text|json] [--emit <cert.json>] [--check [cert.json]]
+  pde plan      <bundle.pde> [--format text|json] [--emit <cert.json> | --check <cert.json>]
+  pde terminate <bundle.pde> [--format text|json] [--emit <cert.json> | --check <cert.json>]
+  pde optimize  <bundle.pde> [--format text|json] [--emit <cert.json> | --check <cert.json>]
   pde solve     <bundle.pde> [--no-lint] [--no-optimize] [--plan <cert.json>] [--max-steps n]
                 [--max-branches n] [--timeout dur] [--memory-limit size] [--governed] [--stats]
                 [--format text|json]
@@ -227,9 +229,7 @@ struct Flags {
     max_steps: Option<usize>,
     max_branches: Option<usize>,
     plan_path: Option<String>,
-    /// `--check` was given; the inner option is the certificate path
-    /// (`plan` requires one, `optimize` self-checks without one).
-    check_path: Option<Option<String>>,
+    check_path: Option<String>,
     /// `--optimize` (`Some(true)`) / `--no-optimize` (`Some(false)`);
     /// `None` means the per-command default (on for solve-style commands).
     optimize: Option<bool>,
@@ -295,14 +295,7 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                 flags.trace_sample = Some(u64::try_from(n).unwrap_or(u64::MAX));
             }
             "--plan" => flags.plan_path = Some(flag_value(&mut it, "--plan")?),
-            "--check" => {
-                // The certificate path is optional: `optimize --check`
-                // with no path self-checks a fresh derivation.
-                flags.check_path = Some(match it.clone().next() {
-                    Some(v) if !v.starts_with("--") => it.next().cloned(),
-                    _ => None,
-                });
-            }
+            "--check" => flags.check_path = Some(flag_value(&mut it, "--check")?),
             "--optimize" => flags.optimize = Some(true),
             "--no-optimize" => flags.optimize = Some(false),
             "--emit" => flags.emit_path = Some(flag_value(&mut it, "--emit")?),
@@ -395,10 +388,7 @@ fn resolve_plan(
 ) -> Result<(SolvePlan, Certificate), String> {
     let cert = match &flags.plan_path {
         Some(path) => {
-            let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let cert = Certificate::from_json(&src).map_err(|e| format!("{path}: {e}"))?;
-            verify_certificate(setting, &cert).map_err(|e| format!("{path}: {e}"))?;
-            cert
+            load_certificate(path, setting, input)?.map_err(|e| format!("{path}: {e}"))?
         }
         None => plan_setting(setting, input.active_domain().len()),
     };
@@ -411,6 +401,51 @@ fn resolve_plan(
         plan.limits.max_branches = n;
     }
     Ok((plan, cert))
+}
+
+/// Read and parse the saved certificate at `path`, then run its checker
+/// against `setting` and `input`. An unreadable or malformed file is the
+/// outer `Err`; a rejection is the inner one.
+fn load_certificate<C: Verifiable>(
+    path: &str,
+    setting: &PdeSetting,
+    input: &Instance,
+) -> Result<Result<C, CertificateError>, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let cert = C::from_json(&src).map_err(|e| format!("{path}: {e}"))?;
+    Ok(cert.verify(setting, input).map(|()| cert))
+}
+
+/// The one certificate flow of `plan`, `terminate` and `optimize`.
+/// `--check <path>` re-verifies a saved certificate against the bundle:
+/// `<kind> certificate OK: …` and exit 0, or `<kind> certificate
+/// REJECTED: …` and exit 1, both on stdout. Otherwise `derive` builds a
+/// fresh certificate (plus anything else the report needs), `--emit
+/// <path>` saves it, and `report` prints the command's report and picks
+/// its verdict.
+fn certificate_command<C: Verifiable, D>(
+    bundle: &Bundle,
+    flags: &Flags,
+    derive: impl FnOnce() -> (C, D),
+    report: impl FnOnce(&C, D) -> Result<Verdict, String>,
+) -> Result<Verdict, String> {
+    if let Some(path) = &flags.check_path {
+        return match load_certificate::<C>(path, &bundle.setting, &bundle.input)? {
+            Ok(cert) => {
+                outln!("{} certificate OK: {}", C::KIND, cert.summary());
+                Ok(Verdict::Yes)
+            }
+            Err(e) => {
+                outln!("{} certificate REJECTED: {e}", C::KIND);
+                Ok(Verdict::No)
+            }
+        };
+    }
+    let (cert, extra) = derive();
+    if let Some(path) = &flags.emit_path {
+        std::fs::write(path, cert.to_json().to_string()).map_err(|e| format!("{path}: {e}"))?;
+    }
+    report(&cert, extra)
 }
 
 /// Run the optimizer ahead of a solve-style command when asked (or by
@@ -654,9 +689,19 @@ fn dispatch(
             "--optimize/--no-optimize only apply to 'solve', 'certain', and 'enumerate', not '{cmd}'"
         ));
     }
-    if flags.emit_path.is_some() && !matches!(cmd.as_str(), "optimize" | "terminate") {
+    if (flags.emit_path.is_some() || flags.check_path.is_some())
+        && !matches!(cmd.as_str(), "plan" | "terminate" | "optimize")
+    {
         return Err(format!(
-            "--emit only applies to 'optimize' and 'terminate', not '{cmd}'"
+            "--emit/--check only apply to 'plan', 'terminate', and 'optimize', not '{cmd}'"
+        ));
+    }
+    if flags.emit_path.is_some() && flags.check_path.is_some() {
+        return Err("--emit and --check are mutually exclusive".into());
+    }
+    if flags.plan_path.is_some() && !matches!(cmd.as_str(), "solve" | "certain") {
+        return Err(format!(
+            "--plan only applies to 'solve' and 'certain', not '{cmd}'"
         ));
     }
     match cmd.as_str() {
@@ -727,166 +772,93 @@ fn dispatch(
         }
         "plan" => {
             let bundle = load_bundle(args.get(1).ok_or("missing bundle path")?)?;
-            if let Some(cert_path) = &flags.check_path {
-                let cert_path = cert_path
-                    .as_ref()
-                    .ok_or("plan --check expects a certificate path")?;
-                let src =
-                    std::fs::read_to_string(cert_path).map_err(|e| format!("{cert_path}: {e}"))?;
-                let cert = Certificate::from_json(&src).map_err(|e| format!("{cert_path}: {e}"))?;
-                return match verify_certificate(&bundle.setting, &cert) {
-                    Ok(()) => {
-                        outln!(
-                            "certificate OK: regime {}, solver {}",
-                            cert.regime,
-                            cert.recommended_solver
-                        );
-                        Ok(Verdict::Yes)
-                    }
-                    Err(e) => {
-                        outln!("certificate REJECTED: {e}");
-                        Ok(Verdict::No)
-                    }
-                };
-            }
             let adom = bundle.input.active_domain().len();
-            let cert = plan_setting(&bundle.setting, adom);
-            if flags.json {
-                outln!("{}", cert.to_json());
-            } else {
-                outln!("{}", bundle.summary());
-                outp!("{}", render_certificate_text(&cert));
-            }
-            Ok(Verdict::Yes)
+            certificate_command(
+                &bundle,
+                flags,
+                || (plan_setting(&bundle.setting, adom), ()),
+                |cert, ()| {
+                    if flags.json {
+                        outln!("{}", cert.to_json());
+                    } else {
+                        outln!("{}", bundle.summary());
+                        outp!("{}", render_certificate_text(cert));
+                    }
+                    Ok(Verdict::Yes)
+                },
+            )
         }
         "terminate" => {
             let bundle = load_bundle(args.get(1).ok_or("missing bundle path")?)?;
-            if let Some(Some(cert_path)) = &flags.check_path {
-                // Verify a *saved* termination certificate against this
-                // bundle with the independent checker. Any mismatch is an
-                // input error (exit 2): the certificate is stale or
-                // tampered with.
-                let src =
-                    std::fs::read_to_string(cert_path).map_err(|e| format!("{cert_path}: {e}"))?;
-                let cert = TerminationCertificate::from_json(&src)
-                    .map_err(|e| format!("{cert_path}: {e}"))?;
-                verify_termination(&bundle.setting, &cert)
-                    .map_err(|e| format!("termination certificate REJECTED: {e}"))?;
-                match cert.criterion {
-                    Some(c) => outln!("termination certificate OK: certified by {c}"),
-                    None => {
-                        outln!("termination certificate OK: uncertified (every criterion fails)");
-                    }
-                }
-                return Ok(Verdict::Yes);
-            }
             let adom = bundle.input.active_domain().len();
-            let tc = analyze_termination(&bundle.setting, adom);
-            if flags.check_path.is_some() {
-                // `--check` without a path: re-verify the fresh derivation
-                // with the independent checker (the CI smoke path).
-                verify_termination(&bundle.setting, &tc)
-                    .map_err(|e| format!("termination self-check REJECTED: {e}"))?;
-            }
-            if let Some(emit_path) = &flags.emit_path {
-                std::fs::write(emit_path, tc.to_json().to_string())
-                    .map_err(|e| format!("{emit_path}: {e}"))?;
-            }
-            if flags.json {
-                let report = Json::from_iter([
-                    ("v", pde_analysis::TERMINATION_VERSION.into()),
-                    ("kind", "pde-terminate-report".into()),
-                    ("termination", tc.to_json()),
-                ]);
-                outln!("{report}");
-            } else {
-                outln!("{}", bundle.summary());
-                if flags.check_path.is_some() {
-                    outln!("termination certificate OK (independently re-verified)");
-                }
-                outp!("{}", render_termination_text(&tc));
-            }
-            if flags.check_path.is_some() {
-                // The check passed; certification status is informational.
-                return Ok(Verdict::Yes);
-            }
-            Ok(verdict(tc.certified()))
+            certificate_command(
+                &bundle,
+                flags,
+                || (analyze_termination(&bundle.setting, adom), ()),
+                |tc, ()| {
+                    if flags.json {
+                        let report = Json::from_iter([
+                            ("v", pde_analysis::TERMINATION_VERSION.into()),
+                            ("kind", "pde-terminate-report".into()),
+                            ("termination", tc.to_json()),
+                        ]);
+                        outln!("{report}");
+                    } else {
+                        outln!("{}", bundle.summary());
+                        outp!("{}", render_termination_text(tc));
+                    }
+                    Ok(verdict(tc.certified()))
+                },
+            )
         }
         "optimize" => {
             let bundle = load_bundle(args.get(1).ok_or("missing bundle path")?)?;
-            if let Some(Some(cert_path)) = &flags.check_path {
-                // Verify a *saved* certificate against this bundle with the
-                // independent checker. Any mismatch is an input error
-                // (exit 2): the certificate is stale or tampered with.
-                let src =
-                    std::fs::read_to_string(cert_path).map_err(|e| format!("{cert_path}: {e}"))?;
-                let cert =
-                    RewriteCertificate::from_json(&src).map_err(|e| format!("{cert_path}: {e}"))?;
-                verify_rewrite(&bundle.setting, &bundle.input, &cert)
-                    .map_err(|e| format!("rewrite certificate REJECTED: {e}"))?;
-                outln!(
-                    "rewrite certificate OK: {} action(s), {} -> {} dependencies",
-                    cert.actions.len(),
-                    cert.before.total(),
-                    cert.after.total()
-                );
-                return Ok(Verdict::Yes);
-            }
-            let out = optimize_setting(&bundle.setting, &bundle.input);
-            if flags.check_path.is_some() {
-                // `--check` without a path: re-verify the fresh derivation
-                // with the independent checker (the CI smoke path).
-                verify_rewrite(&bundle.setting, &bundle.input, &out.certificate)
-                    .map_err(|e| format!("rewrite self-check REJECTED: {e}"))?;
-            }
-            if let Some(emit_path) = &flags.emit_path {
-                std::fs::write(emit_path, out.certificate.to_json().to_string())
-                    .map_err(|e| format!("{emit_path}: {e}"))?;
-            }
-            let schedule = forward_schedule(&out.optimized);
-            if flags.json {
-                let report = Json::from_iter([
-                    ("v", pde_analysis::REWRITE_VERSION.into()),
-                    ("kind", "pde-optimize-report".into()),
-                    ("certificate", out.certificate.to_json()),
-                    ("schedule", schedule_json(&schedule)),
-                ]);
-                outln!("{report}");
-                return Ok(Verdict::Yes);
-            }
-            let c = &out.certificate;
-            outln!("{}", bundle.summary());
-            if flags.check_path.is_some() {
-                outln!("rewrite certificate OK (independently re-verified)");
-            }
-            outln!(
-                "dependencies: {} -> {} ({} removed)",
-                c.before.total(),
-                c.after.total(),
-                c.actions.len()
-            );
-            for a in &c.actions {
-                outln!("  {}", describe_action(a));
-            }
-            if !c.dead_relations.is_empty() {
-                outln!("unpopulatable relations: {}", c.dead_relations.join(", "));
-            }
-            // Forward dependency indices: the optimized setting's Σst tgds
-            // first, then its Σt dependencies (Σts does not chase).
-            let nst = out.optimized.sigma_st().len();
-            let label = |i: usize| {
-                if i < nst {
-                    format!("st#{i}")
-                } else {
-                    format!("t#{}", i - nst)
-                }
+            let derive = || {
+                let out = optimize_setting(&bundle.setting, &bundle.input);
+                (out.certificate, out.optimized)
             };
-            outln!("chase strata: {}", schedule.strata.len());
-            for (k, stratum) in schedule.strata.iter().enumerate() {
-                let names: Vec<String> = stratum.iter().map(|&i| label(i)).collect();
-                outln!("  stratum {k}: {}", names.join(" "));
-            }
-            Ok(Verdict::Yes)
+            certificate_command(&bundle, flags, derive, |c, optimized| {
+                let schedule = forward_schedule(&optimized);
+                if flags.json {
+                    let report = Json::from_iter([
+                        ("v", pde_analysis::REWRITE_VERSION.into()),
+                        ("kind", "pde-optimize-report".into()),
+                        ("certificate", c.to_json()),
+                        ("schedule", schedule_json(&schedule)),
+                    ]);
+                    outln!("{report}");
+                    return Ok(Verdict::Yes);
+                }
+                outln!("{}", bundle.summary());
+                outln!(
+                    "dependencies: {} -> {} ({} removed)",
+                    c.before.total(),
+                    c.after.total(),
+                    c.actions.len()
+                );
+                for a in &c.actions {
+                    outln!("  {}", describe_action(a));
+                }
+                if !c.dead_relations.is_empty() {
+                    outln!("unpopulatable relations: {}", c.dead_relations.join(", "));
+                }
+                // Forward dependency indices: the optimized setting's Σst tgds
+                // first, then its Σt dependencies (Σts does not chase).
+                let nst = optimized.sigma_st().len();
+                let label = |i: usize| {
+                    if i < nst {
+                        format!("st#{i}")
+                    } else {
+                        format!("t#{}", i - nst)
+                    }
+                };
+                outln!("chase strata: {}", schedule.strata.len());
+                for (k, stratum) in schedule.strata.iter().enumerate() {
+                    let names: Vec<String> = stratum.iter().map(|&i| label(i)).collect();
+                    outln!("  stratum {k}: {}", names.join(" "));
+                }
+                Ok(Verdict::Yes)
+            })
         }
         "solve" => {
             let bundle = load_bundle(args.get(1).ok_or("missing bundle path")?)?;

@@ -71,7 +71,7 @@ pub mod serve;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use pde_analysis::{plan_setting, verify_certificate, Certificate, Regime};
+    pub use pde_analysis::{plan_setting, Certificate, Regime, Verifiable};
     pub use pde_chase::{chase, chase_tgds, solution_aware_chase, ChaseLimits, ChaseOutcome};
     pub use pde_constraints::{
         classify, parse_dependencies, parse_dependency, parse_egd, parse_tgd, parse_tgds,

@@ -508,12 +508,9 @@ fn optimize_check_accepts_own_certificate_and_rejects_tampering() {
     ]);
     assert_eq!(out.status.code(), Some(0));
 
-    // `--check` with no path self-checks a fresh derivation.
+    // `--check` needs a certificate path: there is no self-check.
     let out = run(&["optimize", p.to_str().unwrap(), "--check"]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("independently re-verified"));
+    assert_eq!(out.status.code(), Some(2));
 
     // `--check <cert>` re-verifies the saved certificate.
     let out = run(&[
@@ -527,8 +524,8 @@ fn optimize_check_accepts_own_certificate_and_rejects_tampering() {
         .unwrap()
         .contains("rewrite certificate OK"));
 
-    // Tampering with the surviving counts must be caught (exit 2: the
-    // certificate no longer describes this bundle).
+    // Tampering with the surviving counts must be caught: a rejection is
+    // a "no" (exit 1) on stdout.
     let json = std::fs::read_to_string(&cert).unwrap();
     let tampered = json.replacen("\"sigma_st\":1", "\"sigma_st\":2", 1);
     assert_ne!(
@@ -542,8 +539,8 @@ fn optimize_check_accepts_own_certificate_and_rejects_tampering() {
         "--check",
         bad.to_str().unwrap(),
     ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("REJECTED"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stdout).unwrap().contains("REJECTED"));
 
     // A certificate for a different bundle is likewise refused.
     let other = write_temp("optchk_other.pde", EX1_TRIANGLE);
@@ -553,7 +550,7 @@ fn optimize_check_accepts_own_certificate_and_rejects_tampering() {
         "--check",
         cert.to_str().unwrap(),
     ]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
 
     // A shape error carries the rewrite prefix once, not the plan
     // certificate's prefix nested inside it.
@@ -601,6 +598,61 @@ fn hostile_certificates_are_input_errors_not_aborts() {
 }
 
 #[test]
+fn plan_emit_saves_the_certificate_it_derives() {
+    let p = write_temp("plan_emit.pde", EX1_TRIANGLE);
+    let cert = write_temp("plan_emit.cert.json", "");
+    let (p, c) = (p.to_str().unwrap(), cert.to_str().unwrap());
+    let report = stdout_of(&["plan", p, "--emit", c], 0);
+    assert_eq!(
+        report,
+        stdout_of(&["plan", p], 0),
+        "--emit keeps the report"
+    );
+    let json = stdout_of(&["plan", p, "--format", "json"], 0);
+    assert_eq!(std::fs::read_to_string(&cert).unwrap(), json.trim_end());
+    let ok = stdout_of(&["plan", p, "--check", c], 0);
+    assert_eq!(
+        ok,
+        "plan certificate OK: regime tractable, solver ExistsSolution (C_tract)\n"
+    );
+}
+
+#[test]
+fn certificate_flags_outside_their_commands_are_usage_errors() {
+    let p = write_temp("flags.pde", EX1_TRIANGLE);
+    let emitted = write_temp("flags.emitted.json", "");
+    std::fs::remove_file(&emitted).unwrap();
+    let (p, e) = (p.to_str().unwrap(), emitted.to_str().unwrap());
+    let cert = write_temp("flags.cert.json", "{}");
+    let c = cert.to_str().unwrap();
+    for args in [
+        // Never opened: `--plan` is read by solve and certain only.
+        vec!["enumerate", p, "--plan", "/nonexistent.json"],
+        vec!["classify", p, "--check", c],
+        vec!["chase", p, "--plan", "x", "--check", "y"],
+        vec!["solve", p, "--emit", e],
+        // A run either checks a saved certificate or emits a fresh one.
+        vec!["terminate", p, "--check", c, "--emit", e],
+        vec!["plan", p, "--emit", e, "--check", c],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            String::from_utf8(out.stderr).unwrap().contains("usage:"),
+            "{args:?}"
+        );
+    }
+    assert!(!emitted.exists(), "a refused run writes nothing");
+    // A missing certificate file is an input error for every kind.
+    for cmd in ["plan", "terminate", "optimize"] {
+        let out = run(&[cmd, p, "--check", "/nonexistent/cert.json"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+    }
+}
+
+#[test]
 fn terminate_reports_certified_and_uncertified_verdicts() {
     // The shipped spiral bundle is not weakly acyclic but jointly
     // acyclic: `terminate` exits 0 and names the certifying criterion.
@@ -637,12 +689,9 @@ fn terminate_check_accepts_own_certificate_and_rejects_tampering() {
     let out = run(&["terminate", spiral, "--emit", cert.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0));
 
-    // `--check` with no path self-checks a fresh derivation.
+    // `--check` needs a certificate path: there is no self-check.
     let out = run(&["terminate", spiral, "--check"]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("independently re-verified"));
+    assert_eq!(out.status.code(), Some(2));
 
     // `--check <cert>` re-verifies the saved certificate and always exits
     // 0 on success, so a CI smoke loop can include uncertified bundles.
@@ -652,7 +701,8 @@ fn terminate_check_accepts_own_certificate_and_rejects_tampering() {
         .unwrap()
         .contains("termination certificate OK"));
 
-    // Tampering with the claimed criterion must be caught (exit 2).
+    // Tampering with the claimed criterion must be caught (exit 1, on
+    // stdout).
     let json = std::fs::read_to_string(&cert).unwrap();
     let tampered = json.replacen(
         "\"criterion\":\"joint-acyclicity\"",
@@ -662,13 +712,13 @@ fn terminate_check_accepts_own_certificate_and_rejects_tampering() {
     assert_ne!(tampered, json, "fixture has a criterion to tamper with");
     let bad = write_temp("termchk.bad.json", &tampered);
     let out = run(&["terminate", spiral, "--check", bad.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8(out.stderr).unwrap().contains("REJECTED"));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8(out.stdout).unwrap().contains("REJECTED"));
 
     // A certificate for a different bundle is likewise refused.
     let divergent = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/divergent.pde");
     let out = run(&["terminate", divergent, "--check", cert.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(1));
 
     // An uncertified bundle's own certificate still checks clean.
     let dcert = write_temp("termchk.div.cert.json", "");

@@ -7,11 +7,9 @@
 //!   the paper's too-weak literal form);
 //! * a deliberately padded setting produces an exact, stable certificate
 //!   (golden JSON), which round-trips through `from_json` and is rejected
-//!   by `verify_rewrite` as soon as any recorded fact is tampered with.
+//!   by its checker as soon as any recorded fact is tampered with.
 
-use pde_analysis::{
-    forward_schedule, optimize_setting, verify_rewrite, RewriteCertificate, RewriteError,
-};
+use pde_analysis::{forward_schedule, optimize_setting, CertificateError, RewriteCertificate};
 use peer_data_exchange::core::Bundle;
 use peer_data_exchange::prelude::*;
 use peer_data_exchange::workloads::{boundary, clique, genomics, graphs};
@@ -42,7 +40,8 @@ fn assert_unchanged(name: &str, setting: &PdeSetting, input: &Instance) {
         setting.sigma_t(),
         "{name}: Σt must survive verbatim"
     );
-    verify_rewrite(setting, input, &opt.certificate)
+    opt.certificate
+        .verify(setting, input)
         .unwrap_or_else(|e| panic!("{name}: certificate re-verification failed: {e:?}"));
     let n = pde_analysis::forward_dependencies(setting).len();
     assert!(
@@ -132,12 +131,12 @@ fn padded_setting_produces_the_golden_certificate() {
         "]}"
     );
     assert_eq!(opt.certificate.to_json().to_string(), golden);
-    verify_rewrite(&setting, &input, &opt.certificate).unwrap();
+    opt.certificate.verify(&setting, &input).unwrap();
 
     // Round-trip through the serialized form.
     let parsed = RewriteCertificate::from_json(&opt.certificate.to_json().to_string()).unwrap();
     assert_eq!(parsed, opt.certificate);
-    verify_rewrite(&setting, &input, &parsed).unwrap();
+    parsed.verify(&setting, &input).unwrap();
 }
 
 #[test]
@@ -173,7 +172,7 @@ fn verify_rewrite_rejects_tampered_certificates() {
         assert_ne!(bad, json, "tampering '{from}' must apply");
         let parsed = RewriteCertificate::from_json(&bad).unwrap();
         assert!(
-            verify_rewrite(&setting, &input, &parsed).is_err(),
+            parsed.verify(&setting, &input).is_err(),
             "tampering '{from}' -> '{to}' must be rejected"
         );
     }
@@ -181,7 +180,7 @@ fn verify_rewrite_rejects_tampered_certificates() {
     // nonempty relations differ.
     let other = parse_instance(setting.schema(), "E(a, b). G(a, b).").unwrap();
     assert!(matches!(
-        verify_rewrite(&setting, &other, &cert),
-        Err(RewriteError::Mismatch(_))
+        cert.verify(&setting, &other),
+        Err(CertificateError::Rewrite(_))
     ));
 }

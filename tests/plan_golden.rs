@@ -11,9 +11,10 @@
 //! acyclicity must come from the same traversal and agree) because the
 //! constraints crate cannot depend on the workloads crate.
 
-use pde_analysis::{plan_setting, verify_certificate, Certificate, ComplexityClass, Regime};
+use pde_analysis::{plan_setting, Certificate, ComplexityClass, Regime, Verifiable};
 use pde_constraints::DependencyGraph;
 use pde_core::{PdeSetting, SolverKind};
+use pde_relational::Instance;
 use pde_workloads::{boundary, clique, full, lav, paper};
 
 /// Plan at a fixed small active-domain size, verify, and return the
@@ -21,7 +22,8 @@ use pde_workloads::{boundary, clique, full, lav, paper};
 /// checker — a planner/checker disagreement is a bug in one of them.
 fn planned(setting: &PdeSetting) -> Certificate {
     let cert = plan_setting(setting, 4);
-    verify_certificate(setting, &cert).expect("planner output passes the independent checker");
+    cert.verify(setting, &Instance::new(setting.schema().clone()))
+        .expect("planner output passes the independent checker");
     cert
 }
 

@@ -15,7 +15,9 @@
 //! * certain answers hold in every enumerated solution;
 //! * `pde plan` certificates pass the independent checker and their
 //!   static chase bounds dominate actual chase runs on random
-//!   weakly-acyclic settings.
+//!   weakly-acyclic settings;
+//! * plan, termination and rewrite certificates round-trip through print
+//!   and parse and still verify.
 
 use pde_relational::{NullId, RelId, Tuple};
 use peer_data_exchange::core::{
@@ -378,7 +380,7 @@ proptest! {
         };
         let input = random_instance(&setting, 4, 0, 3, seed ^ 0x5eed);
         let cert = pde_analysis::plan_setting(&setting, input.active_domain().len());
-        prop_assert!(pde_analysis::verify_certificate(&setting, &cert).is_ok());
+        prop_assert!(cert.verify(&setting, &input).is_ok());
         prop_assert!(cert.chase.weakly_acyclic, "generator guarantees weak acyclicity");
         let forward: Vec<Tgd> = setting
             .sigma_st()
@@ -448,7 +450,7 @@ proptest! {
             if !cert.chase.termination.certified() {
                 continue; // only certified settings carry the budget promise
             }
-            prop_assert!(pde_analysis::verify_certificate(setting, &cert).is_ok());
+            prop_assert!(cert.verify(setting, input).is_ok());
             let deps = pde_analysis::forward_dependencies(setting);
             let limits = ChaseLimits {
                 max_steps: cert.budgets.chase_steps,
@@ -837,7 +839,7 @@ fn seminaive_step_log_respects_verified_certificate_bound() {
     .unwrap();
     let input = parse_instance(setting.schema(), "E(a, b). E(b, c). E(c, a).").unwrap();
     let cert = pde_analysis::plan_setting(&setting, input.active_domain().len());
-    pde_analysis::verify_certificate(&setting, &cert).expect("certificate verifies");
+    cert.verify(&setting, &input).expect("certificate verifies");
     let deps: Vec<Dependency> = setting
         .sigma_st()
         .iter()
@@ -868,8 +870,53 @@ fn seminaive_step_log_respects_verified_certificate_bound() {
     assert!(res.instance.fact_count() <= cert.chase.fact_bound);
 }
 
+/// Print `cert`, parse it back through [`Verifiable::from_json`], and
+/// require an equal value that still verifies against its own setting and
+/// input.
+fn round_trips<C: Verifiable + PartialEq + std::fmt::Debug>(
+    cert: &C,
+    setting: &PdeSetting,
+    input: &Instance,
+) -> Result<(), String> {
+    let back = C::from_json(&cert.to_json().to_string())
+        .map_err(|e| format!("{} certificate does not parse back: {e}", C::KIND))?;
+    prop_assert_eq!(
+        &back,
+        cert,
+        "{} certificate changed in print -> parse",
+        C::KIND
+    );
+    prop_assert!(
+        back.verify(setting, input).is_ok(),
+        "parsed {} certificate no longer verifies",
+        C::KIND
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn certificates_round_trip_through_print_and_parse(seed in 0u64..512, n_t in 0u32..3) {
+        // All three certificate kinds, on settings no fixture was written
+        // for: print -> parse gives back an equal value, and the parsed
+        // copy passes the independent checker.
+        use peer_data_exchange::workloads::random::{
+            random_instance, random_weakly_acyclic_setting, RandomSettingParams,
+        };
+        let params = RandomSettingParams::default();
+        let setting = match random_weakly_acyclic_setting(&params, n_t, seed) {
+            Ok(s) => s,
+            Err(_) => return Ok(()),
+        };
+        let input = random_instance(&setting, 4, 0, 3, seed ^ 0x7219);
+        let adom = input.active_domain().len();
+        round_trips(&pde_analysis::plan_setting(&setting, adom), &setting, &input)?;
+        round_trips(&pde_analysis::analyze_termination(&setting, adom), &setting, &input)?;
+        let rewrite = pde_analysis::optimize_setting(&setting, &input).certificate;
+        round_trips(&rewrite, &setting, &input)?;
+    }
 
     #[test]
     fn optimized_plan_never_certifies_worse_bounds(seed in 0u64..512, n_t in 0u32..3) {
@@ -889,13 +936,13 @@ proptest! {
         let input = random_instance(&setting, 4, 0, 3, seed ^ 0x5eed);
         let opt = pde_analysis::optimize_setting(&setting, &input);
         prop_assert!(
-            pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok(),
+            opt.certificate.verify(&setting, &input).is_ok(),
             "the rewrite certificate must re-verify against its own inputs"
         );
         let adom = input.active_domain().len();
         let orig = pde_analysis::plan_setting(&setting, adom);
         let better = pde_analysis::plan_setting(&opt.optimized, adom);
-        prop_assert!(pde_analysis::verify_certificate(&opt.optimized, &better).is_ok());
+        prop_assert!(better.verify(&opt.optimized, &input).is_ok());
         if orig.chase.weakly_acyclic {
             prop_assert!(better.chase.weakly_acyclic, "deletion preserves weak acyclicity");
             prop_assert!(better.chase.step_bound <= orig.chase.step_bound);
@@ -936,7 +983,7 @@ proptest! {
         };
         let input = random_instance(&setting, 4, 0, 3, seed ^ 0x09f7);
         let opt = pde_analysis::optimize_setting(&setting, &input);
-        prop_assert!(pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok());
+        prop_assert!(opt.certificate.verify(&setting, &input).is_ok());
         let schedule = pde_analysis::forward_schedule(&opt.optimized);
         let gov = Governor::unlimited();
         let mut answers = Vec::new();
@@ -974,7 +1021,7 @@ proptest! {
         };
         let input = random_instance(&setting, 4, 0, 3, seed ^ 0xd1ce);
         let opt = pde_analysis::optimize_setting(&setting, &input);
-        prop_assert!(pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok());
+        prop_assert!(opt.certificate.verify(&setting, &input).is_ok());
         let gov = Governor::unlimited();
         for engine in [pde_chase::ChaseEngine::Naive, pde_chase::ChaseEngine::Seminaive] {
             let base = assignment::solve_governed(&setting, &input, engine, &gov).unwrap();

@@ -7,10 +7,10 @@
 //! * `examples/divergent.pde` is rejected by every criterion and its
 //!   all-fail trail is byte-stable too;
 //! * tampering any witness field — criterion, trail verdicts, bounds,
-//!   variable order, chase log counts — is caught by `verify_termination`,
-//!   not trusted from the certificate.
+//!   variable order, chase log counts — is caught by the independent
+//!   checker, not trusted from the certificate.
 
-use pde_analysis::{analyze_termination, verify_termination, TerminationCertificate};
+use pde_analysis::{analyze_termination, TerminationCertificate, Verifiable};
 use peer_data_exchange::core::Bundle;
 
 fn bundle(name: &str) -> Bundle {
@@ -38,10 +38,10 @@ fn spiral_produces_the_golden_joint_acyclicity_certificate() {
         "\"order\":[{\"tgd\":2,\"var\":\"z\"}]}}"
     );
     assert_eq!(tc.to_json().to_string(), golden);
-    verify_termination(&b.setting, &tc).unwrap();
+    tc.verify(&b.setting, &b.input).unwrap();
     let parsed = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
     assert_eq!(parsed, tc);
-    verify_termination(&b.setting, &parsed).unwrap();
+    parsed.verify(&b.setting, &b.input).unwrap();
 }
 
 #[test]
@@ -61,10 +61,10 @@ fn critical_only_produces_the_golden_critical_instance_certificate() {
         "\"max_fact_width\":2,\"limit\":256}}"
     );
     assert_eq!(tc.to_json().to_string(), golden);
-    verify_termination(&b.setting, &tc).unwrap();
+    tc.verify(&b.setting, &b.input).unwrap();
     let parsed = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
     assert_eq!(parsed, tc);
-    verify_termination(&b.setting, &parsed).unwrap();
+    parsed.verify(&b.setting, &b.input).unwrap();
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn divergent_fails_every_criterion_with_a_stable_trail() {
     assert!(!tc.certified());
     // The all-fail verdict must re-verify too: an uncertified section is a
     // faithful record, not an error.
-    verify_termination(&b.setting, &tc).unwrap();
+    tc.verify(&b.setting, &b.input).unwrap();
     let parsed = TerminationCertificate::from_json(&tc.to_json().to_string()).unwrap();
     assert_eq!(parsed, tc);
 }
@@ -124,7 +124,7 @@ fn verify_termination_rejects_tampered_spiral_certificates() {
         assert_ne!(bad, json, "tampering '{from}' must apply");
         let parsed = TerminationCertificate::from_json(&bad).unwrap();
         assert!(
-            verify_termination(&b.setting, &parsed).is_err(),
+            parsed.verify(&b.setting, &b.input).is_err(),
             "tampering '{from}' -> '{to}' must be rejected"
         );
     }
@@ -154,7 +154,7 @@ fn verify_termination_rejects_tampered_critical_chase_witnesses() {
         assert_ne!(bad, json, "tampering '{from}' must apply");
         let parsed = TerminationCertificate::from_json(&bad).unwrap();
         assert!(
-            verify_termination(&b.setting, &parsed).is_err(),
+            parsed.verify(&b.setting, &b.input).is_err(),
             "tampering '{from}' -> '{to}' must be rejected"
         );
     }
@@ -168,5 +168,5 @@ fn certificates_do_not_verify_across_settings() {
     let spiral = bundle("spiral");
     let divergent = bundle("divergent");
     let tc = termination_of(&spiral);
-    assert!(verify_termination(&divergent.setting, &tc).is_err());
+    assert!(tc.verify(&divergent.setting, &divergent.input).is_err());
 }

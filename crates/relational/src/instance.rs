@@ -22,11 +22,37 @@ use std::sync::Arc;
 /// stamped with the current epoch, and [`Instance::bump_epoch`] opens a new
 /// one. The semi-naive chase bumps the epoch once per round and asks each
 /// relation for its rows in the window between two epochs — the delta.
-#[derive(Clone)]
+///
+/// [`Instance::savepoint`] and [`Instance::rollback`] undo every change
+/// made in between (inserts, removals, substitutions, merges and epoch
+/// bumps) without copying the instance. A clone starts with no open
+/// savepoints.
 pub struct Instance {
     schema: Arc<Schema>,
     relations: Vec<Relation>,
     epoch: u64,
+    /// Number of open savepoints.
+    open: usize,
+}
+
+/// An open savepoint of an [`Instance`], consumed by
+/// [`Instance::rollback`].
+#[derive(Debug)]
+#[must_use = "a savepoint holds compaction off until it is rolled back"]
+pub struct Savepoint {
+    depth: usize,
+    epoch: u64,
+}
+
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance {
+            schema: self.schema.clone(),
+            relations: self.relations.clone(),
+            epoch: self.epoch,
+            open: 0,
+        }
+    }
 }
 
 impl Instance {
@@ -40,7 +66,50 @@ impl Instance {
             schema,
             relations,
             epoch: 0,
+            open: 0,
         }
+    }
+
+    /// Open a savepoint. Until it is rolled back, relations hold off
+    /// compaction and log what they need to undo their changes; a relation
+    /// is marked on its first change, so untouched relations cost nothing.
+    /// Savepoints nest, and must be rolled back newest first.
+    pub fn savepoint(&mut self) -> Savepoint {
+        self.open += 1;
+        Savepoint {
+            depth: self.open,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Undo every change made since `sp` was opened, closing it and any
+    /// savepoint opened after it. Slots appended since are truncated and
+    /// rows removed since are revived in place, so live rows come back in
+    /// the same order with the same index postings, and `len`,
+    /// [`Instance::heap_bytes`] and the epoch counter return to their
+    /// values at the savepoint.
+    ///
+    /// # Panics
+    /// Panics if `sp` was already closed by rolling back an older one.
+    // By value on purpose: a savepoint is rolled back at most once.
+    #[allow(clippy::needless_pass_by_value)]
+    pub fn rollback(&mut self, sp: Savepoint) {
+        assert!(sp.depth <= self.open, "savepoint already rolled back");
+        for r in &mut self.relations {
+            r.rollback(sp.depth);
+        }
+        self.open = sp.depth - 1;
+        self.epoch = sp.epoch;
+    }
+
+    /// Relation `rel`, marked for the newest open savepoint before it is
+    /// changed.
+    fn relation_mut(&mut self, rel: RelId) -> &mut Relation {
+        let r = &mut self.relations[rel.index()];
+        if self.open > 0 {
+            r.savepoint(self.open);
+        }
+        r
     }
 
     /// The instance's schema.
@@ -72,7 +141,7 @@ impl Instance {
     /// if new.
     pub fn insert(&mut self, rel: RelId, t: Tuple) -> bool {
         let epoch = self.epoch;
-        self.relations[rel.index()].insert_at(t, epoch)
+        self.relation_mut(rel).insert_at(t, epoch)
     }
 
     /// Insert a fact given the relation name and constant strings
@@ -100,7 +169,7 @@ impl Instance {
     /// Panics if `ids.len()` differs from the relation's arity.
     pub fn insert_ids(&mut self, rel: RelId, ids: &[ValueId]) -> bool {
         let epoch = self.epoch;
-        self.relations[rel.index()].insert_ids_at(ids, epoch)
+        self.relation_mut(rel).insert_ids_at(ids, epoch)
     }
 
     /// [`Instance::insert_ids`] stamped with an explicit insertion epoch
@@ -108,7 +177,7 @@ impl Instance {
     /// uses this to restore each row's original epoch so delta windows
     /// survive a restart.
     pub fn insert_ids_at(&mut self, rel: RelId, ids: &[ValueId], epoch: u64) -> bool {
-        self.relations[rel.index()].insert_ids_at(ids, epoch)
+        self.relation_mut(rel).insert_ids_at(ids, epoch)
     }
 
     /// Membership test for a fact.
@@ -118,7 +187,7 @@ impl Instance {
 
     /// Remove a fact `R(t)`; returns `true` if it was present.
     pub fn remove(&mut self, rel: RelId, t: &Tuple) -> bool {
-        self.relations[rel.index()].remove(t)
+        self.relation_mut(rel).remove(t)
     }
 
     /// The stored relation for `rel`.
@@ -325,9 +394,14 @@ impl Instance {
     /// Rewritten facts are stamped with the current epoch (they count as
     /// new for delta purposes: merged facts can enable new triggers).
     pub fn substitute(&mut self, from: Value, to: Value) {
-        let epoch = self.epoch;
+        let (epoch, open) = (self.epoch, self.open);
         for r in &mut self.relations {
-            r.substitute_at(from, to, epoch);
+            if r.mentions(from) {
+                if open > 0 {
+                    r.savepoint(open);
+                }
+                r.substitute_at(from, to, epoch);
+            }
         }
     }
 
@@ -341,10 +415,15 @@ impl Instance {
             return 0;
         }
         let touched = uf.dirty_values();
-        let epoch = self.epoch;
+        let (epoch, open) = (self.epoch, self.open);
         self.relations
             .iter_mut()
-            .map(|r| r.rewrite_values(&touched, |v| uf.resolve(v), epoch))
+            .map(|r| {
+                if open > 0 {
+                    r.savepoint(open);
+                }
+                r.rewrite_values(&touched, |v| uf.resolve(v), epoch)
+            })
             .sum()
     }
 
@@ -590,6 +669,235 @@ mod tests {
         assert_eq!(i.fact_count(), 1);
         assert!(i.contains(h, &Tuple::consts(["a", "a"])));
         assert!(i.is_ground());
+    }
+
+    /// Everything a rollback must restore, as one comparable string: live
+    /// rows with their ids, epochs and order; every index probe (row ids
+    /// and live counts) for `probes` at every position; the counters
+    /// behind `len`, groundness and `heap_bytes`; the epoch counter.
+    fn state(i: &Instance, probes: &[Value]) -> String {
+        let mut out = format!(
+            "epoch {} facts {} ground {} heap {}\n",
+            i.current_epoch(),
+            i.fact_count(),
+            i.is_ground(),
+            i.heap_bytes()
+        );
+        // The recount re-derives every incremental counter (null
+        // occurrences included) and debug-asserts it against its twin.
+        assert_eq!(i.heap_bytes(), i.recount_heap_bytes());
+        for rel in i.schema().rel_ids() {
+            let r = i.relation(rel);
+            out += &format!("{} len {} slots {}:", rel.0, r.len(), r.slot_count());
+            for row in r.live_row_ids() {
+                out += &format!(" {row}@{}={:?}", r.epoch_of(row), r.row(row));
+            }
+            for attr in 0..r.arity() {
+                for v in probes {
+                    let rows: Vec<u32> = r.rows_with(attr, *v).collect();
+                    out += &format!(" [{attr} {v:?} {rows:?} {}]", r.count_with(attr, *v));
+                }
+            }
+            out += "\n";
+        }
+        out
+    }
+
+    fn null(n: u32) -> Value {
+        Value::Null(NullId(n))
+    }
+
+    fn pair(a: Value, b: Value) -> Tuple {
+        Tuple::new(vec![a, b])
+    }
+
+    #[test]
+    fn rollback_undoes_inserts_removes_and_substitutions() {
+        let s = schema();
+        let h = s.rel_id("H").unwrap();
+        let e = s.rel_id("E").unwrap();
+        let (a, b, c) = (
+            Value::constant("a"),
+            Value::constant("b"),
+            Value::constant("c"),
+        );
+        let probes = [a, b, c, null(1), null(2), null(3), null(9)];
+        let mut i = Instance::new(s.clone());
+        i.insert(h, pair(a, null(1)));
+        i.insert(h, pair(null(1), b));
+        i.insert(h, pair(null(2), null(1)));
+        i.insert(e, pair(a, b));
+        let before = state(&i, &probes);
+
+        let sp = i.savepoint();
+        i.bump_epoch();
+        // An insert that spills a single-row posting, a fresh key, a
+        // removal and a substitution that rewrites three rows (two of them
+        // pre-savepoint) and merges one into an existing row.
+        i.insert(h, pair(a, null(3)));
+        i.insert(h, pair(null(9), c));
+        assert!(i.remove(h, &pair(null(1), b)));
+        i.substitute(null(1), a);
+        i.substitute(null(9), null(2));
+        assert_ne!(state(&i, &probes), before);
+        i.rollback(sp);
+        assert_eq!(state(&i, &probes), before);
+        assert!(i.contains(h, &pair(null(1), b)));
+        assert!(!i.contains(h, &pair(a, null(3))));
+        // The restored instance keeps working as before.
+        assert!(i.insert(h, pair(a, null(3))));
+        assert!(i.remove(h, &pair(a, null(3))));
+    }
+
+    #[test]
+    fn nested_savepoints_roll_back_newest_first() {
+        let s = schema();
+        let h = s.rel_id("H").unwrap();
+        let probes: Vec<Value> = (0..8).map(null).chain([Value::constant("k")]).collect();
+        let mut i = Instance::new(s.clone());
+        i.insert(h, pair(null(0), null(1)));
+        let outer_state = state(&i, &probes);
+        let outer = i.savepoint();
+        i.bump_epoch();
+        i.insert(h, pair(null(1), null(2)));
+        i.substitute(null(0), Value::constant("k"));
+        let inner_state = state(&i, &probes);
+        let inner = i.savepoint();
+        i.bump_epoch();
+        i.insert(h, pair(null(2), null(3)));
+        assert!(i.remove(h, &pair(null(1), null(2))));
+        i.substitute(null(1), null(4));
+        i.rollback(inner);
+        assert_eq!(state(&i, &probes), inner_state);
+        // A fresh inner savepoint after a rollback, then rolling back the
+        // outer one closes it too.
+        let _inner = i.savepoint();
+        i.insert(h, pair(null(5), null(6)));
+        i.rollback(outer);
+        assert_eq!(state(&i, &probes), outer_state);
+    }
+
+    #[test]
+    fn apply_merges_rolls_back() {
+        let s = schema();
+        let h = s.rel_id("H").unwrap();
+        let probes = [null(0), null(1), Value::constant("a")];
+        let mut i = Instance::new(s.clone());
+        i.insert(h, pair(null(0), null(1)));
+        i.insert(h, pair(Value::constant("a"), null(1)));
+        let before = state(&i, &probes);
+        let sp = i.savepoint();
+        let mut uf = ValueUnionFind::new();
+        uf.union(null(0), Value::constant("a")).unwrap();
+        uf.union(null(1), null(0)).unwrap();
+        assert_eq!(i.apply_merges(&uf), 2);
+        i.rollback(sp);
+        assert_eq!(state(&i, &probes), before);
+    }
+
+    #[test]
+    fn rollback_past_the_compaction_threshold_is_exact() {
+        let s = schema();
+        let h = s.rel_id("H").unwrap();
+        let key = |n: u32| pair(Value::constant("hot"), Value::constant(format!("v{n}")));
+        let mut i = Instance::new(s.clone());
+        for n in 0..40 {
+            i.insert(h, key(n));
+        }
+        // 15 of 40 slots dead: below the rebuild threshold.
+        for n in 0..15 {
+            assert!(i.remove(h, &key(n)));
+        }
+        assert_eq!(i.relation(h).slot_count(), 40);
+        let probes: Vec<Value> = std::iter::once(Value::constant("hot"))
+            .chain((0..80).map(|n| Value::constant(format!("v{n}"))))
+            .collect();
+        let before = state(&i, &probes);
+        let sp = i.savepoint();
+        // 35 of 40 dead and 40 more appended: a rebuild would run here
+        // without the savepoint, and every table grows.
+        for n in 15..35 {
+            assert!(i.remove(h, &key(n)));
+        }
+        for n in 40..80 {
+            i.insert(h, key(n));
+        }
+        assert!(i.relation(h).slot_count() >= 80);
+        i.rollback(sp);
+        assert_eq!(state(&i, &probes), before);
+        // With no savepoint open, removals compact again.
+        for n in 15..35 {
+            assert!(i.remove(h, &key(n)));
+        }
+        assert!(i.relation(h).slot_count() < 40);
+    }
+
+    #[test]
+    fn rollback_matches_a_copy_under_random_churn() {
+        // A seeded walk of inserts, removals and substitutions over a tiny
+        // domain under nested savepoints, checked against the state
+        // recorded at each savepoint.
+        let s = schema();
+        let h = s.rel_id("H").unwrap();
+        let mut seed: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let value = |x: u64| {
+            let x = u32::try_from(x).unwrap();
+            if x < 4 {
+                Value::constant(format!("c{x}"))
+            } else {
+                null(x)
+            }
+        };
+        let probes: Vec<Value> = (0..10).map(value).collect();
+        let mut i = Instance::new(s.clone());
+        let mut open: Vec<(Savepoint, String)> = Vec::new();
+        for _ in 0..if cfg!(miri) { 60 } else { 600 } {
+            match next(8) {
+                0 if open.len() < 4 => {
+                    let snap = state(&i, &probes);
+                    open.push((i.savepoint(), snap));
+                    i.bump_epoch();
+                }
+                1 => {
+                    if let Some((sp, snap)) = open.pop() {
+                        i.rollback(sp);
+                        assert_eq!(state(&i, &probes), snap);
+                    }
+                }
+                2 | 3 => {
+                    let t = pair(value(next(10)), value(next(10)));
+                    i.remove(h, &t);
+                }
+                4 => i.substitute(value(4 + next(6)), value(next(10))),
+                _ => {
+                    i.insert(h, pair(value(next(10)), value(next(10))));
+                }
+            }
+        }
+        while let Some((sp, snap)) = open.pop() {
+            i.rollback(sp);
+            assert_eq!(state(&i, &probes), snap);
+        }
+    }
+
+    #[test]
+    fn a_clone_has_no_open_savepoints() {
+        let s = schema();
+        let h = s.rel_id("H").unwrap();
+        let mut i = Instance::new(s.clone());
+        let sp = i.savepoint();
+        i.insert(h, pair(null(0), null(1)));
+        let copy = i.clone();
+        assert_eq!(copy.open, 0);
+        i.rollback(sp);
+        assert_eq!(i.fact_count(), 0);
+        assert_eq!(copy.fact_count(), 1);
     }
 
     #[test]

@@ -24,8 +24,15 @@
 //! the whole relation is rebuilt (invalidating outstanding row ids) once
 //! dead slots outnumber live ones. Amortized, insert/remove cycles are
 //! O(arity) and never grow memory without bound.
+//!
+//! Savepoints (driven by [`crate::instance::Instance::savepoint`]) build on
+//! the same two mechanisms. While one is open, both compactions are held
+//! off and every tombstoned pre-savepoint row is logged; a rollback
+//! truncates the slots appended since and revives the logged rows in
+//! place. Live rows therefore come back with their old row ids, in their
+//! old order, with the indexes and counters they had.
 
-use crate::store::{hash_ids, ColumnIndex, RowSet};
+use crate::store::{hash_ids, ColumnIndex, RowSet, Trail};
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueId};
 use std::ops::ControlFlow;
@@ -74,6 +81,28 @@ pub struct Relation {
     /// Largest epoch stamped so far; later inserts are clamped up to it so
     /// `epochs` stays sorted.
     last_epoch: u64,
+    /// Open savepoints, and the pre-savepoint rows tombstoned since the
+    /// oldest one.
+    trail: Trail<RelMark, u32>,
+}
+
+/// The state a [`Relation`] savepoint restores: slot count, counters and
+/// allocation sizes, plus where its part of the kill log starts.
+#[derive(Clone, Copy, Debug)]
+struct RelMark {
+    /// Instance-level savepoint depth this mark belongs to.
+    depth: usize,
+    slots: usize,
+    log_len: usize,
+    dead: usize,
+    live_count: usize,
+    index_entries: usize,
+    null_entries: usize,
+    last_epoch: u64,
+    column_capacity: usize,
+    epochs_capacity: usize,
+    live_capacity: usize,
+    set_capacity: usize,
 }
 
 /// Content hash of row `r` of `columns` (free function so callers can hash
@@ -97,6 +126,7 @@ impl Relation {
             index_entries: 0,
             null_entries: 0,
             last_epoch: 0,
+            trail: Trail::default(),
         }
     }
 
@@ -246,18 +276,27 @@ impl Relation {
     /// without the tuple materialization). Rows of the wrong arity are
     /// simply absent.
     pub fn contains_ids(&self, ids: &[ValueId]) -> bool {
+        self.find_ids(ids).is_some()
+    }
+
+    /// The id of the live row storing exactly `ids`.
+    pub(crate) fn find_ids(&self, ids: &[ValueId]) -> Option<u32> {
         if ids.len() != self.arity as usize {
-            return false;
+            return None;
         }
         let hash = hash_ids(ids.iter().copied());
-        self.set
-            .find(hash, |r| {
-                self.columns
-                    .iter()
-                    .zip(ids)
-                    .all(|(c, id)| c[r as usize] == *id)
-            })
-            .is_some()
+        self.set.find(hash, |r| {
+            self.columns
+                .iter()
+                .zip(ids)
+                .all(|(c, id)| c[r as usize] == *id)
+        })
+    }
+
+    /// Does any live row hold `v`? One index probe per attribute.
+    pub(crate) fn mentions(&self, v: Value) -> bool {
+        let id = ValueId::pack(v);
+        (0..self.arity).any(|attr| self.count_with_id(attr, id) > 0)
     }
 
     /// Remove a tuple; returns `true` if it was present. Removal is lazy —
@@ -286,6 +325,14 @@ impl Relation {
     /// (no slots move).
     fn kill_row(&mut self, row: u32) {
         debug_assert!(self.live[row as usize], "killing a dead row");
+        if self
+            .trail
+            .marks
+            .last()
+            .is_some_and(|m| (row as usize) < m.slots)
+        {
+            self.trail.log.push(row);
+        }
         self.live[row as usize] = false;
         self.live_count -= 1;
         self.dead += 1;
@@ -299,11 +346,96 @@ impl Relation {
         }
     }
 
+    /// Open a savepoint for instance savepoint `depth`, unless one that
+    /// deep is already open (an instance marks a relation lazily, on its
+    /// first change under each savepoint).
+    pub(crate) fn savepoint(&mut self, depth: usize) {
+        if self.trail.marks.last().is_some_and(|m| m.depth >= depth) {
+            return;
+        }
+        let column_capacity = self.columns.first().map_or(0, Vec::capacity);
+        debug_assert!(
+            self.columns.iter().all(|c| c.capacity() == column_capacity),
+            "columns grow in lockstep"
+        );
+        self.trail.marks.push(RelMark {
+            depth,
+            slots: self.epochs.len(),
+            log_len: self.trail.log.len(),
+            dead: self.dead,
+            live_count: self.live_count,
+            index_entries: self.index_entries,
+            null_entries: self.null_entries,
+            last_epoch: self.last_epoch,
+            column_capacity,
+            epochs_capacity: self.epochs.capacity(),
+            live_capacity: self.live.capacity(),
+            set_capacity: self.set.capacity(),
+        });
+        for ix in &mut self.index {
+            ix.savepoint();
+        }
+    }
+
+    /// Roll back every open savepoint of instance depth `depth` or deeper.
+    pub(crate) fn rollback(&mut self, depth: usize) {
+        while self.trail.marks.last().is_some_and(|m| m.depth >= depth) {
+            self.rollback_newest();
+        }
+    }
+
+    /// Roll back to the newest savepoint and close it. Slots appended since
+    /// are truncated and the rows tombstoned since are revived in place,
+    /// so live rows keep their ids and order; counters, index postings and
+    /// allocation sizes return to their values at the savepoint.
+    fn rollback_newest(&mut self) {
+        let m = self
+            .trail
+            .marks
+            .pop()
+            .expect("rollback without a savepoint");
+        for r in (m.slots..self.epochs.len()).rev() {
+            if self.live[r] {
+                let r = u32::try_from(r).expect("relation overflow");
+                self.set.remove(row_hash(&self.columns, r), r);
+            }
+        }
+        for ix in &mut self.index {
+            ix.rollback();
+        }
+        for c in &mut self.columns {
+            c.truncate(m.slots);
+            c.shrink_to(m.column_capacity);
+        }
+        self.epochs.truncate(m.slots);
+        self.epochs.shrink_to(m.epochs_capacity);
+        self.live.truncate(m.slots);
+        self.live.shrink_to(m.live_capacity);
+        let columns = &self.columns;
+        for r in self.trail.log.drain(m.log_len..) {
+            self.live[r as usize] = true;
+            self.set
+                .insert(row_hash(columns, r), r, |s| row_hash(columns, s));
+        }
+        if self.set.capacity() != m.set_capacity {
+            self.set.rehash(m.set_capacity, |s| row_hash(columns, s));
+        }
+        self.dead = m.dead;
+        self.live_count = m.live_count;
+        self.index_entries = m.index_entries;
+        self.null_entries = m.null_entries;
+        self.last_epoch = m.last_epoch;
+    }
+
     /// Rebuild columns, epochs, and indexes keeping live rows in insertion
     /// order, once tombstones outnumber live rows. Invalidates outstanding
-    /// row ids — callers must not hold ids across `&mut self` calls.
+    /// row ids — callers must not hold ids across `&mut self` calls. Held
+    /// off while a savepoint is open.
     fn maybe_compact_storage(&mut self) {
-        if self.epochs.len() < COMPACT_MIN_SLOTS || 2 * self.dead <= self.epochs.len() {
+        if self.trail.is_open()
+            || self.epochs.len() < COMPACT_MIN_SLOTS
+            || 2 * self.dead <= self.epochs.len()
+        {
             return;
         }
         let old_columns: Vec<Vec<ValueId>> = self

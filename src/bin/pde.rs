@@ -307,11 +307,27 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     Ok((pos, flags))
 }
 
-/// The mandatory value of a two-token flag.
+/// The mandatory value of a two-token flag. A following flag is not a
+/// value: `--emit --format json` is a usage error, not a file named
+/// `--format`.
 fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<String, String> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| format!("{flag} expects a value"))
+    match it.next() {
+        Some(v) if v.starts_with("--") => {
+            Err(format!("{flag} expects a value, got the flag '{v}'"))
+        }
+        Some(v) => Ok(v.clone()),
+        None => Err(format!("{flag} expects a value")),
+    }
+}
+
+/// The most positional arguments `cmd` takes after its name; `None` for
+/// an unknown command, which dispatch reports.
+fn max_operands(cmd: &str) -> Option<usize> {
+    Some(match cmd {
+        "lint" | "classify" | "plan" | "terminate" | "optimize" | "solve" | "chase" | "format" => 1,
+        "certain" | "check" | "enumerate" | "shrink" | "serve" => 2,
+        _ => return None,
+    })
 }
 
 /// The mandatory numeric value of a two-token flag.
@@ -615,6 +631,11 @@ fn auto_lint(bundle: &Bundle, flags: &Flags) {
 
 fn run(args: &[String]) -> Result<Verdict, String> {
     let (args, flags) = split_flags(args)?;
+    if let Some(cmd) = args.first() {
+        if let Some(extra) = max_operands(cmd).and_then(|n| args.get(n + 1)) {
+            return Err(format!("unexpected argument '{extra}' for '{cmd}'"));
+        }
+    }
     // Tracing sinks are process-global: install before dispatch, tear down
     // after so the stream is flushed (and the profile table printed) even
     // when a command returns early.

@@ -653,6 +653,46 @@ fn certificate_flags_outside_their_commands_are_usage_errors() {
 }
 
 #[test]
+fn flags_never_take_a_flag_as_value_and_extra_arguments_are_refused() {
+    let p = write_temp("strays.pde", EX1_TRIANGLE);
+    let p = p.to_str().unwrap();
+    // Each run starts in an empty directory that must stay empty: a flag
+    // read as another flag's value used to be created there as a file.
+    let cwd = std::env::temp_dir().join(format!("pde-cli-strays-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    for args in [
+        vec!["plan", p, "--emit", "--format", "json"],
+        vec!["solve", p, "--trace", "--stats"],
+        vec!["solve", p, "extra"],
+        vec!["certain", p, "q(x, y) :- H(x, y)", "extra"],
+        vec!["enumerate", p, "5", "extra"],
+    ] {
+        let out = Command::new(bin())
+            .args(&args)
+            .current_dir(&cwd)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert_eq!(
+            std::fs::read_dir(&cwd).unwrap().count(),
+            0,
+            "{args:?} left a file behind"
+        );
+    }
+    let out = run(&["plan", p, "--emit", "--format", "json"]);
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("--emit expects a value, got the flag '--format'"));
+    let out = run(&["solve", p, "extra"]);
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("unexpected argument 'extra' for 'solve'"));
+}
+
+#[test]
 fn terminate_reports_certified_and_uncertified_verdicts() {
     // The shipped spiral bundle is not weakly acyclic but jointly
     // acyclic: `terminate` exits 0 and names the certifying criterion.

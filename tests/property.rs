@@ -17,14 +17,18 @@
 //!   static chase bounds dominate actual chase runs on random
 //!   weakly-acyclic settings;
 //! * plan, termination and rewrite certificates round-trip through print
-//!   and parse and still verify.
+//!   and parse and still verify;
+//! * the witness-chase search decides CLIQUE on both §4 boundary
+//!   settings, and its witnesses and enumerated leaves are solutions.
 
 use pde_relational::{NullId, RelId, Tuple};
 use peer_data_exchange::core::{
-    assignment, blocks, certain_answers, solution::is_solution, tractable, GenericLimits,
+    assignment, blocks, certain_answers, generic,
+    solution::{check_solution, is_solution},
+    tractable, GenericLimits,
 };
 use peer_data_exchange::prelude::*;
-use peer_data_exchange::workloads::{clique, graphs, paper, threecol};
+use peer_data_exchange::workloads::{boundary, clique, graphs, paper, threecol};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 
@@ -62,6 +66,21 @@ const HOM_PATTERNS: [&str; 5] = [
     "E(x, x)",
     "E(x, 'v0'), E('v0', y)",
     "E(x, y), E(z, z)",
+];
+
+/// One- and two-atom conjunctions over `E/2` and `H/2` for the scan-order
+/// and row-pair properties: key, join, reversed-join and cartesian shapes,
+/// two relations, and three shapes that are not row-pair joins (a repeated
+/// variable, a constant, a single atom).
+const PAIR_PATTERNS: [&str; 8] = [
+    "E(x, y), E(x, z)",
+    "E(x, y), E(y, z)",
+    "H(x, y), E(z, x)",
+    "E(x, y), H(z, w)",
+    "H(x, y), H(y, x)",
+    "E(x, x), E(x, y)",
+    "E(x, 'v0'), H('v0', y)",
+    "H(x, y)",
 ];
 
 /// Count the homomorphisms of the non-empty conjunction `atoms` into
@@ -202,6 +221,70 @@ proptest! {
             blocks::blockwise_hom_exists(&inst, &ground),
             pde_relational::instance_hom_exists(&inst, &ground)
         );
+    }
+
+    #[test]
+    fn scan_order_keys_follow_enumeration_and_pairs_match_the_delta_search(
+        rounds in prop::collection::vec(
+            prop::collection::vec((0u32..2, 0u32..4, 0u32..4), 0..=6),
+            1..=3,
+        ),
+        removals in prop::collection::vec((0u32..2, 0u32..4, 0u32..4), 0..=3),
+        pattern in 0usize..PAIR_PATTERNS.len(),
+    ) {
+        // Facts of E and H land under one epoch per round, some are then
+        // removed (leaving tombstones); value 3 is a null.
+        let p = paper::example1_setting();
+        let rels = [p.schema().rel_id("E").unwrap(), p.schema().rel_id("H").unwrap()];
+        let value = |v: u32| match v {
+            3 => Value::Null(NullId(0)),
+            _ => Value::constant(format!("v{v}")),
+        };
+        let fact = |&(r, a, b): &(u32, u32, u32)| {
+            (rels[r as usize], Tuple::new(vec![value(a), value(b)]))
+        };
+        let mut inst = Instance::new(p.schema().clone());
+        for round in &rounds {
+            for f in round {
+                let (rel, t) = fact(f);
+                inst.insert(rel, t);
+            }
+            inst.bump_epoch();
+        }
+        for f in &removals {
+            let (rel, t) = fact(f);
+            inst.remove(rel, &t);
+        }
+        let atoms = pde_relational::parse_atoms(p.schema(), PAIR_PATTERNS[pattern]).unwrap();
+        let none = pde_relational::Assignment::new();
+        // for_each_hom yields homomorphisms in strictly increasing key order.
+        let mut keys = Vec::new();
+        let _ = pde_relational::for_each_hom(&atoms, &inst, &none, |h| {
+            keys.push(pde_relational::scan_order_key(&atoms, &inst, h).unwrap());
+            ControlFlow::Continue(())
+        });
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+        // The row-pair probe finds exactly the delta search's matches.
+        let Some(shape) = pde_relational::PairShape::of(&atoms) else {
+            return Ok(());
+        };
+        let swap = pde_relational::first_expanded_atom(&atoms, &inst) == Some(1);
+        for since in 0..=inst.current_epoch() {
+            let mut want = Vec::new();
+            let _ = pde_relational::for_each_hom_since(&atoms, &inst, &none, since, |h| {
+                let (a, b) = pde_relational::scan_order_key(&atoms, &inst, h).unwrap();
+                want.push(if swap { (b, a) } else { (a, b) });
+                ControlFlow::Continue(())
+            });
+            let mut got = Vec::new();
+            let _ = pde_relational::for_each_pair_since(&inst, &shape, since, |r0, r1| {
+                got.push((r0, r1));
+                ControlFlow::Continue(())
+            });
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, want, "since {}", since);
+        }
     }
 
     #[test]
@@ -1368,5 +1451,53 @@ proptest! {
         let nulls: BTreeSet<NullId> = everything.into_iter().filter_map(|v| v.as_null()).collect();
         prop_assert_eq!(inst.max_null_id(), nulls.iter().map(|n| n.0).max());
         prop_assert_eq!(inst.nulls(), nulls);
+    }
+}
+
+proptest! {
+    // Each case runs up to four complete searches; k = 3 "no" graphs on
+    // five vertices expand ~10^5 nodes.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn witness_search_decides_clique_on_boundary_settings(
+        n in 2u32..6,
+        k in 2u32..4,
+        pairs in arb_edge_instance(5, 6),
+    ) {
+        let pairs: Vec<(u32, u32)> = pairs.iter().map(|(a, b)| (a % n, b % n)).collect();
+        let g = pairs_to_graph(n, &pairs);
+        let expect = graphs::has_k_clique(&g, k);
+        let egd = boundary::egd_boundary_setting();
+        let ftgd = boundary::full_tgd_boundary_setting();
+        let egd_input = boundary::egd_boundary_instance(&egd, &g, k);
+        let ftgd_input = boundary::full_tgd_boundary_instance(&ftgd, &g, k);
+        for (p, input) in [(&egd, &egd_input), (&ftgd, &ftgd_input)] {
+            let out = generic::solve(p, input, GenericLimits::default()).unwrap();
+            prop_assert_eq!(out.decided(), Some(expect), "n={} k={} {:?}", n, k, pairs);
+            if let Some(w) = out.witness() {
+                let checked = check_solution(p, input, w);
+                prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+            // The first leaves of a bounded enumeration: every one is a
+            // solution, "yes" or not.
+            let mut leaves = 0;
+            let mut all_solutions = true;
+            let budget = GenericLimits {
+                max_nodes: 2_000,
+                ..GenericLimits::default()
+            };
+            generic::for_each_solution(p, input, budget, |leaf| {
+                all_solutions &= is_solution(p, input, leaf);
+                leaves += 1;
+                if leaves == 8 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .unwrap();
+            prop_assert!(all_solutions, "n={} k={} {:?}", n, k, pairs);
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! constraints Σt; functional dependencies are the standard special case.
 
 use crate::tgd::DependencyError;
-use pde_relational::{Conjunction, KeyShape, Peer, Schema, Term, Var};
+use pde_relational::{Conjunction, KeyShape, PairShape, Peer, Schema, Term, Var};
 use std::fmt;
 
 /// An equality-generating dependency `∀x̄ (premise → lhs = rhs)`.
@@ -60,40 +60,25 @@ impl Egd {
     /// in both atoms — the key — and `lhs`/`rhs` the two copies of one
     /// non-key position, in either orientation. `None` for every other egd.
     pub fn key_shape(&self) -> Option<KeyShape> {
+        let shape = PairShape::of(&self.premise.atoms)?;
         let [a, b] = self.premise.atoms.as_slice() else {
             return None;
         };
-        if a.rel != b.rel {
+        if shape.rels[0] != shape.rels[1]
+            || shape.joins.is_empty()
+            || shape.joins.iter().any(|(i, j)| i != j)
+        {
             return None;
         }
-        let vars = |terms: &[Term]| -> Option<Vec<Var>> {
-            let mut vs = Vec::with_capacity(terms.len());
-            for t in terms {
-                match t {
-                    Term::Var(v) if !vs.contains(v) => vs.push(*v),
-                    _ => return None,
-                }
-            }
-            Some(vs)
+        let key = shape.joins.iter().map(|&(i, _)| i).collect();
+        let equated_at = |l: &[Term], r: &[Term]| {
+            (0..l.len()).find(|&p| {
+                l[p] == Term::Var(self.lhs) && r[p] == Term::Var(self.rhs) && l[p] != r[p]
+            })
         };
-        let (va, vb) = (vars(&a.terms)?, vars(&b.terms)?);
-        let mut key = Vec::new();
-        for (i, v) in va.iter().enumerate() {
-            match vb.iter().position(|w| w == v) {
-                Some(j) if j == i => key.push(u16::try_from(i).ok()?),
-                Some(_) => return None,
-                None => {}
-            }
-        }
-        if key.is_empty() {
-            return None;
-        }
-        let equated_at = |l: &[Var], r: &[Var]| {
-            (0..l.len()).find(|&p| l[p] == self.lhs && r[p] == self.rhs && l[p] != r[p])
-        };
-        let (equated, lhs_in_first) = match equated_at(&va, &vb) {
+        let (equated, lhs_in_first) = match equated_at(&a.terms, &b.terms) {
             Some(p) => (p, true),
-            None => (equated_at(&vb, &va)?, false),
+            None => (equated_at(&b.terms, &a.terms)?, false),
         };
         Some(KeyShape {
             rel: a.rel,

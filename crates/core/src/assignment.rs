@@ -269,9 +269,21 @@ fn search(
     if !st_res.is_success() {
         return Err(SolveError::chase_refusal(st_res.outcome));
     }
-    let st_stats = st_res.stats;
-    let jcan_combined = st_res.instance;
+    let mut stats = search_chased(problem, input, &st_res.instance, governor, f)?;
+    stats.chase_stats.absorb(st_res.stats);
+    Ok(stats)
+}
 
+/// The search over the nulls of `jcan_combined`, the Σst fixpoint of the
+/// ground `input`, so it runs no chase of its own. A governor stop
+/// surfaces as [`SolveError::Stopped`].
+pub(crate) fn search_chased(
+    problem: &DisjunctiveProblem,
+    input: &Instance,
+    jcan_combined: &Instance,
+    governor: &Governor,
+    f: impl FnMut(&Instance) -> ControlFlow<()>,
+) -> Result<SearchStats, SolveError> {
     // Collect target facts and their nulls.
     let mut facts: Vec<FactState> = Vec::new();
     let mut occurrences: HashMap<NullId, Vec<usize>, FxBuildHasher> = HashMap::default();
@@ -321,7 +333,6 @@ fn search(
     };
     ctx.stats.null_count = ctx.nulls.len();
     ctx.stats.jcan_facts = ctx.facts.len();
-    ctx.stats.chase_stats.absorb(st_stats);
 
     // Seed the determined instance with the ground target facts of J_can
     // and check them; a violation here is unfixable (no nulls involved).

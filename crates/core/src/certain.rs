@@ -16,12 +16,34 @@
 //! *refuted* by exhibiting one family member whose answers omit it.
 //! When no solution exists, every tuple is vacuously certain; the outcome
 //! flags this case instead of trying to enumerate an infinite set.
+//!
+//! # Two bounds
+//!
+//! Every solution contains `J` and satisfies Σst, so `J_can`, the Σst
+//! fixpoint of `(I, J)`, maps into every solution by a homomorphism that
+//! fixes constants. For a monotone `q` the ground answers over `J_can` are
+//! therefore certain: a *lower bound*. The ground answers over any one
+//! solution are an *upper bound*. The enumeration's running intersection
+//! is such an upper bound after its first member, and it stops as soon as
+//! that equals the lower bound. Where `J_can` is at hand (the assignment
+//! route chases Σst once and searches its images; a cached Fig. 3 state
+//! holds it) the lower bound is read off it. The batch witness-chase
+//! route fires Σst triggers inside its own search, so it takes the empty
+//! lower bound and stops only on an empty intersection. On `C_tract`
+//! settings Fig. 3 builds one solution without any enumeration,
+//! `J_img = h_J(J_can)` (Theorem 5 (⇐)), and [`certain_bounds`] reads
+//! both bounds off the cached Fig. 3 state. When they meet, they are the
+//! answer. This is a polynomial *sufficient* test: where the bounds
+//! differ, only the enumeration decides.
 
 use crate::assignment::{self, DisjunctiveProblem};
 use crate::generic::{self, GenericLimits};
 use crate::setting::PdeSetting;
 use crate::solver::SolveError;
+use crate::tractable::DemandState;
+use pde_chase::{chase_tgds_governed, default_chase_engine, null_gen_for};
 use pde_relational::{Instance, Peer, UnionQuery, Value};
+use pde_runtime::Governor;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
@@ -39,6 +61,15 @@ pub struct CertainOutcome {
 }
 
 impl CertainOutcome {
+    /// The outcome when no solution exists: every tuple is certain.
+    pub fn vacuous() -> CertainOutcome {
+        CertainOutcome {
+            solution_exists: false,
+            answers: BTreeSet::new(),
+            solutions_examined: 0,
+        }
+    }
+
     /// For a Boolean query: the certain truth value. Vacuously `true` when
     /// no solution exists (every solution satisfies q).
     pub fn certain_bool(&self) -> bool {
@@ -51,6 +82,62 @@ impl CertainOutcome {
     }
 }
 
+/// The answers of `query` over `inst` that contain no null.
+pub fn ground_answers(query: &UnionQuery, inst: &Instance) -> BTreeSet<Vec<Value>> {
+    let mut answers = query.eval(inst);
+    answers.retain(|t| t.iter().all(Value::is_const));
+    answers
+}
+
+/// The two bounds on the certain answers of a monotone query that the
+/// Fig. 3 state gives without enumerating: `lower ⊆ certain ⊆ upper`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CertainBounds {
+    /// The ground answers over `J_can`.
+    pub lower: BTreeSet<Vec<Value>>,
+    /// The ground answers over the witness `J_img = h_J(J_can)`.
+    pub upper: BTreeSet<Vec<Value>>,
+}
+
+impl CertainBounds {
+    /// The certain answers, when the bounds meet.
+    pub fn decided(self) -> Option<CertainOutcome> {
+        (self.lower == self.upper).then_some(CertainOutcome {
+            solution_exists: true,
+            answers: self.lower,
+            solutions_examined: 1,
+        })
+    }
+}
+
+/// Read both bounds off `demand`, the Fig. 3 state extended up to
+/// `chased_st` (the Σst fixpoint of a ground input, in a `C_tract`
+/// setting). `Ok(None)` when no solution exists. A ground `J_can` is its
+/// own image, so then the bounds meet with nothing to materialize.
+pub fn certain_bounds(
+    setting: &PdeSetting,
+    query: &UnionQuery,
+    chased_st: &Instance,
+    demand: &DemandState,
+) -> Result<Option<CertainBounds>, SolveError> {
+    check_target_query(setting, query)?;
+    Ok(bounds(query, chased_st, demand))
+}
+
+fn bounds(query: &UnionQuery, chased_st: &Instance, demand: &DemandState) -> Option<CertainBounds> {
+    if !demand.exists() {
+        return None;
+    }
+    let lower = ground_answers(query, chased_st);
+    let upper = if chased_st.is_ground() {
+        lower.clone()
+    } else {
+        let j_img = demand.witness_target(chased_st)?;
+        ground_answers(query, &j_img)
+    };
+    Some(CertainBounds { lower, upper })
+}
+
 /// Compute the certain answers of a union of conjunctive queries over the
 /// target schema. Chooses the assignment solver when Σt = ∅ and the
 /// generic search otherwise.
@@ -60,61 +147,153 @@ pub fn certain_answers(
     query: &UnionQuery,
     limits: GenericLimits,
 ) -> Result<CertainOutcome, SolveError> {
-    if !query
-        .disjuncts
-        .iter()
-        .all(|q| q.over_peer(setting.schema(), Peer::Target))
-    {
-        return Err(SolveError::QueryNotOverTarget);
+    certain_answers_governed(setting, input, query, limits, &Governor::unlimited())
+}
+
+/// [`certain_answers`] under a runtime governor, checked by the Σst chase
+/// and at every search node. A stop surfaces as [`SolveError::Stopped`],
+/// never as an answer.
+pub fn certain_answers_governed(
+    setting: &PdeSetting,
+    input: &Instance,
+    query: &UnionQuery,
+    limits: GenericLimits,
+    governor: &Governor,
+) -> Result<CertainOutcome, SolveError> {
+    check_target_query(setting, query)?;
+    if !setting.has_no_target_constraints() {
+        // The witness-chase search fires Σst triggers itself, so there is
+        // no `J_can` to read a lower bound off without a second chase: it
+        // stops only on an empty intersection.
+        return intersect_family(query, &BTreeSet::new(), |f| {
+            generic::for_each_solution(setting, input, limits, governor, f).map(|(_, ex)| ex)
+        });
     }
+    if !input.is_ground() {
+        return Err(SolveError::InputNotGround);
+    }
+    let gen = null_gen_for(input);
+    let res = chase_tgds_governed(
+        input.clone(),
+        setting.sigma_st(),
+        &gen,
+        default_chase_engine(),
+        governor,
+    );
+    if !res.is_success() {
+        return Err(SolveError::chase_refusal(res.outcome));
+    }
+    from_fixpoint(setting, input, &res.instance, query, limits, governor)
+}
+
+/// Certain answers from a cached Fig. 3 state, as `pde serve` keeps it:
+/// `chased_st` is the combined `(I, J_can)` Σst fixpoint of the ground
+/// `input` and `demand` was extended up to it (a `C_tract` setting).
+/// With no solution the outcome is vacuous; when the [`certain_bounds`]
+/// meet they are the answer; otherwise the solution family is enumerated
+/// from `chased_st` without chasing again. The flag says whether it
+/// enumerated.
+pub fn certain_answers_cached(
+    setting: &PdeSetting,
+    input: &Instance,
+    chased_st: &Instance,
+    demand: &DemandState,
+    query: &UnionQuery,
+    limits: GenericLimits,
+    governor: &Governor,
+) -> Result<(CertainOutcome, bool), SolveError> {
+    check_target_query(setting, query)?;
+    debug_assert!(input.is_ground(), "the Fig. 3 state covers a ground input");
+    let Some(bounds) = bounds(query, chased_st, demand) else {
+        return Ok((CertainOutcome::vacuous(), false));
+    };
+    if let Some(out) = bounds.decided() {
+        return Ok((out, false));
+    }
+    let out = from_fixpoint(setting, input, chased_st, query, limits, governor)?;
+    Ok((out, true))
+}
+
+/// Enumerate from `chased_st`, the Σst fixpoint of the ground `input`: it
+/// gives the lower bound, and the assignment search enumerates its images
+/// without chasing again.
+fn from_fixpoint(
+    setting: &PdeSetting,
+    input: &Instance,
+    chased_st: &Instance,
+    query: &UnionQuery,
+    limits: GenericLimits,
+    governor: &Governor,
+) -> Result<CertainOutcome, SolveError> {
+    let lower = ground_answers(query, chased_st);
+    if setting.has_no_target_constraints() {
+        let problem = DisjunctiveProblem::from_setting(setting)?;
+        intersect_family(query, &lower, |f| {
+            assignment::search_chased(&problem, input, chased_st, governor, f).map(|_| true)
+        })
+    } else {
+        intersect_family(query, &lower, |f| {
+            generic::for_each_solution(setting, input, limits, governor, f).map(|(_, ex)| ex)
+        })
+    }
+}
+
+/// Intersect the ground answers of `query` over the solution family that
+/// `enumerate` feeds to its sink (it returns whether it exhausted the
+/// family), stopping once the running intersection equals `lower`, a set
+/// of certain answers.
+fn intersect_family(
+    query: &UnionQuery,
+    lower: &BTreeSet<Vec<Value>>,
+    enumerate: impl FnOnce(&mut dyn FnMut(&Instance) -> ControlFlow<()>) -> Result<bool, SolveError>,
+) -> Result<CertainOutcome, SolveError> {
     let mut acc: Option<BTreeSet<Vec<Value>>> = None;
     let mut examined = 0usize;
-    let mut intersect = |sol: &Instance| -> ControlFlow<()> {
+    let exhausted = enumerate(&mut |sol: &Instance| {
         examined += 1;
-        let ground: BTreeSet<Vec<Value>> = query
-            .eval(sol)
-            .into_iter()
-            .filter(|t| t.iter().all(Value::is_const))
-            .collect();
+        let ground = ground_answers(query, sol);
         let next = match acc.take() {
             None => ground,
             Some(prev) => prev.intersection(&ground).cloned().collect(),
         };
-        let empty = next.is_empty();
+        // lower ⊆ certain ⊆ next: once the two meet, no later member can
+        // remove a tuple.
+        let done = next == *lower;
         acc = Some(next);
-        // Once the intersection is empty it stays empty.
-        if empty {
+        if done {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
-    };
-
-    if setting.has_no_target_constraints() {
-        let problem = DisjunctiveProblem::from_setting(setting)?;
-        assignment::for_each_solution(&problem, input, &mut intersect)?;
-    } else {
-        let (_, exhausted) = generic::for_each_solution(setting, input, limits, &mut intersect)?;
-        // `intersect` breaking early (empty intersection) is fine; only an
-        // un-exhausted space with a nonempty running intersection is
-        // genuinely undecided.
-        if !exhausted && acc.as_ref().is_none_or(|a| !a.is_empty()) {
-            return Err(SolveError::Undecided);
-        }
+    })?;
+    // Breaking early (the intersection met the lower bound) is fine; only
+    // an un-exhausted space above the lower bound is undecided.
+    if !exhausted && acc.as_ref() != Some(lower) {
+        return Err(SolveError::Undecided);
     }
-
     Ok(match acc {
-        None => CertainOutcome {
-            solution_exists: false,
-            answers: BTreeSet::new(),
-            solutions_examined: 0,
-        },
+        None => CertainOutcome::vacuous(),
         Some(answers) => CertainOutcome {
             solution_exists: true,
             answers,
             solutions_examined: examined,
         },
     })
+}
+
+/// Certain answers are defined for queries over the target schema only:
+/// [`SolveError::QueryNotOverTarget`] for any other query. Every public
+/// entry point here runs it first.
+pub fn check_target_query(setting: &PdeSetting, query: &UnionQuery) -> Result<(), SolveError> {
+    if query
+        .disjuncts
+        .iter()
+        .all(|q| q.over_peer(setting.schema(), Peer::Target))
+    {
+        Ok(())
+    } else {
+        Err(SolveError::QueryNotOverTarget)
+    }
 }
 
 /// Brute-force *soundness oracle* for tests: enumerate every target
@@ -181,11 +360,7 @@ pub fn brute_force_certain_superset(
         }
         if crate::solution::is_solution(setting, input, &cand) {
             exists = true;
-            let ground: BTreeSet<Vec<Value>> = query
-                .eval(&cand)
-                .into_iter()
-                .filter(|t| t.iter().all(Value::is_const))
-                .collect();
+            let ground = ground_answers(query, &cand);
             acc = Some(match acc.take() {
                 None => ground,
                 Some(prev) => prev.intersection(&ground).cloned().collect(),

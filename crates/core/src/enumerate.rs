@@ -11,6 +11,7 @@ use crate::generic::{self, GenericLimits};
 use crate::setting::PdeSetting;
 use crate::solver::SolveError;
 use pde_relational::{core_of, Instance};
+use pde_runtime::Governor;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
@@ -80,7 +81,13 @@ pub fn enumerate_solutions(
         assignment::for_each_solution(&problem, input, &mut sink)?;
         !truncated
     } else {
-        let (_, ex) = generic::for_each_solution(setting, input, options.limits, &mut sink)?;
+        let (_, ex) = generic::for_each_solution(
+            setting,
+            input,
+            options.limits,
+            &Governor::unlimited(),
+            &mut sink,
+        )?;
         ex && !truncated
     };
 

@@ -218,15 +218,19 @@ pub fn solve_governed(
 /// Enumerate the leaf solutions of the search. Every solution of the
 /// setting contains a homomorphic image of some enumerated leaf, so for
 /// monotone queries certain answers are the intersection of ground answers
-/// over this family. Returns the stats and whether the space was exhausted.
+/// over this family. Returns the stats and whether the space was
+/// exhausted; a governor stop surfaces as [`SolveError::Stopped`].
 pub fn for_each_solution(
     setting: &PdeSetting,
     input: &Instance,
     limits: GenericLimits,
+    governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
 ) -> Result<(GenericStats, bool), SolveError> {
-    let (stats, exhausted, _stopped) = run(setting, input, limits, &Governor::unlimited(), f)?;
-    Ok((stats, exhausted))
+    match run(setting, input, limits, governor, f)? {
+        (_, _, Some(reason)) => Err(SolveError::Stopped(reason)),
+        (stats, exhausted, None) => Ok((stats, exhausted)),
+    }
 }
 
 fn run(

@@ -36,7 +36,11 @@ pub mod generic;
 pub use generic::{GenericLimits, GenericOutcome, GenericStats};
 
 pub mod certain;
-pub use certain::{brute_force_certain_superset, certain_answers, CertainOutcome};
+pub use certain::{
+    brute_force_certain_superset, certain_answers, certain_answers_cached,
+    certain_answers_governed, certain_bounds, check_target_query, ground_answers, CertainBounds,
+    CertainOutcome,
+};
 
 pub mod bundle;
 pub mod data_exchange;

@@ -173,11 +173,7 @@ fn solve_from_chased(
                 // Witness: J_img = h_J(J_can) where h_J applies h to the
                 // nulls shared with I_can and is the identity elsewhere
                 // (Theorem 5 (⇐)).
-                let j_img = chased_st.restrict(Peer::Target).map_values(|v| match v {
-                    Value::Null(n) => h.get(&n).copied().unwrap_or(v),
-                    Value::Const(_) => v,
-                });
-                let witness = source_i.union(&j_img);
+                let witness = source_i.union(&target_image(chased_st, &h));
                 debug_assert!(
                     crate::solution::is_solution(setting, input, &witness),
                     "Theorem 5 (⇐): J_img must be a solution"
@@ -190,6 +186,15 @@ fn solve_from_chased(
         witness,
         unsatisfiable_demand,
         stats,
+    })
+}
+
+/// `h_J(J_can)`: the target facts of `chased_st` with `h` applied to the
+/// nulls it binds, the identity elsewhere.
+fn target_image(chased_st: &Instance, h: &HashMap<NullId, Value>) -> Instance {
+    chased_st.restrict(Peer::Target).map_values(|v| match v {
+        Value::Null(n) => h.get(&n).copied().unwrap_or(v),
+        Value::Const(_) => v,
     })
 }
 
@@ -226,6 +231,10 @@ pub struct DemandState {
     unmapped: Vec<u32>,
     /// Ground facts of `I_can` not known to be in `I`.
     missing: Vec<(RelId, u32)>,
+    /// The null map of every block that mapped when last checked. A
+    /// re-check overwrites the entries of the block's nulls, so once
+    /// [`DemandState::exists`] holds this is a homomorphism `I_can → I`.
+    hom: HashMap<NullId, Value>,
 }
 
 impl DemandState {
@@ -248,6 +257,7 @@ impl DemandState {
             members: Vec::new(),
             unmapped: Vec::new(),
             missing: Vec::new(),
+            hom: HashMap::new(),
         })
     }
 
@@ -255,6 +265,14 @@ impl DemandState {
     /// `I_can` map into `I`?
     pub fn exists(&self) -> bool {
         self.missing.is_empty() && self.unmapped.is_empty()
+    }
+
+    /// The target part of Theorem 5 (⇐)'s witness, `J_img = h_J(J_can)`,
+    /// where `chased_st` is the Σst fixpoint of the last extension. `None`
+    /// unless [`DemandState::exists`]: only then is the block map a
+    /// homomorphism `I_can → I`.
+    pub fn witness_target(&self, chased_st: &Instance) -> Option<Instance> {
+        self.exists().then(|| target_image(chased_st, &self.hom))
     }
 
     /// Bring the state up to `chased_st`, the Σst fixpoint of `input`.
@@ -368,12 +386,11 @@ impl DemandState {
         let mut seen = HashSet::new();
         roots.retain(|root| seen.insert(*root));
         if self.missing.is_empty() {
-            let mut h = HashMap::new();
+            let hom = &mut self.hom;
             let mapped = (roots.iter())
                 .take_while(|&&root| {
-                    h.clear();
                     let block = block_at(ts, &self.members[root as usize]);
-                    check_block(input, root as usize, &block, &mut h)
+                    check_block(input, root as usize, &block, hom)
                 })
                 .count();
             roots.drain(..mapped);

@@ -26,6 +26,16 @@
 //!   verdict. One session [`NullGen`] mints the nulls of both chases, so a
 //!   Σst null never reuses the id of a live Σts null (which would join
 //!   unrelated blocks into a false "no").
+//! * `certain` refreshes the same cache and answers from it. With no
+//!   solution it is vacuous (`solutions_examined: 0`). Otherwise the
+//!   null-free answers over `J_can` are certain (a lower bound) and those
+//!   over the Fig. 3 witness `J_img = h_J(J_can)` contain the certain
+//!   ones (an upper bound); when the two meet they are the answer, read
+//!   off that one witness (`solutions_examined: 1`). Only when they differ
+//!   does the assignment search enumerate the images of the cached
+//!   `J_can`, stopping once its running intersection reaches the lower
+//!   bound (`solutions_examined` counts the images it examined;
+//!   `serve.certain_fallbacks` counts these requests).
 //! * A retract drops the whole cache, since it can shrink `I` and undo
 //!   chase consequences that delta reasoning cannot see. So do a governor
 //!   stop and a contained panic, which can leave it half-extended. The
@@ -33,10 +43,10 @@
 //!   `serve.incremental_rechases` / `serve.full_rechases` count
 //!   extensions and rebuilds.
 //! * Every request runs under its own [`Governor`] deadline/budget and
-//!   inside [`pde_runtime::isolate`]: a panicking request is answered
-//!   `undecided` without killing the loop, and the chased cache is moved
-//!   out during maintenance so a contained panic can never leave a
-//!   half-extended state behind.
+//!   inside [`pde_runtime::isolate`]: a stopped or panicking `solve` or
+//!   `certain` is answered `undecided` without killing the loop, and the
+//!   chased cache is moved out during maintenance so a contained panic
+//!   can never leave a half-extended state behind.
 //!
 //! Telemetry (`docs/OBSERVABILITY.md` has the schemas):
 //!
@@ -57,7 +67,10 @@
 use pde_analysis::plan_setting;
 use pde_chase::{chase_incremental_governed, ChaseLimits, ChaseOutcome, WitnessMode};
 use pde_constraints::Dependency;
-use pde_core::{certain_answers, Bundle, DemandState, GenericLimits, PdeSetting, SolveError};
+use pde_core::{
+    certain_answers_cached, certain_answers_governed, check_target_query, Bundle, DemandState,
+    GenericLimits, PdeSetting, SolveError,
+};
 use pde_relational::{parse_instance, parse_query, Instance, NullGen, Schema, UnionQuery, Value};
 use pde_runtime::{isolate, Governor, GovernorConfig};
 use pde_store::{InstanceStore, Op, RecoveryReport};
@@ -129,6 +142,8 @@ struct ServeCounters {
     panics_isolated: u64,
     incremental_rechases: u64,
     full_rechases: u64,
+    /// `certain` requests whose bounds differed, so the search enumerated.
+    certain_fallbacks: u64,
 }
 
 struct ServeState {
@@ -587,7 +602,7 @@ fn handle(
     };
     let body = match req.op.as_str() {
         "solve" => handle_solve(state, &governor, meta),
-        "certain" => handle_certain(state, req, meta),
+        "certain" => handle_certain(state, req, &governor, meta),
         "insert" => handle_mutate(state, req, true),
         "retract" => handle_mutate(state, req, false),
         "snapshot" => handle_snapshot(state),
@@ -611,6 +626,7 @@ fn session_metrics(state: &ServeState) -> MetricsRegistry {
         state.counters.incremental_rechases,
     );
     reg.add("serve.full_rechases", state.counters.full_rechases);
+    reg.add("serve.certain_fallbacks", state.counters.certain_fallbacks);
     reg.add("serve.flight_dumps", state.flight_dumps);
     reg.merge_from(&state.metrics);
     reg
@@ -647,10 +663,7 @@ fn handle_solve(
             RefreshOutcome::Ready(false) => Answer::No,
             RefreshOutcome::Undecided(reason) => Answer::Undecided(reason),
             RefreshOutcome::Panicked(message) => {
-                state.counters.panics_isolated += 1;
-                meta.governor = format!("panic: {message}");
-                meta.flight = Some("panic-isolated");
-                Answer::Undecided(format!("request panicked (isolated): {message}"))
+                Answer::Undecided(contain_panic(state, meta, &message))
             }
         }
     } else {
@@ -666,20 +679,35 @@ fn handle_solve(
     };
     meta.result = result;
     if let Some(reason) = &reason {
-        // A panic already claimed the dump reason; everything else
-        // undecided is the governor (or a budget) refusing to spend more.
-        if meta.flight.is_none() {
-            meta.flight = Some("governor-stop");
-        }
-        if meta.governor == "none" {
-            meta.governor.clone_from(reason);
-        }
+        note_undecided(meta, reason);
     }
     let mut fields: Fields = vec![("op", "solve".into()), ("result", result.into())];
     if let Some(reason) = reason {
         fields.push(("reason", reason.into()));
     }
     Ok(fields)
+}
+
+/// Count a contained panic and tag the request for a `panic-isolated`
+/// flight dump; returns the undecided reason.
+fn contain_panic(state: &mut ServeState, meta: &mut ReqMeta, message: &str) -> String {
+    state.counters.panics_isolated += 1;
+    meta.governor = format!("panic: {message}");
+    meta.flight = Some("panic-isolated");
+    format!("request panicked (isolated): {message}")
+}
+
+/// Mark the request undecided for the access log and the flight recorder.
+/// A panic already claimed the dump reason; everything else undecided is
+/// the governor (or a budget) refusing to spend more.
+fn note_undecided(meta: &mut ReqMeta, reason: &str) {
+    meta.result = "undecided";
+    if meta.flight.is_none() {
+        meta.flight = Some("governor-stop");
+    }
+    if meta.governor == "none" {
+        meta.governor = reason.to_owned();
+    }
 }
 
 /// The general-purpose route: plan the setting afresh (static analysis,
@@ -886,9 +914,23 @@ fn handle_mutate(state: &mut ServeState, req: &Request, insert: bool) -> Result<
 }
 
 /// `certain`: certain answers of a target UCQ over the current base.
+///
+/// On the fast path the answer comes from the chased cache, brought up to
+/// date as a solve would. With no solution every tuple is vacuously
+/// certain. Otherwise [`certain_answers_cached`] reads the ground answers
+/// over `J_can` (a lower bound) and over the Fig. 3 witness `J_img` (an
+/// upper bound); when they meet they are the answer, from that one
+/// witness. Only when they differ does the search enumerate, from the
+/// cached Σst fixpoint (`serve.certain_fallbacks` counts those). Off the
+/// fast path the batch [`certain_answers_governed`] runs on the base. A
+/// query that is not over the target schema is refused before the cache
+/// is touched, as batch refuses it.
+/// Either way the request governor bounds the work, and a stop or a
+/// contained panic answers `undecided`.
 fn handle_certain(
     state: &mut ServeState,
     req: &Request,
+    governor: &Governor,
     meta: &mut ReqMeta,
 ) -> Result<Fields, String> {
     let qsrc = req
@@ -898,19 +940,57 @@ fn handle_certain(
     let q: UnionQuery = parse_query(state.setting.schema(), qsrc)
         .map_err(|e| format!("query: {e}"))?
         .into();
-    let solve_start = Instant::now();
-    let setting = &state.setting;
-    let base = &state.base;
-    let run = isolate(|| certain_answers(setting, base, &q, GenericLimits::default()));
-    meta.solve_ns = ns_since(solve_start);
-    let out = run
-        .map_err(|e| {
-            state.counters.panics_isolated += 1;
-            meta.governor = format!("panic: {e}");
-            meta.flight = Some("panic-isolated");
-            format!("request panicked (isolated): {e}")
-        })?
-        .map_err(|e| e.to_string())?;
+    // Refuse a query batch would refuse before it costs a refresh.
+    check_target_query(&state.setting, &q).map_err(|e| e.to_string())?;
+    let run = if state.fast_path && state.base.is_ground() {
+        match refresh_chased(state, governor, meta) {
+            RefreshOutcome::Ready(_) => {
+                let start = Instant::now();
+                let (setting, base) = (&state.setting, &state.base);
+                let chased = (state.chased.as_ref()).expect("a ready refresh keeps the cache");
+                let limits = GenericLimits::default();
+                let run = isolate(|| {
+                    certain_answers_cached(
+                        setting,
+                        base,
+                        &chased.instance,
+                        &chased.demand,
+                        &q,
+                        limits,
+                        governor,
+                    )
+                });
+                meta.solve_ns += ns_since(start);
+                if let Ok(Ok((_, true))) = run {
+                    state.counters.certain_fallbacks += 1;
+                }
+                run.map(|res| res.map(|(out, _)| out))
+            }
+            RefreshOutcome::Undecided(reason) => return Ok(undecided_certain(meta, reason)),
+            RefreshOutcome::Panicked(message) => {
+                let reason = contain_panic(state, meta, &message);
+                return Ok(undecided_certain(meta, reason));
+            }
+        }
+    } else {
+        let start = Instant::now();
+        let (setting, base) = (&state.setting, &state.base);
+        let limits = GenericLimits::default();
+        let run = isolate(|| certain_answers_governed(setting, base, &q, limits, governor));
+        meta.solve_ns = ns_since(start);
+        run
+    };
+    let out = match run {
+        Ok(Ok(out)) => out,
+        Ok(Err(SolveError::Stopped(reason))) => {
+            return Ok(undecided_certain(meta, reason.to_string()))
+        }
+        Ok(Err(e)) => return Err(e.to_string()),
+        Err(e) => {
+            let reason = contain_panic(state, meta, &e.to_string());
+            return Ok(undecided_certain(meta, reason));
+        }
+    };
     let mut fields: Fields = vec![
         ("op", "certain".into()),
         ("solution_exists", out.solution_exists.into()),
@@ -927,6 +1007,17 @@ fn handle_certain(
         fields.push(("answers", rows.collect()));
     }
     Ok(fields)
+}
+
+/// The body of a `certain` request the governor (or a contained panic)
+/// stopped.
+fn undecided_certain(meta: &mut ReqMeta, reason: String) -> Fields {
+    note_undecided(meta, &reason);
+    vec![
+        ("op", "certain".into()),
+        ("result", "undecided".into()),
+        ("reason", reason.into()),
+    ]
 }
 
 /// `snapshot`: checkpoint the base into an atomic snapshot and reset the
@@ -1272,6 +1363,30 @@ mod tests {
             "{}",
             lines[1]
         );
+        let dumps = flight_dumps(&dir);
+        assert!(
+            dumps.iter().any(|d| d.contains("governor-stop")),
+            "{dumps:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn governor_stop_answers_certain_undecided_and_dumps_flight() {
+        let b = bundle();
+        let dir = temp_store("govstop-certain");
+        let lines = run_with(
+            &b,
+            &dir,
+            "{\"op\":\"certain\",\"query\":\"q(x, y) :- H(x, y)\"}\n",
+            |o| o.timeout = Some(Duration::from_nanos(1)),
+        );
+        assert!(
+            lines[1].contains("\"op\":\"certain\",\"result\":\"undecided\",\"reason\":"),
+            "{}",
+            lines[1]
+        );
+        assert!(!lines[1].contains("answers"), "{}", lines[1]);
         let dumps = flight_dumps(&dir);
         assert!(
             dumps.iter().any(|d| d.contains("governor-stop")),

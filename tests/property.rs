@@ -953,6 +953,93 @@ fn seminaive_step_log_respects_verified_certificate_bound() {
     assert!(res.instance.fact_count() <= cert.chase.fact_bound);
 }
 
+/// The Fig. 3 bounds on random `C_tract` settings with Σt = ∅: the ground
+/// answers over `J_can` and over the witness `J_img` bracket the
+/// intersection over the whole assignment family, equal it whenever they
+/// meet, and `certain_answers` (which stops once its running intersection
+/// reaches the lower bound) equals it too. Runs over every target
+/// relation with a full and a one-column head, and requires both meeting
+/// and differing bounds to occur.
+#[test]
+fn certain_bounds_bracket_the_uncut_enumeration() {
+    use peer_data_exchange::core::{certain_bounds, ground_answers, DemandState};
+    use peer_data_exchange::workloads::random::{
+        random_instance, random_setting, RandomSettingParams,
+    };
+    use std::collections::BTreeSet;
+    let gov = Governor::unlimited();
+    let (mut met, mut apart) = (0, 0);
+    for seed in 0u64..160 {
+        let Ok(setting) = random_setting(&RandomSettingParams::default(), seed) else {
+            continue;
+        };
+        if !setting.classification().ctract.in_ctract() {
+            continue;
+        }
+        let input = random_instance(&setting, 5, 1, 3, seed ^ 0xb0d5);
+        // The Σst fixpoint and the Fig. 3 state, as `pde serve` keeps them.
+        let gen = pde_chase::null_gen_for(&input);
+        let chased = pde_chase::chase_tgds_governed(
+            input.clone(),
+            setting.sigma_st(),
+            &gen,
+            pde_chase::default_chase_engine(),
+            &gov,
+        )
+        .instance;
+        let demand = DemandState::new(&setting)
+            .unwrap()
+            .extend(&input, &chased, &gen, &gov)
+            .unwrap();
+        let problem = assignment::DisjunctiveProblem::from_setting(&setting).unwrap();
+        let schema = setting.schema();
+        for rel in schema.rels_of(pde_relational::Peer::Target) {
+            let vars: Vec<String> = (0..schema.arity(rel)).map(|i| format!("x{i}")).collect();
+            let body = format!("{}({})", schema.name(rel), vars.join(", "));
+            for head in [vars.join(", "), vars[0].clone()] {
+                let q: UnionQuery = parse_query(schema, &format!("q({head}) :- {body}"))
+                    .unwrap()
+                    .into();
+                let mut full: Option<BTreeSet<Vec<Value>>> = None;
+                assignment::for_each_solution(&problem, &input, |sol| {
+                    let ground = ground_answers(&q, sol);
+                    full = Some(match full.take() {
+                        None => ground,
+                        Some(prev) => prev.intersection(&ground).cloned().collect(),
+                    });
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+                let out = certain_answers(&setting, &input, &q, GenericLimits::default()).unwrap();
+                let case = format!("seed {seed}, {q:?}");
+                assert_eq!(out.solution_exists, full.is_some(), "{case}");
+                let Some(full) = full else {
+                    assert!(
+                        certain_bounds(&setting, &q, &chased, &demand)
+                            .unwrap()
+                            .is_none(),
+                        "{case}"
+                    );
+                    continue;
+                };
+                assert_eq!(out.answers, full, "{case}");
+                let bounds = certain_bounds(&setting, &q, &chased, &demand)
+                    .unwrap()
+                    .expect("a solution exists");
+                assert!(bounds.lower.is_subset(&full), "{case}");
+                assert!(full.is_subset(&bounds.upper), "{case}");
+                if bounds.lower == bounds.upper {
+                    assert_eq!(bounds.lower, full, "{case}");
+                    met += 1;
+                } else {
+                    apart += 1;
+                }
+            }
+        }
+    }
+    assert!(met > 0 && apart > 0, "met {met}, apart {apart}");
+}
+
 /// Print `cert`, parse it back through [`Verifiable::from_json`], and
 /// require an equal value that still verifies against its own setting and
 /// input.
@@ -1487,7 +1574,7 @@ proptest! {
                 max_nodes: 2_000,
                 ..GenericLimits::default()
             };
-            generic::for_each_solution(p, input, budget, |leaf| {
+            generic::for_each_solution(p, input, budget, &Governor::unlimited(), |leaf| {
                 all_solutions &= is_solution(p, input, leaf);
                 leaves += 1;
                 if leaves == 8 {

@@ -12,6 +12,12 @@
 //! through a shared null after an insert, and a setting where both Σst and
 //! Σts mint nulls, so one generator must serve both chases.
 //!
+//! Serve answers `certain` from its cached Fig. 3 state when the ground
+//! answers over `J_can` and over the Fig. 3 witness meet, and enumerates
+//! otherwise. The `joining` and `nulls` cases each ask a query over a
+//! position only a Σst existential fills, where the two differ, so both
+//! paths are held to the batch answer.
+//!
 //! The tier-1 run takes a few fixed seeds; `cargo test --release --test
 //! serve_oracle -- --ignored` runs the soak over many more.
 
@@ -133,13 +139,21 @@ const CASES: [Case; 3] = [
         name: "joining",
         bundle: JOINING,
         fact: joining_fact,
-        queries: &["q(a, b) :- U(a, b)", "q(a) :- T(a, y)"],
+        queries: &[
+            "q(a, b) :- U(a, b)",
+            "q(a) :- T(a, y)",
+            "q(a, y) :- T(a, y)",
+        ],
     },
     Case {
         name: "nulls",
         bundle: NULLS,
         fact: nulls_fact,
-        queries: &["q(x) :- T(x, y)", "q() :- T(x, y), T(y, z)"],
+        queries: &[
+            "q(x) :- T(x, y)",
+            "q() :- T(x, y), T(y, z)",
+            "q(x, y) :- T(x, y)",
+        ],
     },
 ];
 
@@ -247,6 +261,22 @@ fn script(case: &Case, bundle: &Bundle, seed: u64, len: usize) -> (Vec<Step>, In
     (steps, replica)
 }
 
+/// Read a counter off a `stats` response.
+fn counter(stats: &[(String, Json)], name: &str) -> usize {
+    let Some(Json::Obj(metrics)) = stats.try_get("metrics") else {
+        panic!("stats carry metrics: {stats:?}");
+    };
+    let Some(Json::Obj(counters)) = metrics.try_get("counters") else {
+        panic!("metrics carry counters: {metrics:?}");
+    };
+    counters.get_num(name).expect("the counter")
+}
+
+/// The `serve.certain_fallbacks` counter a `stats` response reports.
+fn certain_fallbacks(stats: &[(String, Json)]) -> usize {
+    counter(stats, "serve.certain_fallbacks")
+}
+
 /// Run one serve session over `lines`; returns the parsed responses after
 /// the hello line.
 fn session(bundle: &Bundle, store: &str, lines: &[String]) -> Vec<Vec<(String, Json)>> {
@@ -270,11 +300,35 @@ fn session(bundle: &Bundle, store: &str, lines: &[String]) -> Vec<Vec<(String, J
         .collect()
 }
 
+/// What one seeded sequence exercised.
+#[derive(Default)]
+struct Tally {
+    /// Solves answered "yes".
+    yes: usize,
+    /// Solves answered "no".
+    no: usize,
+    /// Consecutive solves that answered differently.
+    flips: usize,
+    /// `certain` requests with a solution that the bounds decided.
+    bounded: usize,
+    /// `certain` requests whose bounds differed, so serve enumerated.
+    fallbacks: usize,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.yes += other.yes;
+        self.no += other.no;
+        self.flips += other.flips;
+        self.bounded += other.bounded;
+        self.fallbacks += other.fallbacks;
+    }
+}
+
 /// Drive `len` random requests of `case` under `seed` through serve and
 /// compare every response with the batch answer on the replica. Returns
-/// how many solves answered "yes" and "no" and how often consecutive
-/// solves flipped.
-fn check_case(case: &Case, seed: u64, len: usize) -> [usize; 3] {
+/// what the sequence exercised.
+fn check_case(case: &Case, seed: u64, len: usize) -> Tally {
     let bundle = Bundle::parse(case.bundle).expect("oracle bundle parses");
     let (steps, replica) = script(case, &bundle, seed, len);
     let store = std::env::temp_dir().join(format!(
@@ -284,8 +338,10 @@ fn check_case(case: &Case, seed: u64, len: usize) -> [usize; 3] {
     ));
     let store = store.to_string_lossy().into_owned();
     let _ = std::fs::remove_dir_all(&store);
-    let lines: Vec<String> = steps.iter().map(|s| s.line.clone()).collect();
-    let responses = session(&bundle, &store, &lines);
+    let mut lines: Vec<String> = steps.iter().map(|s| s.line.clone()).collect();
+    lines.push(Json::from_iter([("op", Json::from("stats"))]).to_string());
+    let mut responses = session(&bundle, &store, &lines);
+    let fallbacks = certain_fallbacks(&responses.pop().expect("the stats response"));
     assert_eq!(responses.len(), steps.len(), "{} seed {seed}", case.name);
     for (i, (step, got)) in steps.iter().zip(&responses).enumerate() {
         for (key, want) in &step.expect {
@@ -314,22 +370,36 @@ fn check_case(case: &Case, seed: u64, len: usize) -> [usize; 3] {
             _ => None,
         })
         .collect();
-    let flips = results.windows(2).filter(|w| w[0] != w[1]).count();
     let yes = results.iter().filter(|r| **r == "yes").count();
-    [yes, results.len() - yes, flips]
+    let with_solution = (responses.iter())
+        .filter(|r| r.try_get("op") == Some(&Json::from("certain")))
+        .filter(|r| r.try_get("solution_exists") == Some(&Json::Bool(true)))
+        .count();
+    Tally {
+        yes,
+        no: results.len() - yes,
+        flips: results.windows(2).filter(|w| w[0] != w[1]).count(),
+        bounded: with_solution - fallbacks,
+        fallbacks,
+    }
 }
 
 #[test]
 fn serve_agrees_with_batch_on_fixed_seeds() {
+    let mut fallbacks = 0;
     for case in &CASES {
-        let mut seen = [0; 3];
+        let mut seen = Tally::default();
         for seed in [1, 2, 3] {
-            let counts = check_case(case, seed, 60);
-            seen.iter_mut().zip(counts).for_each(|(s, c)| *s += c);
+            seen.add(&check_case(case, seed, 60));
         }
-        // The sequences must exercise both answers and the flips between.
-        assert!(seen.iter().all(|&n| n > 0), "{}: {seen:?}", case.name);
+        // The sequences must exercise both answers and the flips between,
+        // and `certain` answered from the bounds.
+        let counts = [seen.yes, seen.no, seen.flips, seen.bounded];
+        assert!(counts.iter().all(|&n| n > 0), "{}: {counts:?}", case.name);
+        fallbacks += seen.fallbacks;
     }
+    // Some `certain` found its bounds apart and enumerated.
+    assert!(fallbacks > 0);
 }
 
 #[test]
@@ -355,6 +425,118 @@ fn block_joining_script_answers_yes_no_yes() {
         .collect();
     assert_eq!(results, ["yes", "no", "yes"]);
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// `E(x) -> exists y . H(x, y)` and `H(x, y) -> F(x, y)`: `J_can` is
+/// `H(a, ⊥)`, so `q(x, y) :- H(x, y)` has no ground answer there (the
+/// lower bound), while the witness maps `⊥` onto an `F` partner of `a`
+/// (the upper bound). Projecting `y` away makes the bounds meet.
+const WITNESSED: &str = "
+%schema
+source E/1; source F/2; target H/2
+%st
+E(x) -> exists y . H(x, y)
+%ts
+H(x, y) -> F(x, y)
+%t
+%instance
+E(a). F(a, b).
+";
+
+#[test]
+fn differing_bounds_fall_back_and_meeting_bounds_do_not() {
+    let bundle = Bundle::parse(WITNESSED).unwrap();
+    let store = std::env::temp_dir().join(format!("pde-serve-bounds-{}", std::process::id()));
+    let store = store.to_string_lossy().into_owned();
+    let _ = std::fs::remove_dir_all(&store);
+    let certain = |query: &str| {
+        Json::from_iter([("op", "certain".into()), ("query", query.into())]).to_string()
+    };
+    let stats = Json::from_iter([("op", Json::from("stats"))]).to_string();
+    let lines = [
+        certain("q(x, y) :- H(x, y)"),
+        stats.clone(),
+        r#"{"op":"insert","facts":"F(a, c)."}"#.to_owned(),
+        certain("q(x, y) :- H(x, y)"),
+        stats.clone(),
+        certain("q(x) :- H(x, y)"),
+        stats,
+    ];
+    let responses = session(&bundle, &store, &lines);
+    let answers = |i: usize| responses[i].try_get("answers").map(ToString::to_string);
+    // Only `F(a, b)`: every solution holds `H(a, b)`.
+    assert_eq!(answers(0).as_deref(), Some(r#"[["a","b"]]"#));
+    assert_eq!(certain_fallbacks(&responses[1]), 1);
+    // `H(a, b)` and `H(a, c)` are both solutions: nothing is certain.
+    assert_eq!(answers(3).as_deref(), Some("[]"));
+    assert_eq!(certain_fallbacks(&responses[4]), 2);
+    // `a` is an answer over `J_can` already: the bounds decide.
+    assert_eq!(answers(5).as_deref(), Some(r#"[["a"]]"#));
+    assert_eq!(
+        responses[5].try_get("solutions_examined"),
+        Some(&Json::from(1u32))
+    );
+    assert_eq!(certain_fallbacks(&responses[6]), 2);
+    // Each matches the batch answer on the final base.
+    let mut replica = bundle.input.clone();
+    let added = parse_instance(bundle.setting.schema(), "F(a, c).").unwrap();
+    for (rel, t) in added.facts() {
+        replica.insert(rel, t);
+    }
+    for (i, query) in [(3, "q(x, y) :- H(x, y)"), (5, "q(x) :- H(x, y)")] {
+        for (key, want) in batch_certain(&bundle, &replica, query) {
+            assert_eq!(responses[i].try_get(key), Some(&want), "{query}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A query over a source relation, or mixing source and target atoms, is
+/// refused exactly as batch `certain_answers` refuses it, whether `J_can`
+/// is ground (genomics), has nulls (witnessed) or no solution exists
+/// (genomics after a rogue insert), and before the cache is built.
+#[test]
+fn queries_off_the_target_schema_are_refused_as_batch_refuses_them() {
+    let rogue = r#"{"op":"insert","facts":"u_protein(P7, org2)."}"#;
+    let sessions = [
+        (GENOMICS, "q(a, o) :- sp_protein(a, n, o)", None),
+        (
+            GENOMICS,
+            "q(a) :- u_protein(a, o), sp_annotation(a, g)",
+            None,
+        ),
+        (GENOMICS, "q(a, o) :- sp_protein(a, n, o)", Some(rogue)),
+        (WITNESSED, "q(x) :- E(x)", None),
+        (WITNESSED, "q(x, y) :- E(x), H(x, y)", None),
+    ];
+    for (i, (text, query, insert)) in sessions.into_iter().enumerate() {
+        let bundle = Bundle::parse(text).unwrap();
+        let q: UnionQuery = parse_query(bundle.setting.schema(), query).unwrap().into();
+        let mut replica = bundle.input.clone();
+        let mut lines = Vec::new();
+        if let Some(insert) = insert {
+            lines.push(insert.to_owned());
+            let added = parse_instance(bundle.setting.schema(), "u_protein(P7, org2).").unwrap();
+            for (rel, t) in added.facts() {
+                replica.insert(rel, t);
+            }
+        }
+        let batch = certain_answers(&bundle.setting, &replica, &q, GenericLimits::default())
+            .expect_err("batch refuses the query")
+            .to_string();
+        let certain = Json::from_iter([("op", "certain".into()), ("query", query.into())]);
+        lines.push(certain.to_string());
+        lines.push(r#"{"op":"stats"}"#.to_owned());
+        let store = std::env::temp_dir().join(format!("pde-serve-off-{}-{i}", std::process::id()));
+        let store = store.to_string_lossy().into_owned();
+        let _ = std::fs::remove_dir_all(&store);
+        let responses = session(&bundle, &store, &lines);
+        let (answer, stats) = (&responses[lines.len() - 2], &responses[lines.len() - 1]);
+        assert_eq!(answer.try_get("ok"), Some(&Json::Bool(false)), "{query}");
+        assert_eq!(answer.try_get("error"), Some(&Json::from(batch)), "{query}");
+        assert_eq!(counter(stats, "serve.full_rechases"), 0, "{query}");
+        let _ = std::fs::remove_dir_all(&store);
+    }
 }
 
 #[test]

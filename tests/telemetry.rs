@@ -309,13 +309,15 @@ fn serve_lines_golden_hello_responses_stats_and_flight_header() {
         scrub_buckets(&scrub(&lines[5], &["uptime_ns", "sum", "min", "max"])),
         "{\"ok\":true,\"id\":5,\"op\":\"stats\",\"uptime_ns\":N,\"durable_epoch\":2,\
          \"snapshot_epoch\":0,\"frames_replayed\":0,\"truncated_frames\":0,\"rewound\":false,\
-         \"flight_dumps\":0,\"epoch\":2,\"metrics\":{\"counters\":{\"serve.errors\":2,\
-         \"serve.flight_dumps\":0,\"serve.full_rechases\":0,\"serve.incremental_rechases\":0,\
+         \"flight_dumps\":0,\"epoch\":2,\"metrics\":{\"counters\":{\
+         \"serve.certain_fallbacks\":0,\"serve.errors\":2,\
+         \"serve.flight_dumps\":0,\"serve.full_rechases\":1,\"serve.incremental_rechases\":0,\
          \"serve.panics_isolated\":0,\"serve.requests\":5,\"store.commits\":2,\
          \"store.epoch\":2,\"store.frames_replayed\":0,\"store.frames_skipped\":0,\
          \"store.journal_bytes\":106,\"store.ops_committed\":2,\"store.recoveries\":0,\
          \"store.snapshots_written\":0,\"store.truncated_bytes\":0,\
          \"store.truncated_frames\":0},\"histograms\":{\
+         \"chase.round_ns\":{\"count\":2,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
          \"serve.request_ns\":{\"count\":5,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
          \"serve.request_ns.certain\":{\"count\":1,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\
          \"serve.request_ns.insert\":{\"count\":1,\"sum\":N,\"min\":N,\"max\":N,\"buckets\":N},\

@@ -28,7 +28,6 @@ use pde_constraints::Dependency;
 use pde_relational::{Instance, NullGen, NullId, Peer, RelId, Tuple, Value};
 use pde_runtime::Governor;
 use std::collections::{HashMap, HashSet};
-use std::ops::ControlFlow;
 
 /// Block count above which the per-block homomorphism checks run on
 /// multiple threads (they are independent by Prop. 1).
@@ -296,17 +295,7 @@ impl DemandState {
         // chase off that delta (the whole instance the first time).
         let schema = chased_st.schema().clone();
         let mut ts = std::mem::replace(&mut self.ts, Instance::new(schema.clone()));
-        let watermark = ts.bump_epoch();
-        for rel in schema.rels_of(Peer::Target) {
-            let _ = chased_st.relation(rel).for_each_row_in_window(
-                self.jcan_since,
-                u64::MAX,
-                &mut |_, ids| {
-                    ts.insert_ids(rel, ids);
-                    ControlFlow::Continue(())
-                },
-            );
-        }
+        let watermark = ts.splice_since(chased_st, schema.rels_of(Peer::Target), self.jcan_since);
         let since = if self.chased { watermark } else { 0 };
         let res = chase_incremental_governed(
             ts,

@@ -21,9 +21,10 @@
 //! each atom to an insertion-epoch window so that only homomorphisms
 //! touching a delta of recently inserted facts are enumerated — the
 //! trigger-discovery mode of the semi-naive chase. Its specialization
-//! [`for_each_key_pair_seminaive`] handles the premise of a functional
-//! dependency (a [`KeyShape`]) by probing the key columns directly, in
-//! the same match order.
+//! [`for_each_pair_seminaive`] handles a two-atom conjunction of distinct
+//! variables (a [`PairShape`], such as the premise of a functional
+//! dependency or of the §4 consistency egd) as a join of row pairs probed
+//! through the join columns' indexes, in the same match order.
 //!
 //! Candidate rows are always tried in ascending row-id order, whether they
 //! come from an index posting or from a scan, so where [`for_each_hom`]
@@ -135,6 +136,17 @@ impl EpochWindow {
     fn is_all(self) -> bool {
         self == EpochWindow::ALL
     }
+
+    /// The estimated number of rows of `rel` in this window: the live
+    /// count when the window is everything, else the (tombstone-counting)
+    /// window size.
+    fn size(self, rel: &Relation) -> usize {
+        if self.is_all() {
+            rel.len()
+        } else {
+            rel.window_size(self.lo, self.hi)
+        }
+    }
 }
 
 struct Search<'a, F> {
@@ -162,12 +174,7 @@ impl<F: FnMut(&Assignment) -> ControlFlow<()>> Search<'_, F> {
     fn estimate(&self, ai: usize, assign: &Assignment) -> usize {
         let atom = &self.atoms[ai];
         let rel = self.inst.relation(atom.rel);
-        let w = self.window(ai);
-        let mut best = if w.is_all() {
-            rel.len()
-        } else {
-            rel.window_size(w.lo, w.hi)
-        };
+        let mut best = self.window(ai).size(rel);
         for (i, t) in atom.terms.iter().enumerate() {
             if let Some(v) = assign.eval(t) {
                 let attr = u16::try_from(i).expect("attribute index exceeds u16 arity bound");
@@ -340,39 +347,11 @@ pub fn for_each_hom(
 /// An empty conjunction yields nothing: its empty homomorphism touches no
 /// delta fact (callers wanting the seed-round semantics of the empty hom
 /// use [`for_each_hom`] directly).
+///
+/// No trace span is opened here: the semi-naive chase opens `hom.search`
+/// around each call, and the witness-chase search, which calls this once
+/// per node, opens none.
 pub fn for_each_hom_seminaive(
-    atoms: &[Atom],
-    inst: &Instance,
-    partial: &Assignment,
-    delta_lo: u64,
-    delta_hi: u64,
-    f: impl FnMut(&Assignment) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    // Trigger-discovery instrumentation point: one span per (dependency,
-    // round) call, covering the whole pivot sweep.
-    let _span = pde_trace::span("hom.search")
-        .field("kind", "seminaive")
-        .field("atoms", atoms.len())
-        .field("delta_lo", delta_lo)
-        .field("delta_hi", delta_hi);
-    pivot_sweep(atoms, inst, partial, delta_lo, delta_hi, f)
-}
-
-/// [`for_each_hom_seminaive`] over the delta `[since, ∞)`, without the
-/// trace span: the witness-chase search asks this once per node, where a
-/// span per call would cost more than the search it records.
-pub fn for_each_hom_since(
-    atoms: &[Atom],
-    inst: &Instance,
-    partial: &Assignment,
-    since: u64,
-    f: impl FnMut(&Assignment) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    pivot_sweep(atoms, inst, partial, since, u64::MAX, f)
-}
-
-/// The pivot decomposition behind [`for_each_hom_seminaive`].
-fn pivot_sweep(
     atoms: &[Atom],
     inst: &Instance,
     partial: &Assignment,
@@ -380,7 +359,7 @@ fn pivot_sweep(
     delta_hi: u64,
     mut f: impl FnMut(&Assignment) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut windows = vec![EpochWindow::before(delta_hi); atoms.len()];
+    let mut windows = vec![EpochWindow::ALL; atoms.len()];
     for pivot in 0..atoms.len() {
         if inst
             .relation(atoms[pivot].rel)
@@ -390,14 +369,7 @@ fn pivot_sweep(
             continue; // this pivot's relation has no delta rows at all
         }
         for (j, w) in windows.iter_mut().enumerate() {
-            *w = match j.cmp(&pivot) {
-                std::cmp::Ordering::Less => EpochWindow::before(delta_lo),
-                std::cmp::Ordering::Equal => EpochWindow {
-                    lo: delta_lo,
-                    hi: delta_hi,
-                },
-                std::cmp::Ordering::Greater => EpochWindow::before(delta_hi),
-            };
+            *w = pivot_window(j, pivot, delta_lo, delta_hi);
         }
         let mut search = Search {
             atoms,
@@ -411,111 +383,18 @@ fn pivot_sweep(
     ControlFlow::Continue(())
 }
 
-/// The premise shape of an egd that is a functional dependency
-/// `rel: key → equated`: two atoms over `rel`, all terms distinct
-/// variables within each atom, sharing exactly the variables at the `key`
-/// positions, and equating the two copies of position `equated`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KeyShape {
-    /// The relation both premise atoms range over.
-    pub rel: RelId,
-    /// The key positions, ascending and non-empty.
-    pub key: Vec<u16>,
-    /// The non-key position whose two copies the egd equates.
-    pub equated: u16,
-    /// Does the first premise atom carry the egd's `lhs` (otherwise the
-    /// second one does)?
-    pub lhs_in_first: bool,
-}
-
-/// Enumerate the `(h(lhs), h(rhs))` value pairs of the premise
-/// homomorphisms `h` of a key-shaped egd over `rel` that touch the delta
-/// `[delta_lo, delta_hi)` — exactly the pairs, and in exactly the order,
-/// that [`for_each_hom_seminaive`] yields over the egd's premise, but read
-/// straight off the key columns' indexes with no [`Assignment`] and no
-/// per-pair allocation. `f` may break to stop early.
-pub fn for_each_key_pair_seminaive(
-    rel: &Relation,
-    shape: &KeyShape,
-    delta_lo: u64,
-    delta_hi: u64,
-    mut f: impl FnMut(Value, Value) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    if rel.window_size(delta_lo, delta_hi) == 0 {
-        return ControlFlow::Continue(());
+/// The window of atom `j` when atom `pivot` is the pivot of the delta
+/// `[delta_lo, delta_hi)`: strictly before the delta for earlier atoms,
+/// the delta itself for the pivot, anything below `delta_hi` after it.
+fn pivot_window(j: usize, pivot: usize, delta_lo: u64, delta_hi: u64) -> EpochWindow {
+    match j.cmp(&pivot) {
+        std::cmp::Ordering::Less => EpochWindow::before(delta_lo),
+        std::cmp::Ordering::Equal => EpochWindow {
+            lo: delta_lo,
+            hi: delta_hi,
+        },
+        std::cmp::Ordering::Greater => EpochWindow::before(delta_hi),
     }
-    let delta = EpochWindow {
-        lo: delta_lo,
-        hi: delta_hi,
-    };
-    let estimate = |w: EpochWindow| {
-        if w.is_all() {
-            rel.len()
-        } else {
-            rel.window_size(w.lo, w.hi)
-        }
-    };
-    // The two pivots of `for_each_hom_seminaive`, in the same order.
-    for windows in [
-        [delta, EpochWindow::before(delta_hi)],
-        [EpochWindow::before(delta_lo), delta],
-    ] {
-        // `Search::pick` with nothing bound: the atom with the smaller
-        // estimated window goes first, a tie to the first atom.
-        let outer = usize::from(estimate(windows[1]) < estimate(windows[0]));
-        let (w, inner) = (windows[outer], windows[1 - outer]);
-        if w.is_all() {
-            key_pairs_from(rel, shape, rel.live_row_ids(), outer, inner, &mut f)?;
-        } else {
-            let rows = rel.row_ids_in_window(w.lo, w.hi);
-            key_pairs_from(rel, shape, rows, outer, inner, &mut f)?;
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// One pivot of [`for_each_key_pair_seminaive`]: premise atom `outer`
-/// walks `rows`, and the other atom is matched as `Search::step` would —
-/// through the index of the key position with the fewest live rows (a tie
-/// to the earliest position), restricted to `inner_window`. Index
-/// postings stay in row order, so every key position would yield the same
-/// rows in the same order; the choice only bounds the work.
-fn key_pairs_from(
-    rel: &Relation,
-    shape: &KeyShape,
-    rows: impl Iterator<Item = u32>,
-    outer: usize,
-    inner_window: EpochWindow,
-    f: &mut impl FnMut(Value, Value) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    for r in rows {
-        let (_, attr) = shape
-            .key
-            .iter()
-            .map(|&k| (rel.count_with_id(k, rel.value_id_at(r, k)), k))
-            .min()
-            .expect("a key shape has a non-empty key");
-        let here = rel.value_id_at(r, shape.equated).value();
-        for s in rel.rows_with_id(attr, rel.value_id_at(r, attr)) {
-            if !inner_window.contains(rel.epoch_of(s))
-                || shape
-                    .key
-                    .iter()
-                    .any(|&k| rel.value_id_at(s, k) != rel.value_id_at(r, k))
-            {
-                continue;
-            }
-            let there = rel.value_id_at(s, shape.equated).value();
-            // `here` belongs to premise atom `outer`, `there` to the other.
-            let (l, rhs) = if shape.lhs_in_first == (outer == 0) {
-                (here, there)
-            } else {
-                (there, here)
-            };
-            f(l, rhs)?;
-        }
-    }
-    ControlFlow::Continue(())
 }
 
 /// Is there a homomorphism extending `partial`?
@@ -534,15 +413,16 @@ pub fn find_hom(atoms: &[Atom], inst: &Instance, partial: &Assignment) -> Option
 }
 
 /// A two-atom conjunction whose atoms hold only variables, none repeated
-/// inside an atom (a key-shaped egd premise, or a join of two relations):
-/// a match is a pair of rows that agree at every shared position, so
-/// [`for_each_pair_since`] can enumerate matches as row pairs, with no
-/// [`Assignment`].
+/// inside an atom (a two-atom egd premise: a key, a join across
+/// positions, or a join of two relations): a match is a pair of rows that
+/// agree at every shared position, so [`for_each_pair_seminaive`] can
+/// enumerate matches as row pairs, with no [`Assignment`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairShape {
     /// The relations of the two atoms.
     pub rels: [RelId; 2],
-    /// `(position in atom 0, position in atom 1)` of every shared variable.
+    /// `(position in atom 0, position in atom 1)` of every shared variable,
+    /// in atom 0's position order.
     pub joins: Vec<(u16, u16)>,
 }
 
@@ -577,77 +457,67 @@ impl PairShape {
 }
 
 /// Enumerate the matches `(row of atom 0, row of atom 1)` of a
-/// [`PairShape`] that use at least one row stamped at or after `since` —
-/// the matches [`for_each_hom_since`] yields, each once, read straight off
-/// the indexes. `f` may break to stop early.
-pub fn for_each_pair_since(
+/// [`PairShape`] that touch the delta `[delta_lo, delta_hi)` — exactly the
+/// matches, and in exactly the order, that [`for_each_hom_seminaive`]
+/// yields over the shape's atoms, read straight off the join columns'
+/// indexes with no [`Assignment`]. `f` may break to stop early.
+pub fn for_each_pair_seminaive(
     inst: &Instance,
     shape: &PairShape,
-    since: u64,
+    delta_lo: u64,
+    delta_hi: u64,
     mut f: impl FnMut(u32, u32) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let rels = shape.rels.map(|r| inst.relation(r));
-    // Pivot 0: atom 0 on a delta row, atom 1 anywhere. Pivot 1: atom 1 on a
-    // delta row, atom 0 strictly before the delta.
-    for r in rels[0].row_ids_in_window(since, u64::MAX) {
-        pair_partners(
-            rels[0],
-            r,
-            rels[1],
-            &shape.joins,
-            false,
-            u64::MAX,
-            &mut |s| f(r, s),
-        )?;
-    }
-    for s in rels[1].row_ids_in_window(since, u64::MAX) {
-        pair_partners(rels[1], s, rels[0], &shape.joins, true, since, &mut |r| {
-            f(r, s)
-        })?;
-    }
-    ControlFlow::Continue(())
-}
-
-/// The live rows of `other` stamped before `before` that agree with row
-/// `row` of `rel` at every join position (`flip`: `rel` holds atom 1).
-/// Probed through the join position with the fewest live rows.
-fn pair_partners(
-    rel: &Relation,
-    row: u32,
-    other: &Relation,
-    joins: &[(u16, u16)],
-    flip: bool,
-    before: u64,
-    f: &mut impl FnMut(u32) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let sides = |&(p, q): &(u16, u16)| if flip { (q, p) } else { (p, q) };
-    let agrees = |s: u32| {
-        other.epoch_of(s) < before
-            && joins.iter().all(|j| {
-                let (here, there) = sides(j);
-                rel.value_id_at(row, here) == other.value_id_at(s, there)
-            })
-    };
-    let probe = joins
-        .iter()
-        .map(|j| {
-            let (here, there) = sides(j);
-            let id = rel.value_id_at(row, here);
-            (other.count_with_id(there, id), there, id)
-        })
-        .min();
-    match probe {
-        Some((_, there, id)) => {
-            for s in other.rows_with_id(there, id) {
-                if agrees(s) {
-                    f(s)?;
-                }
-            }
+    for pivot in 0..2 {
+        if rels[pivot].window_size(delta_lo, delta_hi) == 0 {
+            continue; // this pivot's relation has no delta rows at all
         }
-        None => {
-            for s in other.live_row_ids() {
-                if agrees(s) {
-                    f(s)?;
+        let windows = [0, 1].map(|j| pivot_window(j, pivot, delta_lo, delta_hi));
+        // `Search::pick` with nothing bound: the atom with the smaller
+        // estimated window goes first, a tie to atom 0.
+        let outer = usize::from(windows[1].size(rels[1]) < windows[0].size(rels[0]));
+        let (here, there, window) = (rels[outer], rels[1 - outer], windows[1 - outer]);
+        let mut emit = |r: u32, s: u32| {
+            let (r0, r1) = if outer == 0 { (r, s) } else { (s, r) };
+            f(r0, r1)
+        };
+        // `(position in atom outer, position in the other atom)`.
+        let sides = |&(p, q): &(u16, u16)| if outer == 0 { (p, q) } else { (q, p) };
+        for r in here.row_ids_in_window(windows[outer].lo, windows[outer].hi) {
+            // The other atom's candidates, as `Search::step` tries them:
+            // through join `k`, one with the fewest live rows (postings
+            // stay in row order, so which one only bounds the work), else
+            // its whole window.
+            let probe = |(k, j)| {
+                let (p, q) = sides(j);
+                (k, q, here.value_id_at(r, p))
+            };
+            let best = match shape.joins.as_slice() {
+                [] => None,
+                // One join: nothing to choose, so no posting is counted.
+                [j] => Some(probe((0, j))),
+                joins => joins
+                    .iter()
+                    .enumerate()
+                    .map(probe)
+                    .min_by_key(|&(k, q, id)| (there.count_with_id(q, id), k)),
+            };
+            let Some((k, q, id)) = best else {
+                for s in there.row_ids_in_window(window.lo, window.hi) {
+                    emit(r, s)?;
+                }
+                continue;
+            };
+            for s in there.rows_with_id(q, id) {
+                // The posting already agrees at join `k`.
+                if window.contains(there.epoch_of(s))
+                    && shape.joins.iter().enumerate().all(|(i, j)| {
+                        let (p, q) = sides(j);
+                        i == k || here.value_id_at(r, p) == there.value_id_at(s, q)
+                    })
+                {
+                    emit(r, s)?;
                 }
             }
         }
@@ -1036,23 +906,34 @@ mod tests {
         assert_eq!(count_seminaive(&atoms, &i, e2, u64::MAX), 0);
     }
 
-    /// A random relation `R` of arity 2–4 over small pools of constants
-    /// and nulls, filled across 3–5 epochs with some rows removed along
-    /// the way (tombstones and dead index postings), plus a random key
-    /// shape over it and the egd premise atoms `(premise, lhs, rhs)` it
-    /// describes.
-    fn random_keyed_relation(seed: u64) -> (Instance, KeyShape, Vec<Atom>, Var, Var) {
+    /// One or two random relations of arity 2–4 over small pools of
+    /// constants and nulls, filled across 3–5 epochs with some rows
+    /// removed along the way (tombstones and dead index postings), plus a
+    /// random two-atom premise of distinct variables over them with 0–2
+    /// joins at any positions.
+    fn random_pair_premise(seed: u64) -> (Instance, Vec<Atom>) {
         use rand::{Rng, SeedableRng, StdRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let arity = rng.gen_range(2u16..=4);
+        let names = if rng.gen_bool(0.5) {
+            &["R"][..]
+        } else {
+            &["R", "S"][..]
+        };
         let mut s = Schema::new();
-        let rel = s.add_relation("R", arity, Peer::Target);
+        let rels: Vec<(RelId, u16)> = names
+            .iter()
+            .map(|n| {
+                let arity = rng.gen_range(2u16..=4);
+                (s.add_relation(*n, arity, Peer::Target), arity)
+            })
+            .collect();
         let s = Arc::new(s);
         let pool = rng.gen_range(2u32..=4);
         let mut i = Instance::new(s.clone());
-        let mut inserted: Vec<Tuple> = Vec::new();
+        let mut inserted: Vec<(RelId, Tuple)> = Vec::new();
         for _ in 0..rng.gen_range(3u32..=5) {
             for _ in 0..rng.gen_range(0u32..=12) {
+                let (rel, arity) = rels[rng.gen_range(0..rels.len())];
                 let t = Tuple::new(
                     (0..arity)
                         .map(|_| {
@@ -1066,93 +947,79 @@ mod tests {
                         .collect::<Vec<_>>(),
                 );
                 i.insert(rel, t.clone());
-                inserted.push(t);
+                inserted.push((rel, t));
             }
             for _ in 0..rng.gen_range(0u32..=3) {
                 if !inserted.is_empty() {
-                    let t = inserted.swap_remove(rng.gen_range(0..inserted.len()));
+                    let (rel, t) = inserted.swap_remove(rng.gen_range(0..inserted.len()));
                     i.remove(rel, &t);
                 }
             }
             i.bump_epoch();
         }
-        let mut key: Vec<u16> = Vec::new();
-        for _ in 0..rng.gen_range(1..=2.min(arity - 1)) {
-            let free: Vec<u16> = (0..arity).filter(|p| !key.contains(p)).collect();
-            key.push(free[rng.gen_range(0..free.len())]);
+        // Atom 0 over one relation, atom 1 over the other (or the same).
+        let first = rng.gen_range(0..rels.len());
+        let on = [first, rels.len() - 1 - first].map(|k| (names[k], rels[k].1));
+        let mut vars: [Vec<String>; 2] = [0, 1].map(|a| {
+            (0..on[a].1)
+                .map(|p| format!("{}{p}", ["x", "y"][a]))
+                .collect()
+        });
+        let mut free: [Vec<usize>; 2] = [0, 1].map(|a| (0..usize::from(on[a].1)).collect());
+        for _ in 0..rng.gen_range(0..=2usize) {
+            let p = free[0].swap_remove(rng.gen_range(0..free[0].len()));
+            let q = free[1].swap_remove(rng.gen_range(0..free[1].len()));
+            vars[1][q] = vars[0][p].clone();
         }
-        key.sort_unstable();
-        let non_key: Vec<u16> = (0..arity).filter(|p| !key.contains(p)).collect();
-        let equated = non_key[rng.gen_range(0..non_key.len())];
-        let atom = |copy: &str| {
-            let names: Vec<String> = (0..arity)
-                .map(|p| {
-                    if key.contains(&p) {
-                        format!("k{p}")
-                    } else {
-                        format!("{copy}{p}")
-                    }
-                })
-                .collect();
-            let names: Vec<&str> = names.iter().map(String::as_str).collect();
-            Atom::vars(&s, "R", &names)
-        };
-        let mut premise = vec![atom("a"), atom("b")];
-        if rng.gen_bool(0.5) {
-            premise.swap(0, 1);
-        }
-        let lhs_in_first = rng.gen_bool(0.5);
-        let var_at = |a: &Atom| match a.terms[equated as usize] {
-            Term::Var(v) => v,
-            Term::Const(_) => unreachable!("premise atoms hold only variables"),
-        };
-        let (first, second) = (var_at(&premise[0]), var_at(&premise[1]));
-        let (lhs, rhs) = if lhs_in_first {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let shape = KeyShape {
-            rel,
-            key,
-            equated,
-            lhs_in_first,
-        };
-        (i, shape, premise, lhs, rhs)
+        let atoms = [0, 1]
+            .map(|a| {
+                let v: Vec<&str> = vars[a].iter().map(String::as_str).collect();
+                Atom::vars(&s, on[a].0, &v)
+            })
+            .to_vec();
+        (i, atoms)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
         #[test]
-        fn key_pair_pass_replays_the_seminaive_hom_order(
+        fn pair_pass_replays_the_seminaive_hom_order(
             seed in 0u64..1 << 40,
             window in (0u64..=6, 0u64..=7, 0u8..4),
             limit in 0usize..24,
         ) {
-            let (i, shape, premise, lhs, rhs) = random_keyed_relation(seed);
+            let (i, premise) = random_pair_premise(seed);
+            let shape = PairShape::of(&premise).expect("a premise of distinct variables");
             let (lo, width, open) = window;
             // Random windows, `lo = 0` and an unbounded top included.
             let hi = if open == 0 { u64::MAX } else { lo + width };
-            // Both enumerations with the same early break after `limit`
-            // pairs (a limit past the end never breaks).
+            // Both enumerations as row pairs, with the same early break
+            // after `limit` pairs (a limit past the end never breaks).
+            let row = |a: usize, h: &Assignment| {
+                let ids: Vec<ValueId> = premise[a]
+                    .terms
+                    .iter()
+                    .map(|t| ValueId::pack(h.eval(t).unwrap()))
+                    .collect();
+                i.relation(premise[a].rel).find_ids(&ids).unwrap()
+            };
             let mut want = Vec::new();
             let want_flow = for_each_hom_seminaive(&premise, &i, &Assignment::new(), lo, hi, |h| {
-                want.push((h.get(lhs).unwrap(), h.get(rhs).unwrap()));
+                want.push((row(0, h), row(1, h)));
                 if want.len() == limit {
                     return ControlFlow::Break(());
                 }
                 ControlFlow::Continue(())
             });
             let mut got = Vec::new();
-            let got_flow =
-                for_each_key_pair_seminaive(i.relation(shape.rel), &shape, lo, hi, |l, r| {
-                    got.push((l, r));
-                    if got.len() == limit {
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                });
+            let got_flow = for_each_pair_seminaive(&i, &shape, lo, hi, |r0, r1| {
+                got.push((r0, r1));
+                if got.len() == limit {
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            });
             proptest::prop_assert_eq!(&got, &want, "{:?} window [{}, {})", shape, lo, hi);
             proptest::prop_assert_eq!(got_flow, want_flow);
         }

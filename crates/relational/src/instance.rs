@@ -180,6 +180,28 @@ impl Instance {
         self.relation_mut(rel).insert_ids_at(ids, epoch)
     }
 
+    /// Open a new epoch and copy into it, as packed ids, every live row of
+    /// `src` in the relations `rels` stamped at or after `since`; returns
+    /// the new epoch — the watermark a delta chase of the spliced rows
+    /// starts from.
+    pub fn splice_since(
+        &mut self,
+        src: &Instance,
+        rels: impl IntoIterator<Item = RelId>,
+        since: u64,
+    ) -> u64 {
+        let watermark = self.bump_epoch();
+        for rel in rels {
+            let _ = src
+                .relation(rel)
+                .for_each_row_in_window(since, u64::MAX, &mut |_, ids| {
+                    self.insert_ids(rel, ids);
+                    ControlFlow::Continue(())
+                });
+        }
+        watermark
+    }
+
     /// Membership test for a fact.
     pub fn contains(&self, rel: RelId, t: &Tuple) -> bool {
         self.relations[rel.index()].contains(t)

@@ -36,9 +36,8 @@ pub mod value;
 pub use atom::{Atom, Conjunction, Term, Var};
 pub use hom::{
     all_homs, exists_hom, find_hom, first_expanded_atom, for_each_hom, for_each_hom_seminaive,
-    for_each_hom_since, for_each_key_pair_seminaive, for_each_pair_since, instance_as_atoms,
-    instance_hom, instance_hom_exists, instances_isomorphic, scan_order_key, Assignment, KeyShape,
-    PairShape,
+    for_each_pair_seminaive, instance_as_atoms, instance_hom, instance_hom_exists,
+    instances_isomorphic, scan_order_key, Assignment, PairShape,
 };
 pub use instance::StorageStats;
 pub use instance::{Instance, Savepoint};

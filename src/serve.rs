@@ -778,17 +778,8 @@ fn refresh_chased(
             // epoch into the fixpoint at a fresh watermark, then chase
             // only off that delta.
             state.counters.incremental_rechases += 1;
-            let watermark = instance.bump_epoch();
-            for rel in state.base.schema().rel_ids() {
-                let _ = state.base.relation(rel).for_each_row_in_window(
-                    from + 1,
-                    u64::MAX,
-                    &mut |_, ids| {
-                        instance.insert_ids(rel, ids);
-                        ControlFlow::Continue(())
-                    },
-                );
-            }
+            let watermark =
+                instance.splice_since(&state.base, state.base.schema().rel_ids(), from + 1);
             (instance, demand, gen, watermark)
         }
         None => {

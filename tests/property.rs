@@ -264,25 +264,25 @@ proptest! {
             ControlFlow::Continue(())
         });
         prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
-        // The row-pair probe finds exactly the delta search's matches.
+        // The row-pair probe yields the delta search's matches, in its
+        // order.
         let Some(shape) = pde_relational::PairShape::of(&atoms) else {
             return Ok(());
         };
         let swap = pde_relational::first_expanded_atom(&atoms, &inst) == Some(1);
         for since in 0..=inst.current_epoch() {
             let mut want = Vec::new();
-            let _ = pde_relational::for_each_hom_since(&atoms, &inst, &none, since, |h| {
+            let all = u64::MAX;
+            let _ = pde_relational::for_each_hom_seminaive(&atoms, &inst, &none, since, all, |h| {
                 let (a, b) = pde_relational::scan_order_key(&atoms, &inst, h).unwrap();
                 want.push(if swap { (b, a) } else { (a, b) });
                 ControlFlow::Continue(())
             });
             let mut got = Vec::new();
-            let _ = pde_relational::for_each_pair_since(&inst, &shape, since, |r0, r1| {
+            let _ = pde_relational::for_each_pair_seminaive(&inst, &shape, since, all, |r0, r1| {
                 got.push((r0, r1));
                 ControlFlow::Continue(())
             });
-            want.sort_unstable();
-            got.sort_unstable();
             prop_assert_eq!(got, want, "since {}", since);
         }
     }
@@ -677,8 +677,8 @@ proptest! {
     ) {
         // Keyed data exchange: Σst fills T(a, b, i, o) with nulls for `i`
         // (and for `o` on annotation-only keys), and Σt holds the key egds
-        // `key → i` and `key → o` — the shape the semi-naive engine
-        // discovers by key-column probes. The columns are permuted, the
+        // `key → i` and `key → o` — keys, which the semi-naive engine
+        // discovers by row-pair probes. The columns are permuted, the
         // key has one or two columns, and every egd picks its own atom
         // order and orientation. About one source fact in four gives its
         // key a second organism, so some chases fail.
@@ -714,7 +714,7 @@ proptest! {
         );
         let deps = parse_dependencies(&schema, &src_deps).unwrap();
         prop_assert!(
-            deps.iter().filter_map(Dependency::as_egd).all(|e| e.key_shape().is_some()),
+            deps.iter().filter_map(Dependency::as_egd).all(|e| e.pair_shape().is_some()),
             "{src_deps}"
         );
         let mut src = String::new();
@@ -725,6 +725,71 @@ proptest! {
                 src.push_str(&format!("S(k{a}, k{b}, o{o}). "));
             } else {
                 src.push_str(&format!("Q(k{a}, k{b}, g{v}). "));
+            }
+        }
+        let input = parse_instance(&schema, &src).unwrap();
+        let naive = pde_chase::chase_governed_with(
+            input.clone(),
+            &deps,
+            pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
+            ChaseLimits::default(), pde_chase::ChaseEngine::Naive, &Governor::unlimited()
+        );
+        let semi = pde_chase::chase_governed_with(
+            input,
+            &deps,
+            pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
+            ChaseLimits::default(), pde_chase::ChaseEngine::Seminaive, &Governor::unlimited()
+        );
+        prop_assert_eq!(&naive.outcome, &semi.outcome, "{} / {}", src_deps, src);
+        if naive.is_success() {
+            prop_assert!(pde_chase::satisfies_all(&semi.instance, &deps));
+            prop_assert!(
+                pde_relational::instance_hom_exists(&naive.instance, &semi.instance),
+                "naive result maps into semi-naive result: {src_deps} / {src}"
+            );
+            prop_assert!(
+                pde_relational::instance_hom_exists(&semi.instance, &naive.instance),
+                "semi-naive result maps into naive result: {src_deps} / {src}"
+            );
+        }
+    }
+
+    #[test]
+    fn naive_and_seminaive_agree_on_pair_egds(
+        facts in prop::collection::vec((0u32..2, 0u32..3, 0u32..3), 0..=10),
+        orient in 0u32..64,
+    ) {
+        // Two-atom egds that are not keys take the same row-pair probe as
+        // keys: the §4 boundary's consistency egd, whose shared variable
+        // sits at different positions, and a join of P with a second
+        // relation L that copies source constants, so a node with two
+        // C-values fails the chase. Every egd picks its own atom order and
+        // orientation.
+        let egd = |bits: u32, t1: &str, t2: &str, v1: &str, v2: &str| {
+            let (first, second) = if bits & 1 == 0 { (t1, t2) } else { (t2, t1) };
+            let (lhs, rhs) = if bits & 2 == 0 { (v1, v2) } else { (v2, v1) };
+            format!("{first}, {second} -> {lhs} = {rhs}")
+        };
+        let src_deps = format!(
+            "D(x, y) -> exists z, w . P(x, z, y, w); C(x, v) -> L(x, v); {}; {}; {}",
+            egd(orient, "P(x, z, y, w)", "P(x, z2, y2, w2)", "z", "z2"),
+            egd(orient >> 2, "P(x, z, y, w)", "P(y, z2, y2, w2)", "w", "z2"),
+            egd(orient >> 4, "P(x, z, y, w)", "L(y, v)", "w", "v"),
+        );
+        let schema = std::sync::Arc::new(
+            parse_schema("source D/2; source C/2; target P/4; target L/2;").unwrap(),
+        );
+        let deps = parse_dependencies(&schema, &src_deps).unwrap();
+        prop_assert!(
+            deps.iter().filter_map(Dependency::as_egd).all(|e| e.pair_shape().is_some()),
+            "{src_deps}"
+        );
+        let mut src = String::new();
+        for (kind, a, b) in &facts {
+            if *kind == 0 {
+                src.push_str(&format!("D(k{a}, k{b}). "));
+            } else {
+                src.push_str(&format!("C(k{a}, c{b}). "));
             }
         }
         let input = parse_instance(&schema, &src).unwrap();

@@ -171,13 +171,19 @@ fn golden_span_sequence_for_seminaive_chase() {
 
 #[test]
 fn egd_merge_spans_name_their_discovery_path() {
-    // The §4 egd boundary: its first egd is a key (x → z) and takes the
-    // key-column pass, with no nested `hom.search`; its second egd shares
-    // `y` at different positions and takes the generic search.
+    // The §4 egd boundary: its key egd (x → z) and its consistency egd
+    // (sharing `y` at different positions) are two-atom premises of
+    // distinct variables and take the row-pair pass, with no nested
+    // `hom.search`. An appended three-atom egd (implied by the consistency
+    // egd, so the chase is unchanged) takes the generic search.
     let _guard = lock_sink();
     let p = boundary::egd_boundary_setting();
     let input = parse_instance(p.schema(), "D(a, b). D(b, a). D(a, c).").unwrap();
-    let deps = forward_deps(&p);
+    let mut deps = forward_deps(&p);
+    let chain = "P(x, z, y, w), P(y, z2, y2, w2), P(y2, z3, y3, w3) -> w2 = z3";
+    deps.push(Dependency::Egd(
+        pde_constraints::parse_egd(p.schema(), chain).unwrap(),
+    ));
     let gen = NullGen::new();
     let spans = collect_spans(|| {
         let res = chase_governed_with(
@@ -199,11 +205,11 @@ fn egd_merge_spans_name_their_discovery_path() {
     let mut hom_paths = 0;
     for s in spans.iter().filter(|s| s.name == "egd.merge") {
         let dep = usize::try_from(u64_field(s, "dep").unwrap()).unwrap();
-        let key = deps[dep].as_egd().unwrap().key_shape().is_some();
-        assert_eq!(dep == 1, key, "dep {dep}");
+        let pair = deps[dep].as_egd().unwrap().pair_shape().is_some();
+        assert_eq!(dep < 3, pair, "dep {dep}");
         let path = path_of(s).unwrap();
-        assert_eq!(path, if key { "key" } else { "hom" });
-        hom_paths += usize::from(!key);
+        assert_eq!(path, if pair { "pair" } else { "hom" });
+        hom_paths += usize::from(!pair);
     }
     assert!(hom_paths > 0);
     let triggers = spans.iter().filter(|s| s.name == "chase.trigger").count();

@@ -20,7 +20,7 @@ pub mod tgd;
 pub use classify::{classify, CtractReport, CtractViolation};
 pub use depgraph::{chase_bound, is_weakly_acyclic, ChaseBound, DependencyGraph, Edge};
 pub use disjunctive::{Disjunct, DisjunctiveTgd};
-pub use egd::{functional_dependency, Egd};
+pub use egd::{functional_dependency, Egd, EgdPair};
 pub use marking::Marking;
 pub use parser::{
     parse_dependencies, parse_dependencies_spanned, parse_dependency,

@@ -10,12 +10,20 @@
 //! solution exists **iff** some constant-preserving image of `J_can`
 //! satisfies Σts — a search over assignments of the nulls of `J_can`.
 //!
-//! **Search space.** Each null maps to a constant of `adom(I)` or stays a
-//! null (`Keep`). Values outside `adom(I)` are interchangeable with `Keep`:
-//! a Σts conclusion can only be witnessed inside `I`, so a non-`adom(I)`
-//! value can never help, and merging nulls only fires *more* premises.
-//! This makes the space finite: `(|adom(I)| + 1)^{#nulls}`, matching the
-//! NP upper bound of Theorem 1 (for Σt = ∅).
+//! **Search space.** A null that occurs at a position the Σts column
+//! domains constrain ([`crate::domain`]) maps only to a constant of the
+//! intersection of its positions' domains. Every other null maps to a
+//! constant of `adom(I)` or stays a null (`Keep`). A value outside
+//! `adom(I)` would never do better than `Keep`: a Σts conclusion can only
+//! be witnessed inside `I`, and merging nulls only fires *more* premises.
+//! At a constrained position even `Keep` cannot hold: `h(J_can)` is a
+//! solution, so the Lemma 3 image `h(n)` of a null `n` there is a constant
+//! of a projection `π_j(S^I) ⊆ adom(I)`, hence of the domain — a null
+//! there could never satisfy the Σts tgd, because `I` is ground. The
+//! branch that follows `h` is therefore kept, and the space stays finite:
+//! at most `(|adom(I)| + 1)^{#nulls}`, matching the NP upper bound of
+//! Theorem 1 (for Σt = ∅). Nulls are assigned in order of first
+//! occurrence in `J_can`; constants are tried in name order.
 //!
 //! **Pruning.** A Σts violation whose premise match uses only *determined*
 //! facts (facts whose nulls are all assigned) is permanent — later
@@ -28,6 +36,7 @@
 //! everything above goes through verbatim with "some disjunct extendable
 //! into `I`" as the satisfaction test.
 
+use crate::domain::{by_name, column_domains, Position};
 use crate::setting::PdeSetting;
 use crate::solver::SolveError;
 use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine};
@@ -37,7 +46,7 @@ use pde_relational::{
     Term, Tuple, Value,
 };
 use pde_runtime::{Governor, StopReason};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -223,14 +232,10 @@ pub fn for_each_solution(
 
 struct SearchCtx<'a, F> {
     problem: &'a DisjunctiveProblem,
-    /// Nulls of `J_can` in assignment order.
-    nulls: Vec<NullId>,
-    /// Candidate constants: the source active domain of `I`.
-    candidates: Vec<Value>,
+    /// The nulls of `J_can` in assignment order.
+    steps: &'a [NullStep],
     /// The target facts of `J_can`, with their null inventories.
     facts: Vec<FactState>,
-    /// For each null, the facts it occurs in.
-    occurrences: HashMap<NullId, Vec<usize>, FxBuildHasher>,
     /// Current assignment (`Keep` = maps to its own null value).
     assigned: HashMap<NullId, Value, FxBuildHasher>,
     /// The determined instance: `I` plus the images of determined facts.
@@ -284,44 +289,70 @@ pub(crate) fn search_chased(
     governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
 ) -> Result<SearchStats, SolveError> {
-    // Collect target facts and their nulls.
+    // Collect target facts, their nulls (first occurrence order, by id
+    // within a fact), and the positions each null occurs at.
     let mut facts: Vec<FactState> = Vec::new();
-    let mut occurrences: HashMap<NullId, Vec<usize>, FxBuildHasher> = HashMap::default();
-    let mut null_order: Vec<NullId> = Vec::new();
-    let mut seen: BTreeSet<NullId> = BTreeSet::new();
+    let mut steps: Vec<NullStep> = Vec::new();
+    let mut positions: Vec<Vec<Position>> = Vec::new();
+    let mut step_of: HashMap<NullId, usize, FxBuildHasher> = HashMap::default();
     for (rel, t) in jcan_combined.facts_of(Peer::Target) {
-        let nulls: Vec<NullId> = {
-            let mut ns: Vec<NullId> = t.nulls().collect();
-            ns.sort_unstable();
-            ns.dedup();
-            ns
-        };
         let idx = facts.len();
-        for n in &nulls {
-            occurrences.entry(*n).or_default().push(idx);
-            if seen.insert(*n) {
-                null_order.push(*n);
+        let mut nulls: Vec<(NullId, usize)> = t
+            .values()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.as_null().map(|n| (n, i)))
+            .collect();
+        nulls.sort_unstable();
+        let mut unassigned = 0;
+        for (n, i) in nulls {
+            let s = *step_of.entry(n).or_insert_with(|| {
+                steps.push(NullStep {
+                    null: n,
+                    options: Vec::new(),
+                    occurrences: Vec::new(),
+                });
+                positions.push(Vec::new());
+                steps.len() - 1
+            });
+            positions[s].push((rel, i));
+            if steps[s].occurrences.last() != Some(&idx) {
+                steps[s].occurrences.push(idx);
+                unassigned += 1;
             }
         }
         facts.push(FactState {
             rel,
             tuple: t,
-            unassigned: nulls.len(),
+            unassigned,
         });
     }
 
-    let candidates: Vec<Value> = input
-        .active_domain_of(Peer::Source)
-        .into_iter()
-        .filter(Value::is_const)
-        .collect();
+    // Each null's options: its domain at a constrained position, else
+    // `Keep` (smallest solutions first) and then every source constant.
+    let candidates = by_name(
+        input
+            .active_domain_of(Peer::Source)
+            .into_iter()
+            .filter(Value::is_const),
+    );
+    let domains = column_domains(
+        &problem.sigma_ts,
+        input,
+        positions.iter().flatten().copied(),
+    );
+    for (step, pos) in steps.iter_mut().zip(positions) {
+        step.options = domains.meet(pos).unwrap_or_else(|| {
+            std::iter::once(Value::Null(step.null))
+                .chain(candidates.iter().copied())
+                .collect()
+        });
+    }
 
     let mut ctx = SearchCtx {
         problem,
-        nulls: null_order,
-        candidates,
+        steps: &steps,
         facts,
-        occurrences,
         assigned: HashMap::default(),
         determined: input.restrict(Peer::Source),
         refcount: HashMap::default(),
@@ -331,7 +362,7 @@ pub(crate) fn search_chased(
         stopped: None,
         _input: input,
     };
-    ctx.stats.null_count = ctx.nulls.len();
+    ctx.stats.null_count = ctx.steps.len();
     ctx.stats.jcan_facts = ctx.facts.len();
 
     // Seed the determined instance with the ground target facts of J_can
@@ -363,6 +394,16 @@ struct FactState {
     rel: RelId,
     tuple: Tuple,
     unassigned: usize,
+}
+
+/// One null of `J_can`: the values it is tried with and the facts it
+/// occurs in, both fixed for the whole search.
+struct NullStep {
+    null: NullId,
+    /// The values tried, in order; `Value::Null(null)` is `Keep`.
+    options: Vec<Value>,
+    /// Indices into `SearchCtx::facts`, each once.
+    occurrences: Vec<usize>,
 }
 
 impl<F: FnMut(&Instance) -> ControlFlow<()>> SearchCtx<'_, F> {
@@ -463,7 +504,7 @@ impl<F: FnMut(&Instance) -> ControlFlow<()>> SearchCtx<'_, F> {
             self.stopped = Some(reason);
             return NodeResult::Stop;
         }
-        if depth == self.nulls.len() {
+        if depth == self.steps.len() {
             // All facts determined and checked: the determined target part
             // plus `I` is a solution. Hand it to the sink.
             self.stats.candidates_checked += 1;
@@ -489,17 +530,12 @@ impl<F: FnMut(&Instance) -> ControlFlow<()>> SearchCtx<'_, F> {
                 ControlFlow::Continue(()) => NodeResult::Continue,
             };
         }
-        let n = self.nulls[depth];
-        // Candidate order: Keep first (smallest solutions first), then the
-        // source constants.
-        let mut options: Vec<Value> = Vec::with_capacity(self.candidates.len() + 1);
-        options.push(Value::Null(n));
-        options.extend(self.candidates.iter().copied());
-        let occ = self.occurrences.get(&n).cloned().unwrap_or_default();
-        for val in options {
+        let step = &self.steps[depth];
+        let n = step.null;
+        for &val in &step.options {
             self.assigned.insert(n, val);
             let mut newly: Vec<usize> = Vec::new();
-            for &fi in &occ {
+            for &fi in &step.occurrences {
                 self.facts[fi].unassigned -= 1;
                 if self.facts[fi].unassigned == 0 {
                     newly.push(fi);
@@ -524,7 +560,7 @@ impl<F: FnMut(&Instance) -> ControlFlow<()>> SearchCtx<'_, F> {
             for &fi in newly.iter().take(inserted) {
                 self.remove_determined(fi);
             }
-            for &fi in &occ {
+            for &fi in &step.occurrences {
                 self.facts[fi].unassigned += 1;
             }
             self.assigned.remove(&n);
@@ -755,6 +791,30 @@ mod tests {
         let err =
             solve_governed(&p, &input, pde_chase::default_chase_engine(), &governor).unwrap_err();
         assert!(matches!(err, SolveError::Stopped(StopReason::Cancelled)));
+    }
+
+    #[test]
+    fn a_constrained_null_takes_only_its_domain_and_no_keep() {
+        // The null of T's second column is constrained by both Σts tgds:
+        // A's column meets B's in `b` alone.
+        let p = PdeSetting::parse(
+            "source S/1; source A/1; source B/1; target T/2;",
+            "S(x) -> exists y . T(x, y)",
+            "T(x, y) -> A(y); T(u, v) -> B(v)",
+            "",
+        )
+        .unwrap();
+        let input = parse_instance(p.schema(), "S(s). A(a). A(b). B(b). B(c).").unwrap();
+        let out = solve(&p, &input).unwrap();
+        assert!(out.exists);
+        assert!(out.witness.unwrap().is_ground());
+        // The root and its one child; no other option was tried.
+        assert_eq!((out.stats.nodes, out.stats.prunes), (2, 0));
+        // No common value: the null has no option at all.
+        let input = parse_instance(p.schema(), "S(s). A(a). B(c).").unwrap();
+        let out = solve(&p, &input).unwrap();
+        assert!(!out.exists);
+        assert_eq!((out.stats.nodes, out.stats.prunes), (1, 0));
     }
 
     #[test]

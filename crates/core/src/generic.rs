@@ -3,12 +3,24 @@
 //! Theorem 1.
 //!
 //! The solver runs a *nondeterministic-witness chase*: whenever a tgd of
-//! Σst ∪ Σt fires, each existential variable branches over every value of
-//! the current active domain **plus one fresh null**. This search space is
-//! complete by the solution-aware chase argument (Lemma 2): for any
-//! solution `J'`, the branch that picks exactly `J'`'s witnesses — with
-//! values outside the active domain represented by fresh nulls — reaches a
-//! leaf that is itself a solution and maps homomorphically into `J'`.
+//! Σst ∪ Σt fires, each existential variable branches over a finite set of
+//! values. An existential that occurs at a position the Σts column domains
+//! constrain ([`crate::domain`]) takes only the constants of the
+//! intersection of its positions' domains. Every other existential takes
+//! every value of the current active domain **plus one fresh null**.
+//! Constants are tried in name order, then nulls, and existentials in the
+//! order they first occur in the conclusion, so the tree does not depend
+//! on the order in which the process interned its constants.
+//!
+//! This search space is complete by the solution-aware chase argument
+//! (Lemma 2): for any solution `J'`, the branch that picks exactly `J'`'s
+//! witnesses — with values outside the active domain represented by fresh
+//! nulls — reaches a leaf that is itself a solution and maps
+//! homomorphically into `J'`. The domains keep that branch. At a
+//! constrained position `J'`'s witness is a constant of a projection
+//! `π_j(S^I) ⊆ adom(I) ⊆ adom(K)`, so it lies in the domain and the branch
+//! picks it as itself. A null there could never satisfy the Σts tgd,
+//! because `I` is ground, so the branch never needs one.
 //! Target egds are applied deterministically (they are forced); a
 //! constant/constant conflict kills the branch.
 //!
@@ -60,13 +72,15 @@
 //!   resumes the scan where its parent stopped. Σt tgds read the target
 //!   and keep the full scan.
 
+use crate::domain::{by_name, column_domains, ColumnDomains, Position};
 use crate::setting::PdeSetting;
 use crate::solver::SolveError;
 use pde_chase::{find_egd_violation, find_tgd_violation, null_gen_for};
-use pde_constraints::{Egd, EgdPair, Tgd};
+use pde_constraints::{DisjunctiveTgd, Egd, EgdPair, Tgd};
 use pde_relational::{
     all_homs, exists_hom, first_expanded_atom, for_each_hom_seminaive, for_each_pair_seminaive,
-    is_identifier, scan_order_key, Assignment, Instance, NullGen, NullId, Peer, Tuple, Value, Var,
+    is_identifier, scan_order_key, Assignment, Atom, Instance, NullGen, NullId, Peer, Term, Tuple,
+    Value, Var,
 };
 use pde_runtime::{Governor, StopReason};
 use std::collections::{HashMap, HashSet};
@@ -78,9 +92,10 @@ use std::ops::ControlFlow;
 pub struct GenericLimits {
     /// Maximum number of search nodes to expand.
     pub max_nodes: usize,
-    /// Maximum number of *active-domain* values tried per existential
-    /// variable when branching (the one fresh null is always tried on
-    /// top). When this truncates the branch set, an unsuccessful search
+    /// Maximum number of values tried per existential variable when
+    /// branching: the first ones of its column domain at a constrained
+    /// position, else of the active domain (with the one fresh null tried
+    /// on top). When this truncates the branch set, an unsuccessful search
     /// reports `Unknown` rather than `NoSolution` — completeness needs
     /// every branch.
     pub max_branches: usize,
@@ -248,11 +263,28 @@ fn run(
     // eagerly exposes Σts violations before the search commits to further
     // existential witness choices.
     let schema = setting.schema();
-    let mut forward: Vec<Forward<'_>> = setting
+    let tgds: Vec<&Tgd> = setting
         .sigma_st()
         .iter()
         .chain(setting.target_tgds())
-        .map(|tgd| {
+        .collect();
+    let sigma_ts: Vec<DisjunctiveTgd> = setting
+        .sigma_ts()
+        .iter()
+        .map(DisjunctiveTgd::from_tgd)
+        .collect();
+    let domains = column_domains(
+        &sigma_ts,
+        input,
+        tgds.iter().flat_map(|t| {
+            t.existentials
+                .iter()
+                .flat_map(|&z| positions_of(&t.conclusion.atoms, z))
+        }),
+    );
+    let mut forward: Vec<Forward<'_>> = tgds
+        .iter()
+        .map(|&tgd| {
             let reads_source = tgd
                 .premise
                 .atoms
@@ -262,10 +294,26 @@ fn run(
                 tgd,
                 source_matches: reads_source
                     .then(|| all_homs(&tgd.premise.atoms, input, &Assignment::new())),
+                witnesses: witness_domains(tgd, &domains),
             }
         })
         .collect();
     forward.sort_by_key(|f| usize::from(!f.tgd.is_full()));
+    // The rank table of the active-domain branches: every constant a node
+    // can hold comes from the input or from a forward conclusion.
+    let constants = by_name(
+        input
+            .active_domain()
+            .into_iter()
+            .chain(tgds.iter().flat_map(|t| {
+                t.conclusion.atoms.iter().flat_map(|a| {
+                    a.terms.iter().filter_map(|term| match term {
+                        Term::Const(c) => Some(Value::Const(*c)),
+                        Term::Var(_) => None,
+                    })
+                })
+            })),
+    );
     let egds: Vec<EgdCheck<'_>> = setting.target_egds().map(EgdCheck::new).collect();
     // Conclusion-relevant variables of each ts tgd: premise variables that
     // reappear in the conclusion. A violating match is permanent when the
@@ -279,7 +327,8 @@ fn run(
     let cursors = vec![0; forward.len()];
     let mut ctx = Ctx {
         setting,
-        forward,
+        forward: &forward,
+        constants,
         egds,
         ts_relevant,
         gen,
@@ -315,6 +364,35 @@ struct Forward<'a> {
     /// premise matches, in `for_each_hom` order. The search never writes
     /// the source, so the list is the same at every node.
     source_matches: Option<Vec<Assignment>>,
+    /// The existentials in the order they first occur in the conclusion,
+    /// each with its column domain (`None`: unconstrained).
+    witnesses: Vec<(Var, Option<Vec<Value>>)>,
+}
+
+/// The positions of `atoms` that hold the variable `z`.
+fn positions_of(atoms: &[Atom], z: Var) -> impl Iterator<Item = Position> + '_ {
+    atoms.iter().flat_map(move |a| {
+        a.terms
+            .iter()
+            .enumerate()
+            .filter(move |(_, t)| **t == Term::Var(z))
+            .map(move |(i, _)| (a.rel, i))
+    })
+}
+
+/// `tgd`'s existentials in first-occurrence order, with the meet of the
+/// domains of the positions each one occupies.
+fn witness_domains(tgd: &Tgd, domains: &ColumnDomains) -> Vec<(Var, Option<Vec<Value>>)> {
+    let mut order: Vec<Var> = Vec::new();
+    for z in tgd.conclusion.atoms.iter().flat_map(Atom::var_occurrences) {
+        if tgd.existentials.contains(&z) && !order.contains(&z) {
+            order.push(z);
+        }
+    }
+    order
+        .into_iter()
+        .map(|z| (z, domains.meet(positions_of(&tgd.conclusion.atoms, z))))
+        .collect()
 }
 
 /// A constant/constant egd violation: the node fails.
@@ -424,7 +502,9 @@ fn close_egds(egds: &[EgdCheck<'_>], k: &mut Instance, since: u64) -> bool {
 
 struct Ctx<'a, F> {
     setting: &'a PdeSetting,
-    forward: Vec<Forward<'a>>,
+    forward: &'a [Forward<'a>],
+    /// Every constant a node can hold, in name order.
+    constants: Vec<Value>,
     egds: Vec<EgdCheck<'a>>,
     /// Conclusion-relevant premise variables, indexed like `sigma_ts()`.
     ts_relevant: Vec<Vec<Var>>,
@@ -490,7 +570,7 @@ impl<'a, F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'a, F> {
 
         // 4. Find a forward-tgd violation to branch on.
         let mut cursors = cursors.to_vec();
-        let Some((tgd, h)) = self.find_trigger(k, &mut cursors) else {
+        let Some((f, h)) = self.find_trigger(k, &mut cursors) else {
             // Leaf: Σst and Σt hold; success iff Σts holds.
             self.stats.candidates_checked += 1;
             let ts_ok = self
@@ -508,30 +588,47 @@ impl<'a, F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'a, F> {
         };
 
         // 5. Branch over witness choices: each existential independently
-        // takes any active-domain value or a fresh null.
-        let exvars: Vec<Var> = tgd.existentials.iter().copied().collect();
-        let adom: Vec<Value> = k.active_domain().into_iter().collect();
-        // The branch-width budget caps how many active-domain values each
-        // existential tries; skipping any makes the subtree incomplete, so
-        // the whole search degrades to Truncated (never a false
-        // NoSolution).
-        let tried = adom.len().min(self.limits.max_branches);
-        let fresh: Vec<Value> = exvars
+        // takes a value of its column domain, or else any active-domain
+        // value or a fresh null.
+        let adom = if f.witnesses.iter().any(|(_, d)| d.is_none()) {
+            self.branch_adom(k)
+        } else {
+            Vec::new()
+        };
+        // The branch-width budget caps how many values each existential
+        // tries; skipping any makes the subtree incomplete, so the whole
+        // search degrades to Truncated (never a false NoSolution).
+        let mut truncated = false;
+        let options: Vec<Vec<Value>> = f
+            .witnesses
             .iter()
-            .map(|_| Value::Null(self.gen.fresh()))
+            .map(|(_, dom)| {
+                let (list, fresh) = match dom {
+                    Some(d) => (d.as_slice(), None),
+                    None => (adom.as_slice(), Some(Value::Null(self.gen.fresh()))),
+                };
+                let tried = list.len().min(self.limits.max_branches);
+                truncated |= tried < list.len();
+                list[..tried].iter().copied().chain(fresh).collect()
+            })
             .collect();
-        let mut truncated = !exvars.is_empty() && tried < adom.len();
-        let mut choice = vec![0usize; exvars.len()];
+        let done = |truncated: bool| {
+            if truncated {
+                SearchFlow::Truncated
+            } else {
+                SearchFlow::Exhausted
+            }
+        };
+        if options.iter().any(Vec::is_empty) {
+            // An empty domain: no witness can satisfy Σts.
+            return done(truncated);
+        }
+        let mut choice = vec![0usize; options.len()];
         loop {
             // Materialize this choice.
             let mut ext = h.clone();
-            for (i, v) in exvars.iter().enumerate() {
-                let val = if choice[i] < tried {
-                    adom[choice[i]]
-                } else {
-                    fresh[i]
-                };
-                ext.bind(*v, val);
+            for ((z, _), (opts, &c)) in f.witnesses.iter().zip(options.iter().zip(&choice)) {
+                ext.bind(*z, opts[c]);
             }
             // Fault-injection points: firing a branch is the search's
             // analogue of a chase trigger/allocation.
@@ -542,7 +639,7 @@ impl<'a, F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'a, F> {
             }
             let sp = k.savepoint();
             let child_since = k.bump_epoch();
-            for atom in &tgd.conclusion.atoms {
+            for atom in &f.tgd.conclusion.atoms {
                 let vals = atom
                     .ground(&|v| ext.get(v))
                     .expect("conclusion fully bound: ext extends the premise hom with witnesses for every existential");
@@ -555,39 +652,47 @@ impl<'a, F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'a, F> {
                 SearchFlow::Truncated => truncated = true,
                 SearchFlow::Exhausted => {}
             }
-            // Advance the mixed-radix counter (adom values + 1 fresh each).
+            // Advance the mixed-radix counter; a full tgd has one (empty)
+            // choice.
             let mut pos = 0;
             loop {
-                if pos == exvars.len() {
-                    return if truncated {
-                        SearchFlow::Truncated
-                    } else {
-                        SearchFlow::Exhausted
-                    };
+                if pos == choice.len() {
+                    return done(truncated);
                 }
                 choice[pos] += 1;
-                if choice[pos] <= tried {
+                if choice[pos] < options[pos].len() {
                     break;
                 }
                 choice[pos] = 0;
                 pos += 1;
             }
-            if exvars.is_empty() {
-                // Full tgd: a single (empty) choice.
-                return if truncated {
-                    SearchFlow::Truncated
-                } else {
-                    SearchFlow::Exhausted
-                };
-            }
         }
+    }
+
+    /// The active domain of `k` as the branches try it: constants in name
+    /// order, then nulls.
+    fn branch_adom(&self, k: &Instance) -> Vec<Value> {
+        let adom = k.active_domain();
+        let out: Vec<Value> = self
+            .constants
+            .iter()
+            .copied()
+            .filter(|c| adom.contains(c))
+            .chain(adom.iter().copied().filter(Value::is_null))
+            .collect();
+        debug_assert_eq!(out.len(), adom.len(), "every constant is ranked");
+        out
     }
 
     /// The first violated forward trigger: the first tgd with a violation,
     /// and its first violating premise match in `for_each_hom` order. A
     /// source-premise tgd scans its match list from `cursors[i]` and leaves
     /// there where it stopped, for the children to resume from.
-    fn find_trigger(&self, k: &Instance, cursors: &mut [usize]) -> Option<(&'a Tgd, Assignment)> {
+    fn find_trigger(
+        &self,
+        k: &Instance,
+        cursors: &mut [usize],
+    ) -> Option<(&'a Forward<'a>, Assignment)> {
         self.forward.iter().enumerate().find_map(|(i, f)| {
             let h = match &f.source_matches {
                 Some(matches) => {
@@ -601,7 +706,7 @@ impl<'a, F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'a, F> {
                 }
                 None => find_tgd_violation(k, f.tgd),
             };
-            h.map(|h| (f.tgd, h))
+            h.map(|h| (f, h))
         })
     }
 
@@ -836,10 +941,10 @@ mod tests {
 
     #[test]
     fn branch_cap_degrades_to_unknown_not_no_solution() {
-        // The only solution instantiates the existential with the adom
-        // value `b` (a fresh null cannot match the ground Σts demand);
-        // with every active-domain choice cut, the search must degrade to
-        // Unknown rather than claim NoSolution.
+        // The only solution instantiates the existential with `b`, the one
+        // value of its column domain (`H`'s second column reaches `W`'s);
+        // with every domain value cut, the search must degrade to Unknown
+        // rather than claim NoSolution.
         let p = PdeSetting::parse(
             "source E/2; source W/2; target H/2;",
             "E(x, y) -> exists z . H(x, z)",
@@ -859,9 +964,59 @@ mod tests {
             },
         )
         .unwrap();
-        // Fresh-null branches alone cannot satisfy Σts here, and the
-        // skipped branches forbid a NoSolution verdict.
+        // The skipped branches forbid a NoSolution verdict.
         assert_eq!(capped.decided(), None);
+    }
+
+    /// `z` occurs at `R`'s second column, whose domain is `A`'s column,
+    /// and at `T`'s first, whose domain is `B`'s.
+    fn two_domain_setting() -> PdeSetting {
+        PdeSetting::parse(
+            "source S/1; source A/1; source B/1; target R/2; target T/2;",
+            "S(x) -> exists z . R(x, z), T(z, x)",
+            "R(x, y) -> A(y); T(u, v) -> B(u)",
+            "R(x, y), R(x, y2) -> y = y2",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn an_existential_branches_over_the_meet_of_its_positions_domains() {
+        let p = two_domain_setting();
+        let input = parse_instance(p.schema(), "S(s). A(a). A(b). B(b). B(c).").unwrap();
+        let out = solve(&p, &input, GenericLimits::default()).unwrap();
+        let w = out.witness().expect("z = b is in both columns");
+        assert!(is_solution(&p, &input, w));
+        // The root and its one child: `a` (only in A) and `c` (only in B)
+        // are never tried, and neither is a null.
+        assert_eq!(out.stats().nodes, 2);
+        assert_eq!(out.stats().ts_prunes, 0);
+    }
+
+    #[test]
+    fn an_empty_domain_gives_a_childless_node_and_a_no() {
+        let p = two_domain_setting();
+        let input = parse_instance(p.schema(), "S(s). A(a). B(c).").unwrap();
+        let out = solve(&p, &input, GenericLimits::default()).unwrap();
+        assert_eq!(out.decided(), Some(false));
+        assert_eq!(out.stats().nodes, 1);
+    }
+
+    #[test]
+    fn an_unconstrained_existential_still_tries_a_fresh_null() {
+        // `R(x, x) -> A(x)` has a repeated variable: `R`'s columns stay
+        // unconstrained, and the fresh null is the witness.
+        let p = PdeSetting::parse(
+            "source S/1; source A/1; target R/2;",
+            "S(x) -> exists z . R(x, z)",
+            "R(x, x) -> A(x)",
+            "R(x, y), R(x, y2) -> y = y2",
+        )
+        .unwrap();
+        let input = parse_instance(p.schema(), "S(s).").unwrap();
+        let out = solve(&p, &input, GenericLimits::default()).unwrap();
+        let w = out.witness().expect("a null witness");
+        assert!(!w.is_ground());
     }
 
     #[test]

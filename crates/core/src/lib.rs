@@ -12,6 +12,7 @@
 //!   procedure, specialized to no target constraints), including the §4
 //!   disjunctive extension;
 //! * [`generic`]: complete witness-chase search for Σt ≠ ∅;
+//! * [`domain`]: the Σts column domains both searches branch over;
 //! * [`solver`]: the façade that routes a setting to one of the above
 //!   ([`decide`], [`decide_governed_scheduled`]).
 //!
@@ -20,6 +21,7 @@
 
 pub mod assignment;
 pub mod blocks;
+pub mod domain;
 pub mod setting;
 pub mod solution;
 pub mod tractable;
@@ -28,6 +30,7 @@ pub use assignment::{
     solve as assignment_solve, AssignmentOutcome, DisjunctiveProblem, SearchStats,
 };
 pub use blocks::{blocks, blockwise_hom_exists, check_blocks, Block};
+pub use domain::{column_domains, ColumnDomains};
 pub use setting::{PdeSetting, SettingClass, SettingError};
 pub use solution::{check_solution, core_solution, is_solution, SolutionViolation};
 pub use tractable::{exists_solution, DemandState, TractableOutcome, TractableStats};

@@ -8,9 +8,9 @@
 //! which trigger branches first, how the memo key names nulls) shows up
 //! here as a changed count even when every answer stays right.
 //!
-//! The `#[ignore]`d test holds the n = 6, k = 3 egd-boundary pair that
-//! sets the `search` workload's tail in `perfbench/`; run it in release:
-//! `cargo test --release --test search_counts -- --ignored`.
+//! The tree depends on the bundle only, not on the order in which the
+//! process interned its constants: both searches branch over constants in
+//! name order. `workload_pair_ignores_interning_order` checks this.
 
 use peer_data_exchange::core::{generic, GenericLimits, GenericStats, PdeSetting};
 use peer_data_exchange::prelude::*;
@@ -41,33 +41,13 @@ fn check(setting: &PdeSetting, input: &Instance, want: Pinned) {
 }
 
 fn egd(g: &Graph, k: u32, want: Pinned) {
-    warm_interner();
     let p = boundary::egd_boundary_setting();
     check(&p, &boundary::egd_boundary_instance(&p, g, k), want);
 }
 
 fn full_tgd(g: &Graph, k: u32, want: Pinned) {
-    warm_interner();
     let p = boundary::full_tgd_boundary_setting();
     check(&p, &boundary::full_tgd_boundary_instance(&p, g, k), want);
-}
-
-/// Intern the boundary settings' variables and every constant these tests
-/// use, once, in a fixed order. Constants compare by interning index, and
-/// the search branches over the active domain in that order, so without
-/// this the counts would depend on which test interned what first.
-fn warm_interner() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let _ = boundary::egd_boundary_setting();
-        let _ = boundary::full_tgd_boundary_setting();
-        for c in ["elem0", "elem1", "elem2"] {
-            let _ = Value::constant(c);
-        }
-        for v in 0..6 {
-            let _ = Value::constant(format!("v{v}"));
-        }
-    });
 }
 
 /// A 2-clique (an edge) exists: "yes".
@@ -77,7 +57,7 @@ fn egd_boundary_path3_k2() {
         &Graph::path(3),
         2,
         (
-            (136, 6, 39, 84, 3),
+            (7, 0, 1, 3, 1),
             Some(
                 "D(elem0, elem1).
 D(elem1, elem0).
@@ -100,7 +80,7 @@ fn egd_boundary_cycle5_k2() {
         &Graph::cycle(5),
         2,
         (
-            (210, 6, 51, 146, 3),
+            (9, 0, 1, 5, 1),
             Some(
                 "D(elem0, elem1).
 D(elem1, elem0).
@@ -125,11 +105,7 @@ P(elem1, v0, elem0, v1).
 /// The k = 3 pair, "no" side: the path on three vertices has no triangle.
 #[test]
 fn egd_boundary_path3_k3_no() {
-    egd(
-        &Graph::path(3),
-        3,
-        ((49_886, 3097, 13_400, 32_640, 53), None),
-    );
+    egd(&Graph::path(3), 3, ((226, 0, 21, 180, 0), None));
 }
 
 /// The k = 3 pair, "yes" side: the same path with the closing edge.
@@ -139,7 +115,7 @@ fn egd_boundary_complete3_k3_yes() {
         &Graph::complete(3),
         3,
         (
-            (8140, 332, 2734, 4947, 7),
+            (76, 0, 4, 60, 1),
             Some(
                 "D(elem0, elem1).
 D(elem0, elem2).
@@ -172,7 +148,7 @@ fn full_tgd_boundary_path3_k2() {
         &Graph::path(3),
         2,
         (
-            (42, 0, 35, 0, 1),
+            (11, 0, 4, 0, 1),
             Some(
                 "D(elem0, elem1).
 D(elem1, elem0).
@@ -197,13 +173,13 @@ S2(v2, v2).
 /// The 5-cycle has no triangle: "no".
 #[test]
 fn full_tgd_boundary_cycle5_k3() {
-    full_tgd(&Graph::cycle(5), 3, ((8197, 0, 7281, 0, 0), None));
+    full_tgd(&Graph::cycle(5), 3, ((3101, 0, 2185, 0, 0), None));
 }
 
 /// The k = 3 pair, "no" side.
 #[test]
 fn full_tgd_boundary_path3_k3_no() {
-    full_tgd(&Graph::path(3), 3, ((1305, 0, 1201, 0, 0), None));
+    full_tgd(&Graph::path(3), 3, ((305, 0, 201, 0, 0), None));
 }
 
 /// The k = 3 pair, "yes" side.
@@ -213,7 +189,7 @@ fn full_tgd_boundary_complete3_k3_yes() {
         &Graph::complete(3),
         3,
         (
-            (487, 0, 432, 0, 1),
+            (119, 0, 64, 0, 1),
             Some(
                 "D(elem0, elem1).
 D(elem0, elem2).
@@ -245,35 +221,35 @@ S2(v2, v2).
     );
 }
 
-/// The n = 6, k = 3 egd-boundary pair of the `search` workload, inline.
-/// `D` is the inequality on three elements; the "no" graph is the path
-/// v1–v4–v3–v5 and the "yes" graph adds the edge v1–v3, which closes the
-/// triangle v1, v3, v4. About a second in release at 13 µs per node.
-#[test]
-#[ignore = "release-sized: cargo test --release --test search_counts -- --ignored"]
-fn egd_boundary_search_workload_pair() {
-    warm_interner();
-    let p = boundary::egd_boundary_setting();
-    let no = parse_instance(
-        p.schema(),
-        "D(elem0, elem1). D(elem0, elem2). D(elem1, elem0). D(elem1, elem2). D(elem2, elem0). D(elem2, elem1).
-         E(v1, v4). E(v4, v1). E(v3, v4). E(v4, v3). E(v3, v5). E(v5, v3).",
-    )
-    .unwrap();
-    check(&p, &no, ((82_232, 3934, 18_951, 58_354, 65), None));
-    let yes = parse_instance(
-        p.schema(),
-        "D(elem0, elem1). D(elem0, elem2). D(elem1, elem0). D(elem1, elem2). D(elem2, elem0). D(elem2, elem1).
-         E(v1, v3). E(v3, v1). E(v1, v4). E(v4, v1). E(v3, v4). E(v4, v3). E(v3, v5). E(v5, v3).",
-    )
-    .unwrap();
-    check(
-        &p,
-        &yes,
-        (
-            (11_205, 350, 3405, 7311, 7),
-            Some(
-                "D(elem0, elem1).
+/// The n = 6, k = 3 egd-boundary pair of the `search` workload, with
+/// every constant prefixed by `prefix`. `D` is the inequality on three
+/// elements; the "no" graph is the path v1–v4–v3–v5 and the "yes" graph
+/// adds the edge v1–v3, which closes the triangle v1, v3, v4.
+fn workload_pair(p: &PdeSetting, prefix: &str) -> (Instance, Instance) {
+    let d: String = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        .iter()
+        .map(|(a, b)| format!("D({prefix}elem{a}, {prefix}elem{b}). "))
+        .collect();
+    let e = |edges: &[(u32, u32)]| -> String {
+        edges
+            .iter()
+            .map(|(a, b)| format!("E({prefix}v{a}, {prefix}v{b}). E({prefix}v{b}, {prefix}v{a}). "))
+            .collect()
+    };
+    let no = [(1, 4), (3, 4), (3, 5)];
+    let yes = [(1, 3), (1, 4), (3, 4), (3, 5)];
+    let parse = |text: String| parse_instance(p.schema(), &text).unwrap();
+    (parse(d.clone() + &e(&no)), parse(d + &e(&yes)))
+}
+
+/// The "no" side's counts.
+const PAIR_NO: Pinned = ((689, 0, 48, 598, 0), None);
+
+/// The "yes" side's counts and witness.
+const PAIR_YES: Pinned = (
+    (117, 0, 5, 100, 1),
+    Some(
+        "D(elem0, elem1).
 D(elem0, elem2).
 D(elem1, elem0).
 D(elem1, elem2).
@@ -294,7 +270,36 @@ P(elem1, v1, elem2, v4).
 P(elem2, v4, elem0, v3).
 P(elem2, v4, elem1, v1).
 ",
-            ),
-        ),
-    );
+    ),
+);
+
+/// The `search` workload's egd-boundary pair.
+#[test]
+fn egd_boundary_search_workload_pair() {
+    let p = boundary::egd_boundary_setting();
+    let (no, yes) = workload_pair(&p, "");
+    check(&p, &no, PAIR_NO);
+    check(&p, &yes, PAIR_YES);
+}
+
+/// With its constants interned in reverse name order before anything
+/// else names them, the pair gives the same counts and, once the prefix
+/// is stripped, the same witness.
+#[test]
+fn workload_pair_ignores_interning_order() {
+    let names: Vec<String> = (0..3)
+        .map(|i| format!("q_elem{i}"))
+        .chain((0..6).map(|v| format!("q_v{v}")))
+        .collect();
+    for name in names.iter().rev() {
+        let _ = Value::constant(name.as_str());
+    }
+    let p = boundary::egd_boundary_setting();
+    let (no, yes) = workload_pair(&p, "q_");
+    for (input, want) in [(no, PAIR_NO), (yes, PAIR_YES)] {
+        let out = generic::solve(&p, &input, GenericLimits::default()).unwrap();
+        assert_eq!(counts(out.stats()), want.0, "search counts");
+        let witness = out.witness().map(|w| render_instance(w).replace("q_", ""));
+        assert_eq!(witness.as_deref(), want.1, "witness");
+    }
 }

@@ -145,6 +145,26 @@ impl Graph {
         g
     }
 
+    /// The Turán graph `T(n, r)`: vertex `v` lies in part `v mod r`, and
+    /// two vertices are adjacent iff their parts differ. It is the densest
+    /// graph on `n` vertices without an `(r + 1)`-clique; one more edge
+    /// inside a part, such as `{0, r}`, closes one.
+    ///
+    /// # Panics
+    /// Panics if `r == 0`.
+    pub fn turan(n: u32, r: u32) -> Graph {
+        assert!(r > 0, "a Turán graph needs at least one part");
+        let mut g = Graph::empty(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if u % r != v % r {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
     /// Disjoint union of `count` cliques of size `size` each.
     pub fn disjoint_cliques(count: u32, size: u32) -> Graph {
         let mut g = Graph::empty(count * size);
@@ -310,6 +330,30 @@ mod tests {
             for (u, v) in g.edges() {
                 assert_ne!(c[u as usize], c[v as usize]);
             }
+        }
+    }
+
+    /// The Turán number `t(n, r)`: with `s = n mod r`, the parts are `s`
+    /// of size `⌈n/r⌉` and `r - s` of size `⌊n/r⌋`.
+    fn turan_number(n: u32, r: u32) -> usize {
+        let (q, s) = ((n / r) as usize, (n % r) as usize);
+        let n = n as usize;
+        let squares = s * (q + 1) * (q + 1) + (r as usize - s) * q * q;
+        (n * n - squares) / 2
+    }
+
+    #[test]
+    fn turan_graphs_are_extremal() {
+        assert_eq!(turan_number(8, 2), 16);
+        assert_eq!(turan_number(8, 3), 21);
+        for (n, r) in [(8, 2), (8, 3), (7, 3), (6, 4), (5, 2), (9, 3)] {
+            let g = Graph::turan(n, r);
+            assert_eq!(g.edge_count(), turan_number(n, r), "T({n}, {r})");
+            assert!(has_k_clique(&g, r), "T({n}, {r}) has an {r}-clique");
+            assert!(!has_k_clique(&g, r + 1), "T({n}, {r})");
+            let mut closed = g.clone();
+            closed.add_edge(0, r);
+            assert!(has_k_clique(&closed, r + 1), "T({n}, {r}) plus an edge");
         }
     }
 

@@ -22,15 +22,48 @@
 //! there could never satisfy the Σts tgd, because `I` is ground. The
 //! branch that follows `h` is therefore kept, and the space stays finite:
 //! at most `(|adom(I)| + 1)^{#nulls}`, matching the NP upper bound of
-//! Theorem 1 (for Σt = ∅). Nulls are assigned in order of first
-//! occurrence in `J_can`; constants are tried in name order.
+//! Theorem 1 (for Σt = ∅). Each null's option list starts as that set,
+//! `Keep` first and constants in name order.
 //!
-//! **Pruning.** A Σts violation whose premise match uses only *determined*
-//! facts (facts whose nulls are all assigned) is permanent — later
-//! assignments add facts and merge nothing that could remove the match, and
-//! the conclusions range over the fixed `I`. The search therefore checks,
-//! after each assignment, only premise matches anchored at newly determined
-//! facts, and backtracks on any violation.
+//! **One working instance.** The search runs on one copy of the combined
+//! `(I, J_can)` under [`Instance::savepoint`]/[`Instance::rollback`]. An
+//! assignment `n := c` is the substitution of `c` for `n`; `Keep` changes
+//! no row and only marks `n` *final*. A value is final when it is a
+//! constant or a kept null: no later step changes it. A leaf (every null
+//! final) is the image of `J_can` under its assignment, and the working
+//! instance itself is handed to the sink.
+//!
+//! **Why the pruning is complete (Lemma 3).** Every assignment is a
+//! homomorphism, so a Σts premise match, once it exists, is carried into
+//! every extension of the branch, and the values of its *exported*
+//! variables (those some disjunct uses) stay what they are once they are
+//! final. Three rules cut the tree; none removes a leaf that is a
+//! solution, so the set of leaves — the family [`for_each_solution`]
+//! enumerates — is the set of assignments whose image is a solution, and
+//! only its order depends on the rules.
+//!
+//! * (a) *Permanent violations.* A match whose exported variables are all
+//!   bound to final values and that no disjunct extends into `I` is a
+//!   violation in every extension: the branch is cut. The check after a
+//!   step looks only at the matches anchored at the rows that hold the
+//!   stepped null's value: a substitution re-stamps the rows it rewrites,
+//!   so they form the delta of a semi-naive search, and a `Keep` anchors
+//!   at the rows holding the null by binding it into the premise. Any
+//!   other match kept its values and its finality. The root checks every
+//!   match once.
+//! * (b) *Forward checking.* When all exported values of an anchored match
+//!   are final but those equal to one unassigned null `m`, one query of
+//!   the disjuncts into `I`, with `m`'s variables left free, gives the
+//!   values `d` for which some disjunct holds once `m := d`. The match
+//!   persists under `m := d`, so every other value is one that (a) would
+//!   reject once `m` is assigned; forward checking drops it from `m`'s
+//!   live options. Since `I` is ground, `Keep` survives only a match in
+//!   which some disjunct holds without `m`'s variables. A list emptied by
+//!   drops cuts the branch, as every value of `m` would.
+//! * (c) *Fewest live options first.* The next null is the unassigned one
+//!   with the fewest live options, ties broken by first occurrence in
+//!   `J_can`; this changes only the order. Live options are undone through
+//!   a trail, so no option list is allocated per node.
 //!
 //! The solver accepts *disjunctive* Σts dependencies (the §4 extension):
 //! everything above goes through verbatim with "some disjunct extendable
@@ -42,8 +75,8 @@ use crate::solver::SolveError;
 use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine};
 use pde_constraints::{DisjunctiveTgd, Orientation, Tgd};
 use pde_relational::{
-    exists_hom, for_each_hom, Assignment, FxBuildHasher, Instance, NullId, Peer, RelId, Schema,
-    Term, Tuple, Value,
+    exists_hom, for_each_hom, for_each_hom_seminaive, Assignment, FxBuildHasher, Instance, NullId,
+    Peer, Schema, Value, Var,
 };
 use pde_runtime::{Governor, StopReason};
 use std::collections::HashMap;
@@ -53,10 +86,19 @@ use std::sync::Arc;
 /// Search statistics.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
-    /// Search-tree nodes visited (assignments attempted).
+    /// Search-tree nodes visited: the root and every assignment that
+    /// passed its checks.
     pub nodes: usize,
-    /// Branches pruned by the determined-violation check.
+    /// Assignments tried and rejected: the step completed a permanent Σts
+    /// violation, or forward checking emptied the live options of another
+    /// null (a *wipeout*). A wipeout rejects the step like a violation and
+    /// counts here once; it is not a node.
     pub prunes: usize,
+    /// Values forward checking dropped from the live options of unassigned
+    /// nulls, counted when dropped (a drop undone on backtracking is not
+    /// taken back). A dropped value is never tried, so it is neither a
+    /// node nor a prune.
+    pub forward_drops: usize,
     /// Complete candidate solutions reached and handed to the sink.
     pub candidates_checked: usize,
     /// Nulls in `J_can` (the search depth).
@@ -76,6 +118,7 @@ impl SearchStats {
         let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
         reg.add("search.nodes", u(self.nodes));
         reg.add("search.prunes", u(self.prunes));
+        reg.add("search.forward_drops", u(self.forward_drops));
         reg.add("search.candidates_checked", u(self.candidates_checked));
         reg.set_max("search.null_count", u(self.null_count));
         reg.set_max("search.jcan_facts", u(self.jcan_facts));
@@ -230,18 +273,62 @@ pub fn for_each_solution(
     )
 }
 
+/// A Σts dependency's premise variables, as the checks use them.
+struct PremiseVars {
+    /// Premise variables some disjunct uses, each once.
+    exported: Vec<Var>,
+    /// For each disjunct, the exported variables it uses.
+    used_by: Vec<Vec<Var>>,
+}
+
+impl PremiseVars {
+    fn of(d: &DisjunctiveTgd) -> PremiseVars {
+        let premise = d.premise.variables();
+        let used_by: Vec<Vec<Var>> = d
+            .disjuncts
+            .iter()
+            .map(|dj| {
+                dj.conjunction
+                    .variables()
+                    .into_iter()
+                    .filter(|v| premise.contains(v))
+                    .collect()
+            })
+            .collect();
+        let mut exported: Vec<Var> = used_by.iter().flatten().copied().collect();
+        exported.sort_unstable();
+        exported.dedup();
+        PremiseVars { exported, used_by }
+    }
+}
+
+/// One null of `J_can` and its live options.
+struct NullVar {
+    null: NullId,
+    /// The values it may take, in the order they are tried;
+    /// `Value::Null(null)` is `Keep`. Fixed for the whole search.
+    options: Vec<Value>,
+    /// Which options are live, parallel to `options`.
+    alive: Vec<bool>,
+    /// Number of live options.
+    live: usize,
+    /// Assigned on the current branch (to a constant or `Keep`).
+    assigned: bool,
+}
+
 struct SearchCtx<'a, F> {
     problem: &'a DisjunctiveProblem,
-    /// The nulls of `J_can` in assignment order.
-    steps: &'a [NullStep],
-    /// The target facts of `J_can`, with their null inventories.
-    facts: Vec<FactState>,
-    /// Current assignment (`Keep` = maps to its own null value).
-    assigned: HashMap<NullId, Value, FxBuildHasher>,
-    /// The determined instance: `I` plus the images of determined facts.
-    determined: Instance,
-    /// Reference counts of determined target facts (merges).
-    refcount: HashMap<(RelId, Tuple), usize, FxBuildHasher>,
+    /// Parallel to `problem.sigma_ts`.
+    premises: Vec<PremiseVars>,
+    /// The nulls of `J_can` in first-occurrence order.
+    nulls: Vec<NullVar>,
+    /// Index of each null in `nulls`.
+    slot: HashMap<NullId, usize, FxBuildHasher>,
+    /// Forward-check drops on the current branch, as `(null, option)`
+    /// indices, undone newest first on backtracking.
+    drops: Vec<(usize, usize)>,
+    /// Scratch buffer of a forward check's surviving values.
+    allowed: Vec<Value>,
     stats: SearchStats,
     sink: F,
     /// Resource governor, checked at every search node.
@@ -249,9 +336,6 @@ struct SearchCtx<'a, F> {
     /// Set when the governor stopped the search (distinguishes a governor
     /// stop from the sink breaking early).
     stopped: Option<StopReason>,
-    /// The combined source instance (for conclusion checks the source part
-    /// of `determined` is exactly `I`, so `determined` serves both roles).
-    _input: &'a Instance,
 }
 
 enum NodeResult {
@@ -289,43 +373,35 @@ pub(crate) fn search_chased(
     governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
 ) -> Result<SearchStats, SolveError> {
-    // Collect target facts, their nulls (first occurrence order, by id
-    // within a fact), and the positions each null occurs at.
-    let mut facts: Vec<FactState> = Vec::new();
-    let mut steps: Vec<NullStep> = Vec::new();
+    // Collect the nulls of the target facts (first occurrence order, by id
+    // within a fact) and the positions each one occurs at.
+    let mut nulls: Vec<NullVar> = Vec::new();
     let mut positions: Vec<Vec<Position>> = Vec::new();
-    let mut step_of: HashMap<NullId, usize, FxBuildHasher> = HashMap::default();
+    let mut slot: HashMap<NullId, usize, FxBuildHasher> = HashMap::default();
+    let mut jcan_facts = 0;
     for (rel, t) in jcan_combined.facts_of(Peer::Target) {
-        let idx = facts.len();
-        let mut nulls: Vec<(NullId, usize)> = t
+        jcan_facts += 1;
+        let mut here: Vec<(NullId, usize)> = t
             .values()
             .iter()
             .enumerate()
             .filter_map(|(i, v)| v.as_null().map(|n| (n, i)))
             .collect();
-        nulls.sort_unstable();
-        let mut unassigned = 0;
-        for (n, i) in nulls {
-            let s = *step_of.entry(n).or_insert_with(|| {
-                steps.push(NullStep {
+        here.sort_unstable();
+        for (n, i) in here {
+            let s = *slot.entry(n).or_insert_with(|| {
+                nulls.push(NullVar {
                     null: n,
                     options: Vec::new(),
-                    occurrences: Vec::new(),
+                    alive: Vec::new(),
+                    live: 0,
+                    assigned: false,
                 });
                 positions.push(Vec::new());
-                steps.len() - 1
+                nulls.len() - 1
             });
             positions[s].push((rel, i));
-            if steps[s].occurrences.last() != Some(&idx) {
-                steps[s].occurrences.push(idx);
-                unassigned += 1;
-            }
         }
-        facts.push(FactState {
-            rel,
-            tuple: t,
-            unassigned,
-        });
     }
 
     // Each null's options: its domain at a constrained position, else
@@ -341,48 +417,38 @@ pub(crate) fn search_chased(
         input,
         positions.iter().flatten().copied(),
     );
-    for (step, pos) in steps.iter_mut().zip(positions) {
-        step.options = domains.meet(pos).unwrap_or_else(|| {
-            std::iter::once(Value::Null(step.null))
+    for (nv, pos) in nulls.iter_mut().zip(positions) {
+        nv.options = domains.meet(pos).unwrap_or_else(|| {
+            std::iter::once(Value::Null(nv.null))
                 .chain(candidates.iter().copied())
                 .collect()
         });
+        nv.alive = vec![true; nv.options.len()];
+        nv.live = nv.options.len();
     }
 
     let mut ctx = SearchCtx {
         problem,
-        steps: &steps,
-        facts,
-        assigned: HashMap::default(),
-        determined: input.restrict(Peer::Source),
-        refcount: HashMap::default(),
-        stats: SearchStats::default(),
+        premises: problem.sigma_ts.iter().map(PremiseVars::of).collect(),
+        nulls,
+        slot,
+        drops: Vec::new(),
+        allowed: Vec::new(),
+        stats: SearchStats {
+            jcan_facts,
+            ..SearchStats::default()
+        },
         sink: f,
         governor,
         stopped: None,
-        _input: input,
     };
-    ctx.stats.null_count = ctx.steps.len();
-    ctx.stats.jcan_facts = ctx.facts.len();
+    ctx.stats.null_count = ctx.nulls.len();
 
-    // Seed the determined instance with the ground target facts of J_can
-    // and check them; a violation here is unfixable (no nulls involved).
-    let ground_facts: Vec<usize> = ctx
-        .facts
-        .iter()
-        .enumerate()
-        .filter(|(_, fs)| fs.unassigned == 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut ok = true;
-    for i in ground_facts {
-        if !ctx.insert_determined(i) {
-            ok = false;
-            break;
-        }
-    }
-    if ok {
-        ctx.descend(0);
+    // The root checks and forward-checks every premise match once; a
+    // violation here involves no choice, so there is nothing to search.
+    let mut k = jcan_combined.clone();
+    if ctx.check_all(&k) {
+        ctx.descend(&mut k, 0);
     }
     if let Some(reason) = ctx.stopped {
         return Err(SolveError::Stopped(reason));
@@ -390,113 +456,16 @@ pub(crate) fn search_chased(
     Ok(ctx.stats)
 }
 
-struct FactState {
-    rel: RelId,
-    tuple: Tuple,
-    unassigned: usize,
-}
-
-/// One null of `J_can`: the values it is tried with and the facts it
-/// occurs in, both fixed for the whole search.
-struct NullStep {
-    null: NullId,
-    /// The values tried, in order; `Value::Null(null)` is `Keep`.
-    options: Vec<Value>,
-    /// Indices into `SearchCtx::facts`, each once.
-    occurrences: Vec<usize>,
-}
-
 impl<F: FnMut(&Instance) -> ControlFlow<()>> SearchCtx<'_, F> {
-    /// Image of fact `i` under the current assignment.
-    fn image_of(&self, i: usize) -> (RelId, Tuple) {
-        let fs = &self.facts[i];
-        let t = fs.tuple.map(|v| match v {
-            Value::Null(n) => self.assigned.get(&n).copied().unwrap_or(v),
-            Value::Const(_) => v,
-        });
-        (fs.rel, t)
-    }
-
-    /// Insert the image of fact `i` into the determined instance and check
-    /// for new Σts violations anchored at it. Returns `false` on violation
-    /// (the fact stays inserted; the caller unwinds via
-    /// [`SearchCtx::remove_determined`]).
-    fn insert_determined(&mut self, i: usize) -> bool {
-        let (rel, img) = self.image_of(i);
-        let key = (rel, img.clone());
-        let rc = self.refcount.entry(key).or_insert(0);
-        *rc += 1;
-        if *rc > 1 {
-            return true; // already present: no new matches possible
-        }
-        self.determined.insert(rel, img.clone());
-        self.check_anchor(rel, &img)
-    }
-
-    /// Undo [`SearchCtx::insert_determined`].
-    fn remove_determined(&mut self, i: usize) {
-        let (rel, img) = self.image_of(i);
-        let key = (rel, img.clone());
-        let rc = self
-            .refcount
-            .get_mut(&key)
-            .expect("remove_determined only follows a matching insert_determined");
-        *rc -= 1;
-        if *rc == 0 {
-            self.refcount.remove(&key);
-            self.determined.remove(rel, &img);
-        }
-    }
-
-    /// Check every Σts premise match that uses the new fact; `false` when
-    /// a match has no extendable disjunct.
-    fn check_anchor(&self, rel: RelId, img: &Tuple) -> bool {
-        for d in &self.problem.sigma_ts {
-            for (ai, atom) in d.premise.atoms.iter().enumerate() {
-                if atom.rel != rel {
-                    continue;
-                }
-                let Some(partial) = unify_atom_with_tuple(atom, img) else {
-                    continue;
-                };
-                let rest: Vec<pde_relational::Atom> = d
-                    .premise
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != ai)
-                    .map(|(_, a)| a.clone())
-                    .collect();
-                let mut violated = false;
-                let _ = for_each_hom(&rest, &self.determined, &partial, |h| {
-                    let ok = d
-                        .disjuncts
-                        .iter()
-                        .any(|dj| exists_hom(&dj.conjunction.atoms, &self.determined, h));
-                    if ok {
-                        ControlFlow::Continue(())
-                    } else {
-                        violated = true;
-                        ControlFlow::Break(())
-                    }
-                });
-                if violated {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// DFS over nulls from `depth`.
-    fn descend(&mut self, depth: usize) -> NodeResult {
+    /// DFS from a node with `depth` nulls assigned.
+    fn descend(&mut self, k: &mut Instance, depth: usize) -> NodeResult {
         self.stats.nodes += 1;
         let _span = pde_trace::span("solver.branch")
             .field("solver", "assignment")
             .field("depth", depth)
             .field("node", self.stats.nodes);
         let bytes = if self.governor.tracks_memory() {
-            self.determined.heap_bytes()
+            k.heap_bytes()
         } else {
             0
         };
@@ -504,94 +473,197 @@ impl<F: FnMut(&Instance) -> ControlFlow<()>> SearchCtx<'_, F> {
             self.stopped = Some(reason);
             return NodeResult::Stop;
         }
-        if depth == self.steps.len() {
-            // All facts determined and checked: the determined target part
-            // plus `I` is a solution. Hand it to the sink.
+        let Some(s) = self.pick() else {
+            // Every null is final and no violation remains: the working
+            // instance is a solution. Hand it to the sink.
             self.stats.candidates_checked += 1;
-            let sol = self.determined.clone();
             debug_assert!(
-                {
-                    let st_ok = self
-                        .problem
-                        .sigma_st
-                        .iter()
-                        .all(|t| pde_chase::satisfies_tgd(&sol, t));
-                    let ts_ok = self
+                self.problem
+                    .sigma_st
+                    .iter()
+                    .all(|t| pde_chase::satisfies_tgd(k, t))
+                    && self
                         .problem
                         .sigma_ts
                         .iter()
-                        .all(|d| pde_chase::satisfies_disjunctive(&sol, d));
-                    st_ok && ts_ok
-                },
+                        .all(|d| pde_chase::satisfies_disjunctive(k, d)),
                 "leaf must be a solution"
             );
-            return match (self.sink)(&sol) {
+            return match (self.sink)(k) {
                 ControlFlow::Break(()) => NodeResult::Stop,
                 ControlFlow::Continue(()) => NodeResult::Continue,
             };
-        }
-        let step = &self.steps[depth];
-        let n = step.null;
-        for &val in &step.options {
-            self.assigned.insert(n, val);
-            let mut newly: Vec<usize> = Vec::new();
-            for &fi in &step.occurrences {
-                self.facts[fi].unassigned -= 1;
-                if self.facts[fi].unassigned == 0 {
-                    newly.push(fi);
-                }
+        };
+        let n = self.nulls[s].null;
+        self.nulls[s].assigned = true;
+        let mut result = NodeResult::Continue;
+        for i in 0..self.nulls[s].options.len() {
+            if !self.nulls[s].alive[i] {
+                continue;
             }
-            let mut ok = true;
-            let mut inserted = 0usize;
-            for &fi in &newly {
-                inserted += 1;
-                if !self.insert_determined(fi) {
-                    ok = false;
-                    break;
-                }
-            }
-            let result = if ok {
-                self.descend(depth + 1)
+            let val = self.nulls[s].options[i];
+            let mark = self.drops.len();
+            let sp = k.savepoint();
+            let since = k.bump_epoch();
+            let ok = if val == Value::Null(n) {
+                self.check_kept(k, n)
+            } else {
+                k.substitute(Value::Null(n), val);
+                self.check_since(k, since)
+            };
+            if ok {
+                result = self.descend(k, depth + 1);
             } else {
                 self.stats.prunes += 1;
-                NodeResult::Continue
-            };
-            // Unwind.
-            for &fi in newly.iter().take(inserted) {
-                self.remove_determined(fi);
             }
-            for &fi in &step.occurrences {
-                self.facts[fi].unassigned += 1;
-            }
-            self.assigned.remove(&n);
+            k.rollback(sp);
+            self.undo_drops(mark);
             if matches!(result, NodeResult::Stop) {
-                return NodeResult::Stop;
+                break;
             }
         }
-        NodeResult::Continue
+        self.nulls[s].assigned = false;
+        result
     }
-}
 
-/// Unify an atom's terms with a concrete tuple, producing the induced
-/// partial assignment; `None` when constants clash or a repeated variable
-/// would need two values.
-fn unify_atom_with_tuple(atom: &pde_relational::Atom, t: &Tuple) -> Option<Assignment> {
-    let mut a = Assignment::new();
-    for (i, term) in atom.terms.iter().enumerate() {
-        let tv = t.get(i);
-        match term {
-            Term::Const(c) => {
-                if Value::Const(*c) != tv {
-                    return None;
+    /// The unassigned null with the fewest live options, ties broken by
+    /// first occurrence; `None` at a leaf.
+    fn pick(&self) -> Option<usize> {
+        self.nulls
+            .iter()
+            .enumerate()
+            .filter(|(_, nv)| !nv.assigned)
+            .min_by_key(|(s, nv)| (nv.live, *s))
+            .map(|(s, _)| s)
+    }
+
+    /// Revive the options dropped since the trail was `mark` long.
+    fn undo_drops(&mut self, mark: usize) {
+        for (s, i) in self.drops.drain(mark..) {
+            let nv = &mut self.nulls[s];
+            nv.alive[i] = true;
+            nv.live += 1;
+        }
+    }
+
+    /// Check every premise match of `k` (the root).
+    fn check_all(&mut self, k: &Instance) -> bool {
+        let problem = self.problem;
+        let none = Assignment::new();
+        problem.sigma_ts.iter().enumerate().all(|(d, dep)| {
+            for_each_hom(&dep.premise.atoms, k, &none, |h| self.examine(k, d, h)).is_continue()
+        })
+    }
+
+    /// Check the premise matches that use a row stamped at or after
+    /// `since`: the rows a substitution just rewrote.
+    fn check_since(&mut self, k: &Instance, since: u64) -> bool {
+        let problem = self.problem;
+        let none = Assignment::new();
+        problem.sigma_ts.iter().enumerate().all(|(d, dep)| {
+            for_each_hom_seminaive(&dep.premise.atoms, k, &none, since, u64::MAX, |h| {
+                self.examine(k, d, h)
+            })
+            .is_continue()
+        })
+    }
+
+    /// Check the premise matches that bind an exported variable to the
+    /// just-kept null `n`: the only matches whose finality changed.
+    fn check_kept(&mut self, k: &Instance, n: NullId) -> bool {
+        let problem = self.problem;
+        (0..problem.sigma_ts.len()).all(|d| {
+            (0..self.premises[d].exported.len()).all(|j| {
+                let at = Assignment::from_pairs([(self.premises[d].exported[j], Value::Null(n))]);
+                for_each_hom(&problem.sigma_ts[d].premise.atoms, k, &at, |h| {
+                    self.examine(k, d, h)
+                })
+                .is_continue()
+            })
+        })
+    }
+
+    /// Apply rules (a) and (b) of the module docs to the match `h` of
+    /// dependency `d`: break on a violation or a wipeout.
+    fn examine(&mut self, k: &Instance, d: usize, h: &Assignment) -> ControlFlow<()> {
+        let mut open: Option<usize> = None;
+        for &x in &self.premises[d].exported {
+            let Some(Value::Null(m)) = h.get(x) else {
+                continue;
+            };
+            let s = self.slot[&m];
+            if self.nulls[s].assigned || open == Some(s) {
+                continue;
+            }
+            if open.is_some() {
+                return ControlFlow::Continue(()); // two unassigned nulls
+            }
+            open = Some(s);
+        }
+        let holds = match open {
+            None => self.problem.sigma_ts[d]
+                .disjuncts
+                .iter()
+                .any(|dj| exists_hom(&dj.conjunction.atoms, k, h)),
+            Some(s) => self.forward_check(k, d, h, s),
+        };
+        if holds {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    }
+
+    /// Rule (b): intersect the live options of the unassigned null in slot
+    /// `s` with the values for which some disjunct extends `h` once the
+    /// null takes them. `false` when that empties the list.
+    fn forward_check(&mut self, k: &Instance, d: usize, h: &Assignment, s: usize) -> bool {
+        let dep = &self.problem.sigma_ts[d];
+        let here = Value::Null(self.nulls[s].null);
+        let mut partial = h.clone();
+        for &x in &self.premises[d].exported {
+            if h.get(x) == Some(here) {
+                partial.unbind(x);
+            }
+        }
+        let mut allowed = std::mem::take(&mut self.allowed);
+        allowed.clear();
+        let mut unconstrained = false;
+        for (dj, used) in dep.disjuncts.iter().zip(&self.premises[d].used_by) {
+            let reads = |x: &&Var| h.get(**x) == Some(here);
+            let Some(&first) = used.iter().find(reads) else {
+                // This disjunct does not read the null: it decides alone.
+                unconstrained |= exists_hom(&dj.conjunction.atoms, k, &partial);
+                continue;
+            };
+            let _ = for_each_hom(&dj.conjunction.atoms, k, &partial, |g| {
+                let v = g.get(first).expect("a used variable is bound");
+                if used.iter().filter(reads).all(|&x| g.get(x) == Some(v)) {
+                    allowed.push(v);
+                }
+                ControlFlow::Continue(())
+            });
+        }
+        let survives = unconstrained || {
+            allowed.sort_unstable();
+            allowed.dedup();
+            let nv = &mut self.nulls[s];
+            let was = nv.live;
+            for (i, v) in nv.options.iter().enumerate() {
+                if nv.alive[i] && allowed.binary_search(v).is_err() {
+                    nv.alive[i] = false;
+                    nv.live -= 1;
+                    self.drops.push((s, i));
                 }
             }
-            Term::Var(v) => match a.get(*v) {
-                Some(prev) if prev != tv => return None,
-                _ => a.bind(*v, tv),
-            },
-        }
+            self.stats.forward_drops += was - nv.live;
+            // A list that was empty from the start is not a wipeout: the
+            // null is picked first and its node has no child.
+            nv.live > 0 || was == 0
+        };
+        self.allowed = allowed;
+        survives
     }
-    Some(a)
 }
 
 #[cfg(test)]

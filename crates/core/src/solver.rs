@@ -55,9 +55,15 @@ pub struct SearchSummary {
     pub branches: usize,
     /// Complete candidate solutions reached and checked at leaves.
     pub candidates_checked: usize,
-    /// Branches cut before expansion (determined-violation prunes,
-    /// permanent-Σts prunes, memo hits, and egd constant conflicts).
+    /// Branches cut before expansion (the null-assignment search's
+    /// rejected assignments: permanent Σts violations and forward-check
+    /// wipeouts; the witness-chase search's permanent-Σts prunes, memo
+    /// hits and egd constant conflicts).
     pub prunes: usize,
+    /// Values forward checking dropped from live option lists: `Some` for
+    /// the null-assignment search, `None` for the witness-chase search,
+    /// which does not forward-check.
+    pub forward_drops: Option<usize>,
 }
 
 impl SearchSummary {
@@ -68,6 +74,9 @@ impl SearchSummary {
         reg.add("search.branches", u(self.branches));
         reg.add("search.candidates_checked", u(self.candidates_checked));
         reg.add("search.prunes", u(self.prunes));
+        if let Some(drops) = self.forward_drops {
+            reg.add("search.forward_drops", u(drops));
+        }
     }
 }
 
@@ -409,6 +418,7 @@ fn attempt(
                     branches: out.stats.nodes,
                     candidates_checked: out.stats.candidates_checked,
                     prunes: out.stats.prunes,
+                    forward_drops: Some(out.stats.forward_drops),
                 };
                 report(
                     Some(out.exists),
@@ -426,6 +436,7 @@ fn attempt(
                     branches: gs.nodes,
                     candidates_checked: gs.candidates_checked,
                     prunes: gs.memo_hits + gs.ts_prunes + gs.egd_failures,
+                    forward_drops: None,
                 };
                 let (exists, witness, undecided) = match out {
                     GenericOutcome::Solved { witness, .. } => (Some(true), Some(witness), None),

@@ -17,6 +17,14 @@ use peer_data_exchange::workloads::clique::{
 };
 use std::time::Instant;
 
+/// The Turán graph `T(n, r)` plus the edge `{0, r}` inside a part, which
+/// closes an `(r + 1)`-clique.
+fn turan_plus_edge(n: u32, r: u32) -> Graph {
+    let mut g = Graph::turan(n, r);
+    g.add_edge(0, r);
+    g
+}
+
 fn main() {
     let setting = clique_setting();
     println!("Theorem 3 setting:\n{setting:?}");
@@ -44,6 +52,10 @@ fn main() {
             4,
         ),
         ("G(7, 0.3), k=3", Graph::gnp(7, 0.3, 3), 3),
+        // The densest graph without a 4-clique, then one edge that closes
+        // one: the "no" side searches the whole (propagated) tree.
+        ("Turán T(8, 3), k=4", Graph::turan(8, 3), 4),
+        ("T(8, 3) + edge {0, 3}, k=4", turan_plus_edge(8, 3), 4),
     ];
 
     println!(

@@ -939,6 +939,9 @@ fn dispatch(
                     outln!("search branches:         {}", s.branches);
                     outln!("candidates checked:      {}", s.candidates_checked);
                     outln!("branches pruned:         {}", s.prunes);
+                    if let Some(drops) = s.forward_drops {
+                        outln!("forward drops:           {drops}");
+                    }
                 }
                 let g = &report.governor;
                 outln!("engine fallback:         {}", report.engine_fallback);

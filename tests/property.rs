@@ -143,12 +143,14 @@ fn brute_force_homs(
     }
 }
 
-/// A random graph from edge pairs (self-pairs dropped).
+/// A random graph on `n` vertices from edge pairs, each endpoint taken
+/// modulo `n` (self-pairs dropped).
 fn pairs_to_graph(n: u32, pairs: &[(u32, u32)]) -> graphs::Graph {
     let mut g = graphs::Graph::empty(n);
     for (a, b) in pairs {
+        let (a, b) = (a % n, b % n);
         if a != b {
-            g.add_edge(*a, *b);
+            g.add_edge(a, b);
         }
     }
     g
@@ -334,18 +336,39 @@ proptest! {
     }
 
     #[test]
-    fn clique_reduction_matches_baseline(pairs in arb_edge_instance(4, 6)) {
-        let g = pairs_to_graph(4, &pairs);
-        let k = 3;
+    fn clique_reduction_matches_baseline(
+        n in 4u32..7,
+        k in 3u32..5,
+        pairs in arb_edge_instance(6, 12)
+    ) {
+        let g = pairs_to_graph(n, &pairs);
         let p = clique::clique_setting();
         let input = clique::clique_instance(&p, &g, k);
         let out = assignment::solve(&p, &input).unwrap();
         prop_assert_eq!(out.exists, graphs::has_k_clique(&g, k));
+        if let Some(w) = out.witness {
+            prop_assert!(is_solution(&p, &input, &w));
+        }
     }
 
     #[test]
-    fn threecol_reduction_matches_baseline(pairs in arb_edge_instance(5, 7)) {
-        let g = pairs_to_graph(5, &pairs);
+    fn clique_certain_route_matches_baseline(
+        n in 4u32..7,
+        k in 3u32..5,
+        pairs in arb_edge_instance(6, 12)
+    ) {
+        // certain(∃x P(x, x, x, x)) is false iff G has a k-clique.
+        let g = pairs_to_graph(n, &pairs);
+        let p = clique::clique_setting();
+        let input = clique::clique_instance_elements_from_v(&p, &g, k);
+        let q = clique::certain_query(&p);
+        let out = certain_answers(&p, &input, &q, GenericLimits::default()).unwrap();
+        prop_assert_eq!(out.certain_bool(), !graphs::has_k_clique(&g, k));
+    }
+
+    #[test]
+    fn threecol_reduction_matches_baseline(n in 2u32..7, pairs in arb_edge_instance(6, 10)) {
+        let g = pairs_to_graph(n, &pairs);
         let p = threecol::threecol_problem();
         let input = threecol::threecol_instance(&p, &g);
         let out = assignment::solve_disjunctive(&p, &input).unwrap();
@@ -1103,6 +1126,151 @@ fn certain_bounds_bracket_the_uncut_enumeration() {
         }
     }
     assert!(met > 0 && apart > 0, "met {met}, apart {apart}");
+}
+
+/// An instance as its sorted rendered facts: equal fact sets, equal
+/// strings.
+fn fact_set(inst: &Instance) -> String {
+    let text = peer_data_exchange::relational::render_instance(inst);
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines.join("\n")
+}
+
+/// The solution family by brute force: every map of `J_can`'s nulls to
+/// `Keep` or a constant of `adom(I)`, keeping the images `is_solution`
+/// accepts, as sorted [`fact_set`]s. `None` when there are more than `cap`
+/// maps.
+fn brute_force_family(
+    input: &Instance,
+    jcan: &Instance,
+    cap: usize,
+    is_solution: impl Fn(&Instance) -> bool,
+) -> Option<Vec<String>> {
+    let nulls: Vec<NullId> = jcan.nulls().into_iter().collect();
+    let consts: Vec<Value> = input
+        .active_domain_of(pde_relational::Peer::Source)
+        .into_iter()
+        .filter(Value::is_const)
+        .collect();
+    let choices = consts.len() + 1;
+    let maps = u32::try_from(nulls.len())
+        .ok()
+        .and_then(|e| choices.checked_pow(e))
+        .filter(|&m| m <= cap)?;
+    let mut family = Vec::new();
+    for code in 0..maps {
+        let mut rest = code;
+        let mut image: std::collections::HashMap<NullId, Value> = Default::default();
+        for &n in &nulls {
+            let c = rest % choices;
+            rest /= choices;
+            let v = match c {
+                0 => Value::Null(n),
+                c => consts[c - 1],
+            };
+            image.insert(n, v);
+        }
+        let candidate = jcan.map_values(|v| match v {
+            Value::Null(n) => image[&n],
+            c => c,
+        });
+        if is_solution(&candidate) {
+            family.push(fact_set(&candidate));
+        }
+    }
+    family.sort_unstable();
+    Some(family)
+}
+
+/// The random setting's Σts with its first two tgds joined into one
+/// disjunctive dependency (the first one's premise, both conclusions as
+/// disjuncts), or `None` when the second conclusion reads a variable the
+/// first premise lacks.
+fn with_disjunction(setting: &PdeSetting) -> Option<assignment::DisjunctiveProblem> {
+    use peer_data_exchange::constraints::{Disjunct, DisjunctiveTgd};
+    let [t0, t1, rest @ ..] = setting.sigma_ts() else {
+        return None;
+    };
+    let disjunct = |t: &Tgd| Disjunct {
+        existentials: t.existentials.clone(),
+        conjunction: t.conclusion.clone(),
+    };
+    let joined = DisjunctiveTgd::new(t0.premise.clone(), vec![disjunct(t0), disjunct(t1)]);
+    let ts = std::iter::once(joined)
+        .chain(rest.iter().map(DisjunctiveTgd::from_tgd))
+        .collect();
+    assignment::DisjunctiveProblem::new(setting.schema().clone(), setting.sigma_st().to_vec(), ts)
+        .ok()
+}
+
+/// `for_each_solution` enumerates exactly the images of `J_can` that are
+/// solutions, each once per assignment: the propagation of the search
+/// (permanent violations, forward checking, fewest options first) may
+/// change the order of the family but never its members. Null ids are
+/// `J_can`'s on both sides, so the families compare as they are. Each
+/// random setting is checked as it is and with two Σts tgds joined into
+/// one disjunctive dependency.
+#[test]
+fn assignment_family_matches_brute_force() {
+    use peer_data_exchange::workloads::random::{
+        random_instance, random_setting, RandomSettingParams,
+    };
+    let gov = Governor::unlimited();
+    let (mut compared, mut with_nulls, mut several, mut dropped) = (0, 0, 0, 0);
+    for seed in 0u64..400 {
+        let Ok(setting) = random_setting(&RandomSettingParams::default(), seed) else {
+            continue;
+        };
+        let input = random_instance(&setting, 4, u32::from(seed % 2 == 1), 3, seed ^ 0xfa11);
+        let gen = pde_chase::null_gen_for(&input);
+        let chased = pde_chase::chase_tgds_governed(
+            input.clone(),
+            setting.sigma_st(),
+            &gen,
+            pde_chase::default_chase_engine(),
+            &gov,
+        );
+        if !chased.is_success() {
+            continue;
+        }
+        let plain = assignment::DisjunctiveProblem::from_setting(&setting).unwrap();
+        let cases = std::iter::once((plain, true))
+            .chain(with_disjunction(&setting).map(|problem| (problem, false)));
+        for (problem, is_plain) in cases {
+            let Some(want) = brute_force_family(&input, &chased.instance, 1 << 10, |c| {
+                if is_plain {
+                    return is_solution(&setting, &input, c);
+                }
+                problem
+                    .sigma_st()
+                    .iter()
+                    .all(|t| pde_chase::satisfies_tgd(c, t))
+                    && problem
+                        .sigma_ts()
+                        .iter()
+                        .all(|d| pde_chase::satisfies_disjunctive(c, d))
+            }) else {
+                continue;
+            };
+            let mut got = Vec::new();
+            let stats = assignment::for_each_solution(&problem, &input, |sol| {
+                got.push(fact_set(sol));
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+            got.sort_unstable();
+            assert_eq!(got, want, "seed {seed}, {} Σts", problem.sigma_ts().len());
+            compared += 1;
+            with_nulls += usize::from(stats.null_count > 0);
+            several += usize::from(want.len() > 1);
+            dropped += usize::from(stats.forward_drops > 0);
+        }
+    }
+    assert!(
+        compared > 100 && with_nulls > 50 && several > 20 && dropped > 20,
+        "compared {compared}, with nulls {with_nulls}, several {several}, dropped {dropped}"
+    );
 }
 
 /// Print `cert`, parse it back through [`Verifiable::from_json`], and

@@ -29,6 +29,20 @@
 //!   of two relations) find their violations as row pairs probed through
 //!   the join columns ([`pde_relational::for_each_pair_seminaive`]), in
 //!   the generic search's exact match order.
+//!   Under [`WitnessMode::FreshNulls`] it also takes *keyed witnesses*: a
+//!   key egd is a pair egd over one relation whose joins sit at equal
+//!   positions (the key) and whose sides sit at one further position `d`.
+//!   When a tgd step writes an existential at `d` of an atom whose key
+//!   terms are constants, and a live row already holds that key (probed
+//!   through the relation's column index), the existential takes that
+//!   row's value at `d` instead of a fresh null. Soundness: the fresh null
+//!   `n` would sit beside that row, so the key egd would merge `n` into
+//!   the row's value `w`; binding `n := w` is that egd step applied at
+//!   once. `n` is fresh and no constant moves, so the chase fails exactly
+//!   when the plain chase fails, and on success its result is
+//!   homomorphically equivalent to the plain one. It is not always
+//!   isomorphic: a reused value can satisfy a later trigger that the plain
+//!   chase fires before its egd pass (`docs/CHASE.md`, "Keyed witnesses").
 //! * [`ChaseEngine::Naive`]: re-enumerates every trigger over the entire
 //!   instance each round and rewrites the instance once per egd merge.
 //!   Kept as the differential-testing oracle and as the one-shot retry
@@ -41,10 +55,10 @@
 
 use crate::result::{ChaseLimits, ChaseOutcome, ChaseResult, ChaseStats, StepRecord};
 use crate::satisfy;
-use pde_constraints::{Dependency, Egd, Tgd};
+use pde_constraints::{Dependency, Egd, EgdPair, Tgd};
 use pde_relational::{
     exists_hom, find_hom, for_each_hom, for_each_hom_seminaive, for_each_pair_seminaive,
-    Assignment, Atom, Instance, NullGen, Tuple, Value, ValueUnionFind,
+    Assignment, Atom, Instance, NullGen, RelId, Term, Tuple, Value, ValueId, ValueUnionFind, Var,
 };
 use pde_runtime::{Governor, StopReason};
 use std::ops::ControlFlow;
@@ -224,6 +238,12 @@ pub fn chase_incremental_governed(
         .iter()
         .map(|d| d.as_egd().and_then(Egd::pair_shape))
         .collect();
+    // Fresh-null steps take a key-determined existential from the row
+    // that already holds the key.
+    let keyed = match mode {
+        WitnessMode::FreshNulls(_) => keyed_slots(deps, &pair_shapes),
+        WitnessMode::FromSolution(_) => Vec::new(),
+    };
     let mut steps = 0usize;
     let mut tgd_steps = 0usize;
     let mut egd_steps = 0usize;
@@ -342,7 +362,9 @@ pub fn chase_incremental_governed(
                                     stats,
                                 };
                             }
-                            let new_facts = apply_tgd_step(&mut instance, tgd, &h, mode);
+                            let slots = keyed.get(i).map_or(&[][..], Vec::as_slice);
+                            let new_facts =
+                                apply_tgd_step(&mut instance, tgd, &h, mode, slots, &mut stats);
                             log.push(StepRecord::Tgd {
                                 dep_index: i,
                                 new_facts,
@@ -668,7 +690,7 @@ fn apply_tgd_round(
             *stopped = Some(reason);
             break;
         }
-        let new_facts = apply_tgd_step(instance, tgd, &h, mode);
+        let new_facts = apply_tgd_step(instance, tgd, &h, mode, &[], stats);
         log.push(StepRecord::Tgd {
             dep_index,
             new_facts,
@@ -681,18 +703,116 @@ fn apply_tgd_round(
     applied
 }
 
+/// A key egd `R: key → det`: a pair egd over one relation whose joins all
+/// sit at equal positions (`key`), equating the two copies of one further
+/// position `det`.
+fn key_egd(pair: &EgdPair) -> Option<(RelId, Vec<u16>, u16)> {
+    let [r0, r1] = pair.shape.rels;
+    let [(a0, det), (a1, det1)] = pair.sides;
+    let key = pair
+        .shape
+        .joins
+        .iter()
+        .map(|&(p, q)| (p == q).then_some(p))
+        .collect::<Option<Vec<u16>>>()?;
+    (r0 == r1 && a0 != a1 && det == det1 && !key.is_empty() && !key.contains(&det))
+        .then_some((r0, key, det))
+}
+
+/// An existential that a key egd determines: `var` sits at the egd's
+/// determined position `det` of conclusion atom `atom`, whose `key`
+/// positions the egd joins on.
+struct KeyedSlot {
+    var: Var,
+    atom: usize,
+    key: Vec<u16>,
+    det: u16,
+}
+
+/// The keyed slots of every tgd in `deps` (empty for egds, and for every
+/// tgd when no egd is a key egd).
+fn keyed_slots(deps: &[Dependency], pair_shapes: &[Option<EgdPair>]) -> Vec<Vec<KeyedSlot>> {
+    let keys: Vec<_> = pair_shapes.iter().flatten().filter_map(key_egd).collect();
+    if keys.is_empty() {
+        return Vec::new();
+    }
+    let slots_of = |tgd: &Tgd| {
+        let mut slots = Vec::new();
+        for (atom, a) in tgd.conclusion.atoms.iter().enumerate() {
+            for (_, key, det) in keys.iter().filter(|k| k.0 == a.rel) {
+                match a.terms[usize::from(*det)] {
+                    Term::Var(var) if tgd.existentials.contains(&var) => slots.push(KeyedSlot {
+                        var,
+                        atom,
+                        key: key.clone(),
+                        det: *det,
+                    }),
+                    _ => {}
+                }
+            }
+        }
+        slots
+    };
+    deps.iter()
+        .map(|d| d.as_tgd().map_or_else(Vec::new, slots_of))
+        .collect()
+}
+
+/// The value at `slot.det` of a live row of `atom`'s relation that holds
+/// the atom's key under `h`. `None` unless every key term is a constant
+/// under `h` and such a row exists.
+fn key_row_value(
+    instance: &Instance,
+    atom: &Atom,
+    slot: &KeyedSlot,
+    h: &Assignment,
+) -> Option<Value> {
+    let key_id = |p: u16| match atom.terms[usize::from(p)] {
+        Term::Const(c) => Some(ValueId::pack(Value::Const(c))),
+        Term::Var(v) => h.get(v).filter(Value::is_const).map(ValueId::pack),
+    };
+    let first = key_id(slot.key[0])?;
+    let rest = slot.key[1..]
+        .iter()
+        .map(|&p| Some((p, key_id(p)?)))
+        .collect::<Option<Vec<_>>>()?;
+    let rel = instance.relation(atom.rel);
+    let row = rel
+        .rows_with_id(slot.key[0], first)
+        .find(|&r| rest.iter().all(|&(p, id)| rel.value_id_at(r, p) == id))?;
+    Some(rel.value_id_at(row, slot.det).value())
+}
+
 /// Apply one tgd step for trigger `h`; returns the number of new facts.
+///
+/// With fresh nulls, an existential at a `keyed` slot whose key row
+/// exists takes that row's value (counted in `stats.keyed_witnesses`);
+/// every other existential gets a fresh null. An empty `keyed` is plain
+/// minting.
 fn apply_tgd_step(
     instance: &mut Instance,
     tgd: &Tgd,
     h: &Assignment,
     mode: WitnessMode<'_>,
+    keyed: &[KeyedSlot],
+    stats: &mut ChaseStats,
 ) -> usize {
     let mut ext = h.clone();
     match mode {
         WitnessMode::FreshNulls(gen) => {
+            for slot in keyed {
+                if ext.get(slot.var).is_none() {
+                    let atom = &tgd.conclusion.atoms[slot.atom];
+                    if let Some(w) = key_row_value(instance, atom, slot, h) {
+                        ext.bind(slot.var, w);
+                        stats.keyed_witnesses += 1;
+                    }
+                }
+            }
             for v in &tgd.existentials {
-                ext.bind(*v, Value::Null(gen.fresh()));
+                if keyed.is_empty() || ext.get(*v).is_none() {
+                    ext.bind(*v, Value::Null(gen.fresh()));
+                }
             }
         }
         WitnessMode::FromSolution(solution) => {

@@ -41,9 +41,10 @@
 //! `docs/CHASE.md`); the naive oracle engine only answers when `solve`
 //! retries after a panic or an injected fault. `solve --stats` prints the
 //! engine that answered and its counters: rounds, triggers fired vs
-//! skipped-by-delta, egd merges — and, for the complete searches, the
-//! branch/candidate/prune counters — plus the resource-governor counters
-//! and whether the run fell back to the naive oracle engine.
+//! skipped-by-delta, egd merges, keyed witnesses — and, for the complete
+//! searches, the branch/candidate/prune counters — plus the
+//! resource-governor counters and whether the run fell back to the naive
+//! oracle engine.
 //!
 //! Observability (`docs/OBSERVABILITY.md`): `--trace <file.jsonl>` (any
 //! command) streams every phase span — chase rounds, trigger discovery,
@@ -934,6 +935,7 @@ fn dispatch(
                     outln!("triggers satisfied:      {}", s.triggers_satisfied);
                     outln!("skipped by delta:        {}", s.skipped_by_delta);
                     outln!("egd merges:              {}", s.egd_merges);
+                    outln!("keyed witnesses:         {}", s.keyed_witnesses);
                 }
                 if let Some(s) = report.search {
                     outln!("search branches:         {}", s.branches);

@@ -1012,6 +1012,7 @@ fn solve_stats_prints_chase_counters() {
     assert!(stdout.contains("triggers fired:"), "stdout: {stdout}");
     assert!(stdout.contains("skipped by delta:"), "stdout: {stdout}");
     assert!(stdout.contains("egd merges:"), "stdout: {stdout}");
+    assert!(stdout.contains("keyed witnesses:"), "stdout: {stdout}");
 
     // There is no engine switch: `--chase` is an unknown flag.
     for engine in ["naive", "magic"] {
@@ -1023,6 +1024,28 @@ fn solve_stats_prints_chase_counters() {
             "stderr: {stderr}"
         );
     }
+}
+
+#[test]
+fn solve_stats_counts_keyed_witnesses_on_the_keyed_example() {
+    // Annotations take `i` and `o` from the row their accession already
+    // has, so the key egds have nothing to merge.
+    let p = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/keyed_exchange.pde");
+    let out = run(&["solve", "--no-lint", "--stats", p]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("egd merges:              0\n"),
+        "stdout: {stdout}"
+    );
+    let keyed: usize = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("keyed witnesses:"))
+        .expect("a keyed witnesses line")
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(keyed > 0, "stdout: {stdout}");
 }
 
 #[test]

@@ -695,17 +695,26 @@ proptest! {
 
     #[test]
     fn naive_and_seminaive_agree_on_keyed_data_exchange(
-        facts in prop::collection::vec((0u32..4, 0u32..3, 0u32..3, 0u32..4), 0..=12),
+        facts in prop::collection::vec((0u32..7, 0u32..3, 0u32..3, 0u32..4), 0..=12),
         layout in (0usize..24, 0u32..2, 0u32..16),
+        variant in (0u32..2, 0u32..8, 0u32..3),
     ) {
         // Keyed data exchange: Σst fills T(a, b, i, o) with nulls for `i`
         // (and for `o` on annotation-only keys), and Σt holds the key egds
         // `key → i` and `key → o` — keys, which the semi-naive engine
-        // discovers by row-pair probes. The columns are permuted, the
-        // key has one or two columns, and every egd picks its own atom
-        // order and orientation. About one source fact in four gives its
-        // key a second organism, so some chases fail.
+        // discovers by row-pair probes and uses to take `i` and `o` from
+        // the row that already holds the key (keyed witnesses). The
+        // columns are permuted, the key has one or two columns, every egd
+        // picks its own atom order and orientation, and the two main Σst
+        // tgds come in either order. Extra tgds put an existential in a
+        // key column (`X`, which must mint), one existential at the
+        // determined positions of two keyed atoms with different keys
+        // (`W`), and a constant in a key column (`C`). One of the two key
+        // egds may be left out, so that an existential sits at a position
+        // no egd determines. About one source fact in four gives its key
+        // a second organism, so some chases fail.
         let (perm, two_keys, orient) = layout;
+        let (swap, extras, keys) = variant;
         let mut roles: Vec<usize> = (0..4).collect();
         let mut code = perm;
         let mut order = Vec::new();
@@ -725,15 +734,41 @@ proptest! {
             let (lhs, rhs) = if bits & 2 == 0 { (v1, v2) } else { (v2, v1) };
             format!("{first}, {second} -> {lhs} = {rhs}")
         };
-        let src_deps = format!(
-            "S(a, b, o) -> exists i . {}; Q(a, b, g) -> exists i, o . {}, G(i, g); {}; {}",
-            atom(["a", "b", "i", "o"]),
-            atom(["a", "b", "i", "o"]),
-            egd(orient, "i", "i2"),
-            egd(orient >> 2, "o", "o2"),
-        );
+        let mut rules = vec![
+            format!("S(a, b, o) -> exists i . {}", atom(["a", "b", "i", "o"])),
+            format!("Q(a, b, g) -> exists i, o . {}, G(i, g)", atom(["a", "b", "i", "o"])),
+        ];
+        if swap == 1 {
+            rules.reverse();
+        }
+        if extras & 1 != 0 {
+            rules.push(format!("X(b, o) -> exists e, i . {}", atom(["e", "b", "i", "o"])));
+        }
+        if extras & 2 != 0 {
+            rules.push(format!(
+                "W(a, c, b) -> exists i, o . {}, {}",
+                atom(["a", "b", "i", "o"]),
+                atom(["c", "b", "i", "o"])
+            ));
+        }
+        if extras & 4 != 0 {
+            rules.push(format!("C(b, o) -> exists i . {}", atom(["'k0'", "b", "i", "o"])));
+        }
+        // `keys`: 0 keeps both key egds, 1 only `key → i`, 2 only
+        // `key → o`.
+        if keys != 2 {
+            rules.push(egd(orient, "i", "i2"));
+        }
+        if keys != 1 {
+            rules.push(egd(orient >> 2, "o", "o2"));
+        }
+        let src_deps = rules.join("; ");
         let schema = std::sync::Arc::new(
-            parse_schema("source S/3; source Q/3; target T/4; target G/2;").unwrap(),
+            parse_schema(
+                "source S/3; source Q/3; source X/2; source W/3; source C/2; \
+                 target T/4; target G/2;",
+            )
+            .unwrap(),
         );
         let deps = parse_dependencies(&schema, &src_deps).unwrap();
         prop_assert!(
@@ -743,11 +778,17 @@ proptest! {
         let mut src = String::new();
         for (kind, a, b, v) in &facts {
             let key = if two_keys == 1 { a + b } else { *a };
-            if *kind < 2 {
-                let o = key % 3 + u32::from(*v == 0);
-                src.push_str(&format!("S(k{a}, k{b}, o{o}). "));
-            } else {
-                src.push_str(&format!("Q(k{a}, k{b}, g{v}). "));
+            let o = key % 3 + u32::from(*v == 0);
+            match kind {
+                0 | 1 => src.push_str(&format!("S(k{a}, k{b}, o{o}). ")),
+                2 | 3 => src.push_str(&format!("Q(k{a}, k{b}, g{v}). ")),
+                4 => src.push_str(&format!("X(k{b}, o{o}). ")),
+                5 => src.push_str(&format!("W(k{a}, k{v}, k{b}). ")),
+                _ => {
+                    let key = if two_keys == 1 { *b } else { 0 };
+                    let o = key % 3 + u32::from(*v == 0);
+                    src.push_str(&format!("C(k{b}, o{o}). "));
+                }
             }
         }
         let input = parse_instance(&schema, &src).unwrap();

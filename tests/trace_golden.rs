@@ -406,7 +406,7 @@ fn solve_json_report_golden_tractable() {
          \"certificate\":{\"version\":1,\"regime\":\"tractable\",\"solver\":\"tractable\",\
          \"termination\":{\"certified\":true,\"criterion\":\"weak-acyclicity\"}},\
          \"metrics\":{\"counters\":{\
-         \"chase.egd_merges\":0,\"chase.rounds\":4,\"chase.skipped_by_delta\":2,\
+         \"chase.egd_merges\":0,\"chase.keyed_witnesses\":0,\"chase.rounds\":4,\"chase.skipped_by_delta\":2,\
          \"chase.triggers_fired\":2,\"chase.triggers_found\":2,\"chase.triggers_satisfied\":0,\
          \"governor.cancellations_observed\":0,\"governor.checks\":4,\
          \"governor.faults_fired\":0,\"governor.peak_bytes\":571,\"governor.stops\":0,\
@@ -568,6 +568,21 @@ fn check_accounting_layers_agree(
     prop_assert_eq!(res.stats.egd_merges, egd_step_count(&res));
     prop_assert_eq!(res.stats.egd_merges, res.egd_steps);
 
+    // Witnesses: every existential of a fired tgd step is a minted null
+    // or a value taken from the row that already holds its key.
+    let existentials: usize = res
+        .log
+        .iter()
+        .map(|r| match r {
+            pde_chase::StepRecord::Tgd { dep_index, .. } => deps[*dep_index]
+                .as_tgd()
+                .map_or(0, |t| t.existentials.len()),
+            pde_chase::StepRecord::Egd { .. } => 0,
+        })
+        .sum();
+    let minted = usize::try_from(gen.high_water()).unwrap();
+    prop_assert_eq!(minted + res.stats.keyed_witnesses, existentials);
+
     // Every round produced exactly one round span.
     let round_spans = spans.iter().filter(|s| s.name == "chase.round").count();
     prop_assert_eq!(round_spans, res.stats.rounds);
@@ -604,6 +619,36 @@ proptest! {
         // is actually exercised.
         let setting = boundary::egd_boundary_setting();
         let input = boundary::egd_boundary_instance(&setting, &Graph::complete(3), k);
+        let deps = forward_deps(&setting);
+        check_accounting_layers_agree(engine, &input, &deps)?;
+    }
+
+    #[test]
+    fn trace_stats_and_log_agree_on_keyed_chases(
+        facts in prop::collection::vec((0..2u32, 0..4u32, 0..3u32), 0..12),
+        engine_pick in 0..2u32,
+    ) {
+        let engine = if engine_pick == 0 { "naive" } else { "seminaive" };
+        // Keyed data exchange: the semi-naive engine takes `i` and `o`
+        // from the row that already holds the key `a`, and mints the
+        // rest. Each key has one organism, so the chase succeeds (a
+        // failing egd step is accounted in `egd_steps` but is no merge).
+        let setting = PdeSetting::parse(
+            "source S/2; source Q/2; target T/3; target G/2;",
+            "S(a, o) -> exists i . T(a, i, o); Q(a, g) -> exists i, o . T(a, i, o), G(i, g)",
+            "",
+            "T(a, i, o), T(a, i2, o2) -> i = i2; T(a, i, o), T(a, i2, o2) -> o = o2",
+        )
+        .unwrap();
+        let mut src = String::new();
+        for (kind, a, g) in &facts {
+            if *kind == 0 {
+                src.push_str(&format!("S(k{a}, o{}). ", a % 2));
+            } else {
+                src.push_str(&format!("Q(k{a}, g{g}). "));
+            }
+        }
+        let input = parse_instance(setting.schema(), &src).unwrap();
         let deps = forward_deps(&setting);
         check_accounting_layers_agree(engine, &input, &deps)?;
     }
